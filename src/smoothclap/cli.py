@@ -1,8 +1,8 @@
 """Single entry point exposing the pipeline as subcommands.
 
 Exit codes: 0 success, 1 computation failure, 2 usage or IO error. Every
-artifact embeds the effective configuration and seed so runs can be
-reproduced from the outputs alone. The SMOOTHCLAP_LOG environment variable
+artifact embeds the seed and the run options its command read, so runs can
+be reproduced from the outputs alone. The SMOOTHCLAP_LOG environment variable
 (error, warn, info, debug) controls log verbosity.
 """
 from __future__ import annotations
@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +38,19 @@ from .evaluation import (
     zero_shot_classify,
 )
 from .gradcheck import DEFAULT_SIZES, run_gradcheck_suite
-from .objective import KLMode, ObjectiveKind, SmoothingConfig
 from .paralinguistics import acoustic_profile, load_wav
 from .tagging import (
     DIMENSION_FEATURES,
     TemplateSet,
     fit_bins,
     load_thresholds,
+    profile_feature_values,
     render_tags,
     save_thresholds,
 )
 from .trainer import (
+    RUN_OPTIONS,
+    RunOption,
     TrainConfig,
     embed_audio,
     embed_query_labels,
@@ -62,62 +65,31 @@ GRADCHECK_TOLERANCE = 1e-5
 
 
 # --- run configuration ----------------------------------------------------------
+# Every flag and config key below derives from trainer.RUN_OPTIONS. The seed is
+# taken by every subcommand and sits at the top level of a config file; the
+# other options sit under their section ("smoothing") or under "train".
 
-_DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "smoothing.gamma": 0.5,
-    "smoothing.beta": 0.1,
-    "smoothing.tau_a2a": 1.0,
-    "smoothing.tau_t2t": 1.0,
-    "smoothing.tau_pred": 1.0,
-    "smoothing.kl_mode": "symmetric",
-    "smoothing.floor": 1e-8,
-    "train.batch_size": 32,
-    "train.epochs": 10,
-    "train.lr": 1e-3,
-    "train.lr_text": 1e-5,
-    "train.embed_dim": 16,
-    "train.objective": "smooth",
-    "train.clap_mix_lambda": 0.0,
-}
+_SEED = next(opt for opt in RUN_OPTIONS if opt.name == "seed")
 
-_COERCE: dict[str, type] = {
-    "seed": int,
-    "smoothing.gamma": float,
-    "smoothing.beta": float,
-    "smoothing.tau_a2a": float,
-    "smoothing.tau_t2t": float,
-    "smoothing.tau_pred": float,
-    "smoothing.kl_mode": str,
-    "smoothing.floor": float,
-    "train.batch_size": int,
-    "train.epochs": int,
-    "train.lr": float,
-    "train.lr_text": float,
-    "train.embed_dim": int,
-    "train.objective": str,
-    "train.clap_mix_lambda": float,
-}
 
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "gamma": "smoothing.gamma",
-    "beta": "smoothing.beta",
-    "tau_a2a": "smoothing.tau_a2a",
-    "tau_t2t": "smoothing.tau_t2t",
-    "tau_pred": "smoothing.tau_pred",
-    "kl_mode": "smoothing.kl_mode",
-    "floor": "smoothing.floor",
-    "batch_size": "train.batch_size",
-    "epochs": "train.epochs",
-    "lr": "train.lr",
-    "lr_text": "train.lr_text",
-    "embed_dim": "train.embed_dim",
-    "objective": "train.objective",
-    "clap_mix_lambda": "train.clap_mix_lambda",
-}
+def _config_key(opt: RunOption) -> str:
+    return opt.name if opt is _SEED else f"{opt.section or 'train'}.{opt.name}"
 
-_KEY_ALIASES = {short: dotted for short, dotted in _FLAG_TO_KEY.items()}
+
+# accepted config-file keys, flat and dotted; nested objects flatten to dotted
+_OPTIONS_BY_KEY = {key: opt for opt in RUN_OPTIONS for key in (opt.name, _config_key(opt))}
+
+
+def _flag_spec(opt: RunOption) -> tuple[str, dict]:
+    if issubclass(opt.type, Enum):
+        kind = {"choices": [m.value for m in opt.type]}
+    else:
+        kind = {"type": opt.type}
+    return "--" + opt.name.replace("_", "-"), {"dest": opt.name, **kind}
+
+
+_SEED_FLAG = _flag_spec(_SEED)
+_TRAINING_FLAGS = tuple(_flag_spec(opt) for opt in RUN_OPTIONS)
 
 
 def _flatten_config(doc: dict, prefix: str = "") -> dict[str, object]:
@@ -131,13 +103,14 @@ def _flatten_config(doc: dict, prefix: str = "") -> dict[str, object]:
     return flat
 
 
-def resolve_run_config(args: argparse.Namespace) -> dict[str, object]:
-    """Defaults, overridden by the config file, overridden by flags.
+def resolve_run_options(args: argparse.Namespace) -> dict[RunOption, object]:
+    """Config-file values overridden by flags, coerced to each option's type.
 
+    Options set by neither are absent and take their dataclass default.
     Unknown keys in the config file are errors, never warnings.
     """
-    values = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
+    values: dict[RunOption, object] = {}
+    config_path = args.config
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text())
@@ -146,55 +119,38 @@ def resolve_run_config(args: argparse.Namespace) -> dict[str, object]:
         if not isinstance(doc, dict):
             raise ConfigError(f"{config_path}: top level must be an object")
         for key, value in _flatten_config(doc).items():
-            dotted = _KEY_ALIASES.get(key, key)
-            if dotted not in _DEFAULTS:
+            opt = _OPTIONS_BY_KEY.get(key)
+            if opt is None:
                 raise ConfigError(f"{config_path}: unknown config key {key!r}")
             try:
-                values[dotted] = _COERCE[dotted](value)
+                values[opt] = opt.type(value)
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"{config_path}: bad value for {key!r}: {value!r}"
                 ) from None
-    for flag, dotted in _FLAG_TO_KEY.items():
-        flag_value = getattr(args, flag, None)
+    for opt in RUN_OPTIONS:
+        flag_value = getattr(args, opt.name, None)
         if flag_value is not None:
-            values[dotted] = _COERCE[dotted](flag_value)
-    if values["smoothing.kl_mode"] not in ("symmetric", "forward"):
-        raise ConfigError(f"kl_mode must be symmetric or forward, got {values['smoothing.kl_mode']!r}")
-    if values["train.objective"] not in ("clap", "smooth"):
-        raise ConfigError(f"objective must be clap or smooth, got {values['train.objective']!r}")
+            values[opt] = opt.type(flag_value)
     return values
 
 
-def train_config_from_values(values: dict[str, object]) -> TrainConfig:
-    smoothing = SmoothingConfig(
-        gamma=values["smoothing.gamma"],
-        beta=values["smoothing.beta"],
-        tau_a2a=values["smoothing.tau_a2a"],
-        tau_t2t=values["smoothing.tau_t2t"],
-        tau_pred=values["smoothing.tau_pred"],
-        kl_mode=KLMode(values["smoothing.kl_mode"]),
-        floor=values["smoothing.floor"],
-    )
-    return TrainConfig(
-        batch_size=values["train.batch_size"],
-        epochs=values["train.epochs"],
-        lr_projection=values["train.lr"],
-        lr_text=values["train.lr_text"],
-        seed=values["seed"],
-        embed_dim=values["train.embed_dim"],
-        clap_mix_lambda=values["train.clap_mix_lambda"],
-        smoothing=smoothing,
-        objective=ObjectiveKind(values["train.objective"]),
-    )
+def resolve_train_config(args: argparse.Namespace) -> TrainConfig:
+    return TrainConfig.from_options(resolve_run_options(args))
 
 
-def _meta(command: str, values: dict[str, object]) -> dict:
+def resolve_seed(args: argparse.Namespace) -> int:
+    """The seed of a non-training subcommand; the whole config file is still checked."""
+    return resolve_run_options(args).get(_SEED, _SEED.default)
+
+
+def _meta(command: str, config: dict) -> dict:
+    """Artifact header: the tool, its version and the run options the command read."""
     return {
         "tool": f"smoothclap-{command}",
         "version": __version__,
-        "seed": values["seed"],
-        "config": dict(sorted(values.items())),
+        "seed": config["seed"],
+        "config": config,
     }
 
 
@@ -208,13 +164,21 @@ def _write_jsonl(path, records: list[dict], meta: dict) -> None:
 
 
 def _read_jsonl(path) -> list[dict]:
+    """Records of a JSONL file; blank lines and the ``_meta`` header are skipped."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
             if "_meta" in obj:
                 continue
             records.append(obj)
@@ -244,7 +208,7 @@ def _extract_inputs(args: argparse.Namespace) -> list[tuple[str, Path]]:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    values = resolve_run_config(args)
+    meta = _meta("extract", {"seed": resolve_seed(args)})
     inputs = _extract_inputs(args)
     records: list[dict] = []
     failures = 0
@@ -256,7 +220,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             logger.warning("skipping %s (%s): %s", utt_id, wav_path, exc)
             continue
         records.append({"id": utt_id, **profile.to_json_dict()})
-    _write_jsonl(args.out, records, _meta("extract", values))
+    _write_jsonl(args.out, records, meta)
     if failures:
         print(f"warning: {failures} of {len(inputs)} files failed", file=sys.stderr)
         if args.strict:
@@ -267,7 +231,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 # --- tags --------------------------------------------------------------------------
 
 def cmd_tags(args: argparse.Namespace) -> int:
-    values = resolve_run_config(args)
+    meta = _meta("tags", {"seed": resolve_seed(args)})
     profiles = _read_jsonl(args.profiles)
     labels_by_id: dict[str, dict] = {}
     if args.labels:
@@ -282,7 +246,7 @@ def cmd_tags(args: argparse.Namespace) -> int:
                 if dim in entry:
                     feature_values.setdefault(dim, []).append(float(entry[dim]))
         for profile in profiles:
-            for name, value in _profile_values(profile).items():
+            for name, value in profile_feature_values(profile).items():
                 feature_values.setdefault(name, []).append(value)
         thresholds = {}
         for name, vals in feature_values.items():
@@ -302,7 +266,7 @@ def cmd_tags(args: argparse.Namespace) -> int:
             genders=frozenset(observed["gender"]) if "gender" in observed else None,
         )
         thresholds_out = args.thresholds_out or f"{args.out}.thresholds.json"
-        save_thresholds(thresholds_out, thresholds, observed, _meta("tags", values))
+        save_thresholds(thresholds_out, thresholds, observed, meta)
     else:
         thresholds, templates = load_thresholds(args.thresholds_in)
 
@@ -319,10 +283,10 @@ def cmd_tags(args: argparse.Namespace) -> int:
             labels = {k: str(entry[k]) for k in ("emotion", "gender") if k in entry}
             dims = {k: float(entry[k]) for k in DIMENSION_FEATURES if k in entry}
         record = render_tags(
-            utt_id, labels, dims, _profile_values(profile), thresholds, templates
+            utt_id, labels, dims, profile_feature_values(profile), thresholds, templates
         )
         records.append(record.to_json_dict())
-    _write_jsonl(args.out, records, _meta("tags", values))
+    _write_jsonl(args.out, records, meta)
 
     unmatched_profiles = len(profiles) - matched
     unmatched_labels = len(labels_by_id) - matched
@@ -333,21 +297,6 @@ def cmd_tags(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _profile_values(profile_record: dict) -> dict[str, float]:
-    getters = {
-        "pitch": "pitch_mean_hz",
-        "intensity": "intensity_mean_db",
-        "jitter": "jitter",
-        "shimmer": "shimmer",
-        "duration": "duration_s",
-    }
-    return {
-        name: float(profile_record[field])
-        for name, field in getters.items()
-        if field in profile_record
-    }
 
 
 # --- train -------------------------------------------------------------------------
@@ -373,16 +322,16 @@ def _load_training_data(features_path, tags_path, min_rows: int):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    values = resolve_run_config(args)
-    config = train_config_from_values(values)
+    config = resolve_train_config(args)
     ids, features, tag_lists = _load_training_data(
         args.features, args.tags, config.batch_size
     )
     model = train(features, tag_lists, config)
-    save_model(args.out, model, extra_meta=_meta("train", values))
+    meta = _meta("train", config.to_json_dict())
+    save_model(args.out, model, extra_meta=meta)
     history_path = args.history or f"{args.out}.history.csv"
     with open(history_path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(_meta("train", values), sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss"])
         for epoch, loss in enumerate(model.history, start=1):
@@ -426,7 +375,7 @@ def _evaluate(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    values = resolve_run_config(args)
+    meta = _meta("eval", {"seed": resolve_seed(args)})
     labels = dict(read_labels_csv(args.labels))
 
     if args.embeddings:
@@ -452,10 +401,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         query_emb = embed_query_labels(model, class_names)
 
     report = _evaluate(audio_ids, audio_emb, list(class_names), query_emb, labels)
-    save_report(args.out, report, meta=_meta("eval", values))
+    save_report(args.out, report, meta=meta)
     if args.predictions_csv:
         with open(args.predictions_csv, "w", newline="") as fh:
-            fh.write("# " + json.dumps(_meta("eval", values), sort_keys=True) + "\n")
+            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
             writer = csv.writer(fh)
             writer.writerow(["id", "true", "predicted"])
             for p in report.predictions:
@@ -478,10 +427,10 @@ def _parse_sizes(spec: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    values = resolve_run_config(args)
+    seed = resolve_seed(args)
     sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SIZES
     report = run_gradcheck_suite(
-        seed=values["seed"], sizes=sizes, corrupt_gradient=args.corrupt_gradient
+        seed=seed, sizes=sizes, corrupt_gradient=args.corrupt_gradient
     )
     print(
         f"gradcheck: max relative error {report.max_error:.3e} "
@@ -509,8 +458,7 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = resolve_run_config(args)
-    base_config = train_config_from_values(values)
+    base_config = resolve_train_config(args)
     gamma_grid = _parse_grid(args.gamma_grid, "gamma")
     beta_grid = _parse_grid(args.beta_grid, "beta")
     ids, features, tag_lists = _load_training_data(
@@ -535,8 +483,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             except SmoothClapError as exc:
                 logger.warning("sweep cell gamma=%s beta=%s failed: %s", gamma, beta, exc)
                 rows.append((gamma, beta, float("nan"), float("nan")))
+    meta = _meta("sweep", base_config.to_json_dict())
     with open(args.out, "w", newline="") as fh:
-        fh.write("# " + json.dumps(_meta("sweep", values), sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["gamma", "beta", "uar", "final_loss"])
         for gamma, beta, uar, final_loss in rows:
@@ -548,22 +497,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser, training: bool = False) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int)
-    if training:
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--tau-a2a", dest="tau_a2a", type=float)
-        p.add_argument("--tau-t2t", dest="tau_t2t", type=float)
-        p.add_argument("--tau-pred", dest="tau_pred", type=float)
-        p.add_argument("--kl-mode", dest="kl_mode", choices=["symmetric", "forward"])
-        p.add_argument("--objective", choices=["clap", "smooth"])
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--lr-text", dest="lr_text", type=float)
-        p.add_argument("--embed-dim", dest="embed_dim", type=int)
-        p.add_argument("--floor", type=float)
-        p.add_argument("--clap-mix-lambda", dest="clap_mix_lambda", type=float)
+    for flag, kwargs in _TRAINING_FLAGS if training else (_SEED_FLAG,):
+        p.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

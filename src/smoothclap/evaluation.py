@@ -197,15 +197,6 @@ def ingest_external_embeddings(path) -> tuple[np.ndarray, list[str]]:
     return l2_normalize_rows(data), ids
 
 
-def write_id_matrix_csv(path, ids, matrix) -> None:
-    matrix = as_matrix(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"e{i}" for i in range(matrix.shape[1])])
-        for row_id, row in zip(ids, matrix):
-            writer.writerow([row_id] + [repr(float(v)) for v in row])
-
-
 def read_labels_csv(path) -> list[tuple[str, str]]:
     """Read an 'id,label' CSV, order preserved."""
     with open(path, newline="") as fh:

@@ -71,7 +71,8 @@ def row_softmax(m, temperature: float) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def _check_floor(floor: float) -> None:
+def check_floor(floor: float) -> None:
+    """The log floor of the KL terms must lie in (0, 1e-4]."""
     if not 0.0 < floor <= 1e-4:
         raise ValueError(f"floor must be in (0, 1e-4], got {floor}")
 
@@ -85,7 +86,7 @@ def kl_sum(p, q, floor: float = DEFAULT_KL_FLOOR) -> float:
     q = as_matrix(q, "q")
     if p.shape != q.shape:
         raise ShapeMismatch(f"p has shape {p.shape}, q has shape {q.shape}")
-    _check_floor(floor)
+    check_floor(floor)
     log_ratio = np.log(np.maximum(p, floor)) - np.log(np.maximum(q, floor))
     return float(np.sum(np.where(p > 0.0, p * log_ratio, 0.0)))
 

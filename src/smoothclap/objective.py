@@ -31,6 +31,7 @@ from .errors import (
 from .numeric import (
     DEFAULT_KL_FLOOR,
     as_matrix,
+    check_floor,
     gram,
     kl_sum,
     l2_normalize_rows,
@@ -77,8 +78,7 @@ class SmoothingConfig:
                 raise NonPositiveTemperature(
                     f"{name} must be > 0, got {getattr(self, name)}"
                 )
-        if not 0.0 < self.floor <= 1e-4:
-            raise ValueError(f"floor must be in (0, 1e-4], got {self.floor}")
+        check_floor(self.floor)
         if self.kl_mode is KLMode.SYMMETRIC and not self.beta > 0.0:
             raise ZeroMassTarget(
                 "symmetric KL requires beta > 0: hard targets put zero mass "

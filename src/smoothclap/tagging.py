@@ -29,15 +29,15 @@ LOW_PERCENTILE = 30.0
 HIGH_PERCENTILE = 70.0
 
 DIMENSION_FEATURES = ("arousal", "valence", "dominance")
-ACOUSTIC_FEATURES = ("pitch", "intensity", "jitter", "shimmer", "duration")
-
-_PROFILE_GETTERS = {
-    "pitch": lambda p: p.pitch_mean_hz,
-    "intensity": lambda p: p.intensity_mean_db,
-    "jitter": lambda p: p.jitter,
-    "shimmer": lambda p: p.shimmer,
-    "duration": lambda p: p.duration_s,
+# tag feature name -> AcousticProfile field (also its profile-record key)
+PROFILE_FIELDS = {
+    "pitch": "pitch_mean_hz",
+    "intensity": "intensity_mean_db",
+    "jitter": "jitter",
+    "shimmer": "shimmer",
+    "duration": "duration_s",
 }
+ACOUSTIC_FEATURES = tuple(PROFILE_FIELDS)
 
 
 class Bin(IntEnum):
@@ -141,13 +141,11 @@ OPEN_TEMPLATES = TemplateSet()
 
 @dataclass
 class TagRecord:
-    """Rendered tags for one utterance plus the sources they came from."""
+    """Rendered tags for one utterance and the bin of each binned feature."""
 
     utterance_id: str
     tags: list[str]
     bins: dict[str, str] = field(default_factory=dict)
-    source_labels: dict[str, str] = field(default_factory=dict)
-    source_dims: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {"id": self.utterance_id, "tags": list(self.tags), "bins": dict(self.bins)}
@@ -163,9 +161,13 @@ def _acoustic_tag(feature: str, b: Bin) -> str:
     return f"{_ACOUSTIC_WORDS[int(b)]} {feature}"
 
 
-def profile_feature_values(profile: AcousticProfile) -> dict[str, float]:
-    """The binnable scalar features of a profile, keyed by tag feature name."""
-    return {name: _PROFILE_GETTERS[name](profile) for name in ACOUSTIC_FEATURES}
+def profile_feature_values(profile: AcousticProfile | dict) -> dict[str, float]:
+    """The binnable scalar features of a profile or profile record, keyed by
+    tag feature name. A record that lacks a field skips that feature."""
+    record = vars(profile) if isinstance(profile, AcousticProfile) else profile
+    return {
+        name: float(record[key]) for name, key in PROFILE_FIELDS.items() if key in record
+    }
 
 
 def render_tags(
@@ -217,13 +219,7 @@ def render_tags(
 
     seen: set[str] = set()
     unique_tags = [t for t in tags if not (t in seen or seen.add(t))]
-    return TagRecord(
-        utterance_id=utterance_id,
-        tags=unique_tags,
-        bins=bins,
-        source_labels=dict(labels),
-        source_dims={k: float(v) for k, v in dims.items()},
-    )
+    return TagRecord(utterance_id=utterance_id, tags=unique_tags, bins=bins)
 
 
 # --- thresholds sidecar -------------------------------------------------------

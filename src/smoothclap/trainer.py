@@ -13,8 +13,10 @@ import base64
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .errors import (
 from .numeric import as_matrix, l2_normalize_rows
 from .objective import (
     EmbeddingBatch,
-    KLMode,
     ObjectiveKind,
     SmoothingConfig,
     loss_and_grad,
@@ -137,14 +138,16 @@ def adam_step(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything the training loop needs besides the data."""
+    """Everything the training loop needs besides the data.
+
+    Its scalar fields, and those of its SmoothingConfig, are the run options:
+    the CLI flags, config-file keys and JSON echo all derive from them. An
+    ``option`` entry in a field's metadata renames its flag and config key.
+    """
 
     batch_size: int = 32
     epochs: int = 10
-    lr_projection: float = 1e-3
-    # reserved for a trainable text featurizer; the multi-hot stand-in has no
-    # parameters, so this knob is currently inert
-    lr_text: float = 1e-5
+    lr_projection: float = field(default=1e-3, metadata={"option": "lr"})
     seed: int = 0
     embed_dim: int = 16
     clap_mix_lambda: float = 0.0
@@ -157,8 +160,8 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         # zero is allowed so a frozen run can serve as a no-learning baseline
-        if self.lr_projection < 0.0 or self.lr_text < 0.0:
-            raise ValueError("learning rates must be non-negative")
+        if self.lr_projection < 0.0:
+            raise ValueError(f"lr_projection must be >= 0, got {self.lr_projection}")
         if self.embed_dim < 2:
             raise ValueError(f"embed_dim must be >= 2, got {self.embed_dim}")
         if not 0.0 <= self.clap_mix_lambda <= 1.0:
@@ -166,49 +169,71 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
+    @classmethod
+    def from_options(cls, values: dict[RunOption, object]) -> "TrainConfig":
+        """Build from coerced option values; absent options take their defaults."""
+        kwargs: dict[str, object] = {}
+        sections: dict[str, dict[str, object]] = {}
+        for opt, value in values.items():
+            target = sections.setdefault(opt.section, {}) if opt.section else kwargs
+            target[opt.field] = value
+        for section, section_kwargs in sections.items():
+            kwargs[section] = _SECTION_TYPES[section](**section_kwargs)
+        return cls(**kwargs)
+
     def to_json_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "lr_projection": self.lr_projection,
-            "lr_text": self.lr_text,
-            "seed": self.seed,
-            "embed_dim": self.embed_dim,
-            "clap_mix_lambda": self.clap_mix_lambda,
-            "objective": self.objective.value,
-            "smoothing": {
-                "gamma": self.smoothing.gamma,
-                "beta": self.smoothing.beta,
-                "tau_a2a": self.smoothing.tau_a2a,
-                "tau_t2t": self.smoothing.tau_t2t,
-                "tau_pred": self.smoothing.tau_pred,
-                "kl_mode": self.smoothing.kl_mode.value,
-                "floor": self.smoothing.floor,
-            },
-        }
+        return asdict(self, dict_factory=_with_enum_values)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
-        s = d.get("smoothing", {})
-        return cls(
-            batch_size=int(d.get("batch_size", 32)),
-            epochs=int(d.get("epochs", 10)),
-            lr_projection=float(d.get("lr_projection", 1e-3)),
-            lr_text=float(d.get("lr_text", 1e-5)),
-            seed=int(d.get("seed", 0)),
-            embed_dim=int(d.get("embed_dim", 16)),
-            clap_mix_lambda=float(d.get("clap_mix_lambda", 0.0)),
-            objective=ObjectiveKind(d.get("objective", "smooth")),
-            smoothing=SmoothingConfig(
-                gamma=float(s.get("gamma", 0.5)),
-                beta=float(s.get("beta", 0.1)),
-                tau_a2a=float(s.get("tau_a2a", 1.0)),
-                tau_t2t=float(s.get("tau_t2t", 1.0)),
-                tau_pred=float(s.get("tau_pred", 1.0)),
-                kl_mode=KLMode(s.get("kl_mode", "symmetric")),
-                floor=float(s.get("floor", 1e-8)),
-            ),
-        )
+        values = {}
+        for opt in RUN_OPTIONS:
+            holder = d.get(opt.section, {}) if opt.section else d
+            if opt.field in holder:
+                values[opt] = opt.type(holder[opt.field])
+        return cls.from_options(values)
+
+
+@dataclass(frozen=True)
+class RunOption:
+    """One run option: a scalar field of TrainConfig or of its SmoothingConfig.
+
+    ``section`` is the TrainConfig field holding the option's dataclass, or
+    None for TrainConfig's own fields. ``name`` is the flag and flat
+    config-file key. ``type`` (int, float or an Enum) coerces flag, file and
+    JSON values.
+    """
+
+    section: str | None
+    field: str
+    name: str
+    type: type
+    default: object
+
+
+def _with_enum_values(items: list[tuple[str, object]]) -> dict:
+    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
+
+
+def _run_options() -> tuple[tuple[RunOption, ...], dict[str, type]]:
+    options: list[RunOption] = []
+    sections: dict[str, type] = {}
+
+    def collect(cls: type, section: str | None) -> None:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if is_dataclass(hints[f.name]):
+                sections[f.name] = hints[f.name]
+                collect(hints[f.name], f.name)
+            else:
+                name = f.metadata.get("option", f.name)
+                options.append(RunOption(section, f.name, name, hints[f.name], f.default))
+
+    collect(TrainConfig, None)
+    return tuple(options), sections
+
+
+RUN_OPTIONS, _SECTION_TYPES = _run_options()
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,15 @@ from helpers import (
 )
 from smoothclap.evaluation import load_report
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
-from smoothclap.trainer import embed_audio, embed_query_labels, load_model, train
-from smoothclap.cli import train_config_from_values, resolve_run_config
+from smoothclap.objective import KLMode, ObjectiveKind, SmoothingConfig
+from smoothclap.trainer import (
+    TrainConfig,
+    embed_audio,
+    embed_query_labels,
+    load_model,
+    train,
+)
+from smoothclap.cli import build_parser, resolve_train_config
 
 
 def read_jsonl_records(path):
@@ -176,6 +184,33 @@ def test_tags_without_labels_is_acoustic_only(tmp_path):
             for t in r["tags"])
         for r in records
     )
+
+
+def test_tags_profile_missing_field_skips_only_that_tag(tmp_path):
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    lines = profiles.read_text().splitlines()
+    first = json.loads(lines[0])
+    del first["jitter"]
+    lines[0] = json.dumps(first)
+    profiles.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "tags.jsonl"
+    assert run_cli("tags", "--profiles", str(profiles), "--out", str(out)) == 0
+    records = read_jsonl_records(out)
+    assert len(records) == 10
+    assert "jitter" not in records[0]["bins"]
+    assert sorted(records[0]["bins"]) == ["duration", "intensity", "pitch", "shimmer"]
+    assert all("jitter" in r["bins"] for r in records[1:])
+
+
+@pytest.mark.parametrize("line", ["5", '"a string that mentions _meta"', "[1, 2]", "{not json"])
+def test_tags_rejects_jsonl_line_that_is_not_an_object(tmp_path, capsys, line):
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    profiles.write_text(profiles.read_text() + line + "\n")
+    code = run_cli("tags", "--profiles", str(profiles), "--out", str(tmp_path / "t.jsonl"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "profiles.jsonl:11:" in err
 
 
 # --- train ---
@@ -439,20 +474,153 @@ def test_nonfinite_loss_maps_to_exit_1(tmp_path, monkeypatch):
 def test_flags_override_config_file(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"smoothing": {"gamma": 0.4}, "epochs": 9}))
+    args = build_parser().parse_args([
+        "train", "--features", "f.csv", "--tags", "t.jsonl", "--out", "m.json",
+        "--config", str(config), "--gamma", "0.9",
+    ])
+    config_obj = resolve_train_config(args)
+    assert config_obj.smoothing.gamma == 0.9  # flag wins
+    assert config_obj.epochs == 9  # file survives where no flag given
 
-    class Args:
-        pass
 
-    args = Args()
-    args.config = str(config)
-    for flag in ("seed", "gamma", "beta", "tau_a2a", "tau_t2t", "tau_pred", "kl_mode",
-                 "floor", "batch_size", "epochs", "lr", "lr_text", "embed_dim",
-                 "objective", "clap_mix_lambda"):
-        setattr(args, flag, None)
-    args.gamma = 0.9
-    values = resolve_run_config(args)
-    assert values["smoothing.gamma"] == 0.9  # flag wins
-    assert values["train.epochs"] == 9  # file survives where no flag given
-    config_obj = train_config_from_values(values)
-    assert config_obj.smoothing.gamma == 0.9
-    assert config_obj.epochs == 9
+# --- run options: every config field by flag, flat, dotted and nested key ---
+
+# field (smoothing fields prefixed) -> (flag, flat key, dotted key, value, parsed)
+RUN_OPTION_CASES = {
+    "batch_size": ("--batch-size", "batch_size", "train.batch_size", 16, 16),
+    "epochs": ("--epochs", "epochs", "train.epochs", 2, 2),
+    "lr_projection": ("--lr", "lr", "train.lr", 0.01, 0.01),
+    "seed": ("--seed", "seed", "seed", 3, 3),
+    "embed_dim": ("--embed-dim", "embed_dim", "train.embed_dim", 8, 8),
+    "clap_mix_lambda": (
+        "--clap-mix-lambda", "clap_mix_lambda", "train.clap_mix_lambda", 0.25, 0.25
+    ),
+    "objective": ("--objective", "objective", "train.objective", "clap", ObjectiveKind.CLAP),
+    "smoothing.gamma": ("--gamma", "gamma", "smoothing.gamma", 0.3, 0.3),
+    "smoothing.beta": ("--beta", "beta", "smoothing.beta", 0.2, 0.2),
+    "smoothing.tau_a2a": ("--tau-a2a", "tau_a2a", "smoothing.tau_a2a", 0.5, 0.5),
+    "smoothing.tau_t2t": ("--tau-t2t", "tau_t2t", "smoothing.tau_t2t", 0.6, 0.6),
+    "smoothing.tau_pred": ("--tau-pred", "tau_pred", "smoothing.tau_pred", 0.7, 0.7),
+    "smoothing.kl_mode": (
+        "--kl-mode", "kl_mode", "smoothing.kl_mode", "forward", KLMode.FORWARD
+    ),
+    "smoothing.floor": ("--floor", "floor", "smoothing.floor", 1e-9, 1e-9),
+}
+
+
+class _TrainCalled(Exception):
+    """Raised by the stand-in for train once it has recorded its config."""
+
+
+def config_received_by_train(tmp_path, monkeypatch, *argv):
+    import smoothclap.cli as cli_mod
+
+    files = cluster_files(tmp_path)
+    received = []
+
+    def record(features, tag_lists, config):
+        received.append(config)
+        raise _TrainCalled
+
+    monkeypatch.setattr(cli_mod, "train", record)
+    with pytest.raises(_TrainCalled):
+        run_cli(
+            "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+            "--out", str(tmp_path / "m.json"), *argv,
+        )
+    return received[0]
+
+
+def field_value(config, path):
+    for name in path.split("."):
+        config = getattr(config, name)
+    return config
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_run_option_cases_cover_every_config_field():
+    names = {f.name for f in fields(TrainConfig) if f.name != "smoothing"}
+    names |= {f"smoothing.{f.name}" for f in fields(SmoothingConfig)}
+    assert names == set(RUN_OPTION_CASES)
+
+
+@pytest.mark.parametrize("source", ["flag", "flat", "dotted", "nested"])
+@pytest.mark.parametrize("path", sorted(RUN_OPTION_CASES))
+def test_run_option_reaches_train(tmp_path, monkeypatch, path, source):
+    flag, flat, dotted, value, parsed = RUN_OPTION_CASES[path]
+    assert field_value(TrainConfig(), path) != parsed
+    if source == "flag":
+        argv = [flag, str(value)]
+    else:
+        doc = {flat if source == "flat" else dotted: value}
+        if source == "nested":
+            for part in reversed(dotted.split(".")):
+                value = {part: value}
+            doc = value
+        argv = ["--config", str(write_config(tmp_path, doc))]
+    config = config_received_by_train(tmp_path, monkeypatch, *argv)
+    assert field_value(config, path) == parsed
+
+
+def test_flag_beats_config_file_through_main(tmp_path, monkeypatch):
+    config_path = write_config(tmp_path, {"train": {"epochs": 5}, "smoothing.beta": 0.3})
+    config = config_received_by_train(
+        tmp_path, monkeypatch, "--config", str(config_path), "--epochs", "2"
+    )
+    assert config.epochs == 2
+    assert config.smoothing.beta == 0.3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"lr_text": 1e-5},
+        {"train.lr_text": 1e-5},
+        {"train": {"lr_text": 1e-5}},
+        {"lr_projection": 0.01},
+        {"train": {"seed": 1}},
+        {"smoothing": {"lr": 0.01}},
+    ],
+)
+def test_unknown_run_option_keys_exit_2(tmp_path, doc, capsys):
+    files = cluster_files(tmp_path)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_lr_text_flag_is_gone(tmp_path):
+    files = cluster_files(tmp_path)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--lr-text", "1e-5", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+
+
+def test_meta_headers_hold_what_each_command_reads(tmp_path):
+    files = cluster_files(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--seed", "4", "--epochs", "1", "--batch-size", "16", "--out", str(model_path),
+    ) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["_meta"]["config"] == doc["config"]
+    assert doc["_meta"]["seed"] == 4
+
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    out = tmp_path / "tags.jsonl"
+    assert run_cli("tags", "--profiles", str(profiles), "--seed", "5", "--out", str(out)) == 0
+    meta = read_meta(out)
+    assert meta["tool"] == "smoothclap-tags"
+    assert meta["seed"] == 5
+    assert meta["config"] == {"seed": 5}

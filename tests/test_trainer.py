@@ -259,12 +259,3 @@ def test_embed_query_labels_unknown():
         embed_query_labels(model, ["angry", "bogus", "nonsense"])
     assert "bogus" in str(err.value)
     assert "nonsense" in str(err.value)
-
-
-def test_lr_text_is_inert_with_multihot_featurizer():
-    # the multi-hot text featurizer has no trainable parameters, so lr_text
-    # must not influence the result
-    fx = make_cluster_fixture(seed=10, n_per_class=16)
-    m1 = train(fx.features, fx.tag_lists, small_config(lr_text=1e-5))
-    m2 = train(fx.features, fx.tag_lists, small_config(lr_text=0.5))
-    assert m1.history == m2.history
