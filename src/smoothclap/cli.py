@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    ComputationFailure,
     ConfigError,
-    NonFiniteLoss,
+    DuplicateId,
     SmoothClapError,
     TooFewValues,
 )
@@ -163,9 +164,9 @@ def _write_jsonl(path, records: list[dict], meta: dict) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path) -> list[dict]:
-    """Records of a JSONL file; blank lines and the ``_meta`` header are skipped."""
-    records = []
+def _jsonl_records(path):
+    """(line number, record) of a JSONL file; blank lines and the ``_meta``
+    header are skipped."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -181,8 +182,28 @@ def _read_jsonl(path) -> list[dict]:
                 )
             if "_meta" in obj:
                 continue
-            records.append(obj)
-    return records
+            yield lineno, obj
+
+
+def _read_jsonl_by_id(path) -> dict[str, dict]:
+    """Records of a JSONL file keyed by their ``id``, in file order.
+
+    A record without an id is a ConfigError; an id seen twice is a
+    DuplicateId naming the file, the line and the id.
+    """
+    by_id: dict[str, dict] = {}
+    first_line: dict[str, int] = {}
+    for lineno, record in _jsonl_records(path):
+        if "id" not in record:
+            raise ConfigError(f"{path}:{lineno}: record has no id")
+        key = str(record["id"])
+        if key in by_id:
+            raise DuplicateId(
+                f"{path}:{lineno}: duplicate id {key!r} (first on line {first_line[key]})"
+            )
+        by_id[key] = record
+        first_line[key] = lineno
+    return by_id
 
 
 # --- extract ----------------------------------------------------------------------
@@ -197,13 +218,12 @@ def _extract_inputs(args: argparse.Namespace) -> list[tuple[str, Path]]:
         return [(p.stem, p) for p in sorted(root.glob("*.wav"))]
     manifest = Path(args.manifest)
     base = manifest.parent
-    entries = _read_jsonl(manifest)
     out: list[tuple[str, Path]] = []
-    for i, entry in enumerate(entries):
-        if "id" not in entry or "wav" not in entry:
-            raise ConfigError(f"{manifest}: entry {i} lacks id or wav")
+    for utt_id, entry in _read_jsonl_by_id(manifest).items():
+        if "wav" not in entry:
+            raise ConfigError(f"{manifest}: entry {utt_id!r} lacks wav")
         wav = Path(entry["wav"])
-        out.append((str(entry["id"]), wav if wav.is_absolute() else base / wav))
+        out.append((utt_id, wav if wav.is_absolute() else base / wav))
     return out
 
 
@@ -232,11 +252,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_tags(args: argparse.Namespace) -> int:
     meta = _meta("tags", {"seed": resolve_seed(args)})
-    profiles = _read_jsonl(args.profiles)
-    labels_by_id: dict[str, dict] = {}
-    if args.labels:
-        for entry in _read_jsonl(args.labels):
-            labels_by_id[str(entry["id"])] = entry
+    profiles_by_id = _read_jsonl_by_id(args.profiles)
+    labels_by_id = _read_jsonl_by_id(args.labels) if args.labels else {}
 
     fit_mode = args.thresholds_in is None or args.refit
     if fit_mode:
@@ -245,7 +262,7 @@ def cmd_tags(args: argparse.Namespace) -> int:
             for dim in DIMENSION_FEATURES:
                 if dim in entry:
                     feature_values.setdefault(dim, []).append(float(entry[dim]))
-        for profile in profiles:
+        for profile in profiles_by_id.values():
             for name, value in profile_feature_values(profile).items():
                 feature_values.setdefault(name, []).append(value)
         thresholds = {}
@@ -272,8 +289,7 @@ def cmd_tags(args: argparse.Namespace) -> int:
 
     matched = 0
     records: list[dict] = []
-    for profile in profiles:
-        utt_id = str(profile["id"])
+    for utt_id, profile in profiles_by_id.items():
         entry = labels_by_id.get(utt_id)
         if entry is not None:
             matched += 1
@@ -288,7 +304,7 @@ def cmd_tags(args: argparse.Namespace) -> int:
         records.append(record.to_json_dict())
     _write_jsonl(args.out, records, meta)
 
-    unmatched_profiles = len(profiles) - matched
+    unmatched_profiles = len(profiles_by_id) - matched
     unmatched_labels = len(labels_by_id) - matched
     if unmatched_profiles or unmatched_labels:
         print(
@@ -303,7 +319,9 @@ def cmd_tags(args: argparse.Namespace) -> int:
 
 def _load_training_data(features_path, tags_path, min_rows: int):
     feature_ids, features = read_id_matrix_csv(features_path)
-    tags_by_id = {str(r["id"]): list(r["tags"]) for r in _read_jsonl(tags_path)}
+    tags_by_id = {
+        utt_id: list(r["tags"]) for utt_id, r in _read_jsonl_by_id(tags_path).items()
+    }
     keep = [i for i, fid in enumerate(feature_ids) if fid in tags_by_id]
     dropped_features = len(feature_ids) - len(keep)
     dropped_tags = len(tags_by_id) - len(keep)
@@ -468,6 +486,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     class_names = sorted(set(labels.values()))
 
     rows: list[tuple[float, float, float, float]] = []
+    failed = 0
     for gamma in gamma_grid:
         for beta in beta_grid:
             config = replace(
@@ -480,7 +499,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 query_emb = embed_query_labels(model, class_names)
                 report = _evaluate(ids, audio_emb, class_names, query_emb, labels)
                 rows.append((gamma, beta, report.uar, model.history[-1]))
-            except SmoothClapError as exc:
+            except ComputationFailure as exc:
+                failed += 1
                 logger.warning("sweep cell gamma=%s beta=%s failed: %s", gamma, beta, exc)
                 rows.append((gamma, beta, float("nan"), float("nan")))
     meta = _meta("sweep", base_config.to_json_dict())
@@ -490,6 +510,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer.writerow(["gamma", "beta", "uar", "final_loss"])
         for gamma, beta, uar, final_loss in rows:
             writer.writerow([repr(gamma), repr(beta), repr(uar), repr(final_loss)])
+    if failed:
+        print(f"error: {failed} of {len(rows)} sweep cells failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -592,7 +615,7 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         return int(args.func(args))
-    except NonFiniteLoss as exc:
+    except ComputationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SmoothClapError, OSError, ValueError, KeyError) as exc:

@@ -91,8 +91,17 @@ class InsufficientData(SmoothClapError):
     """Fewer samples than one training batch."""
 
 
-class NonFiniteLoss(SmoothClapError):
+class ComputationFailure(SmoothClapError):
+    """Valid inputs and configuration, but the computation broke down (CLI exit 1)."""
+
+
+class NonFiniteLoss(ComputationFailure):
     """Training produced NaN or Inf loss."""
+
+
+class TrainingStepFailed(ComputationFailure):
+    """A training step met a degenerate batch: a zero-norm projection row or
+    targets below the KL floor. The original error is the ``__cause__``."""
 
 
 # --- evaluation ---

@@ -49,7 +49,12 @@ def l2_normalize_rows(m) -> np.ndarray:
 
     Raises ZeroRow if any row norm falls below ``ZERO_ROW_TOL``.
     """
-    m = as_matrix(m)
+    return unit_rows(as_matrix(m))
+
+
+def unit_rows(m: np.ndarray) -> np.ndarray:
+    """:func:`l2_normalize_rows` of a trusted 2-D float64 array: no coercion
+    or finiteness pass, the same arithmetic."""
     norms = np.sqrt(np.sum(m * m, axis=1))
     if np.any(norms < ZERO_ROW_TOL):
         bad = int(np.argmin(norms))
@@ -64,11 +69,27 @@ def row_softmax(m, temperature: float) -> np.ndarray:
     scores stay finite.
     """
     m = as_matrix(m)
+    check_temperature(temperature)
+    return row_softmax_inplace(m.copy(), temperature)
+
+
+def row_softmax_inplace(z: np.ndarray, temperature: float) -> np.ndarray:
+    """Overwrite a trusted C-contiguous float64 matrix with its row softmax.
+
+    :func:`row_softmax` is this function on a copy of its validated input.
+    Returns ``z``.
+    """
+    z -= np.max(z, axis=1, keepdims=True)
+    z /= temperature
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=1, keepdims=True)
+    return z
+
+
+def check_temperature(temperature: float) -> None:
+    """Softmax temperatures must be strictly positive."""
     if not temperature > 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-    z = (m - np.max(m, axis=1, keepdims=True)) / temperature
-    e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
 
 
 def check_floor(floor: float) -> None:

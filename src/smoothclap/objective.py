@@ -11,6 +11,11 @@ flows through the target branch.
 Gradients returned by :func:`loss_and_grad` are taken with respect to the
 pre-normalization embedding matrices (the chain rule runs through the row
 L2-normalization) and with respect to ``log(tau_pred)``.
+
+The public forward functions validate their arguments and then run the same
+private term code as :func:`loss_and_grad`, whose arrays come from a
+validated :class:`EmbeddingBatch` and are trusted. So a manual composition of
+the public pieces reproduces the kernel's loss bit for bit.
 """
 from __future__ import annotations
 
@@ -32,10 +37,11 @@ from .numeric import (
     DEFAULT_KL_FLOOR,
     as_matrix,
     check_floor,
+    check_temperature,
     gram,
-    kl_sum,
     l2_normalize_rows,
-    row_softmax,
+    row_softmax_inplace,
+    unit_rows,
 )
 
 
@@ -99,9 +105,9 @@ class EmbeddingBatch:
     local_audio: np.ndarray
 
     def __post_init__(self) -> None:
-        audio = l2_normalize_rows(as_matrix(self.audio, "audio"))
-        text = l2_normalize_rows(as_matrix(self.text, "text"))
-        local = l2_normalize_rows(as_matrix(self.local_audio, "local_audio"))
+        audio = unit_rows(as_matrix(self.audio, "audio"))
+        text = unit_rows(as_matrix(self.text, "text"))
+        local = unit_rows(as_matrix(self.local_audio, "local_audio"))
         if audio.shape != text.shape:
             raise ShapeMismatch(
                 f"audio {audio.shape} and text {text.shape} must match"
@@ -115,6 +121,17 @@ class EmbeddingBatch:
         self.audio = audio
         self.text = text
         self.local_audio = local
+
+    @classmethod
+    def of_unit_rows(cls, audio, text, local_audio) -> "EmbeddingBatch":
+        """Wrap finite, unit-norm float64 rows of consistent shapes, unchecked.
+
+        For callers that have just normalized the rows themselves, such as
+        the training loop; everyone else constructs the batch normally.
+        """
+        batch = object.__new__(cls)
+        batch.audio, batch.text, batch.local_audio = audio, text, local_audio
+        return batch
 
     @property
     def size(self) -> int:
@@ -143,7 +160,7 @@ def intra_modal_targets(features, tau: float) -> np.ndarray:
     features = as_matrix(features, "features")
     if not tau > 0.0:
         raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
-    return row_softmax(gram(features, features), tau)
+    return _intra_modal(features, tau)
 
 
 def mix_targets(q_a2a, q_t2t, gamma: float) -> np.ndarray:
@@ -172,18 +189,22 @@ def predicted_distributions(scores, tau_pred: float) -> tuple[np.ndarray, np.nda
 
     ``scores`` is the raw (unscaled) similarity matrix; tau_pred is applied
     here exactly once. The second output is the row-softmax of the transpose.
+    Both are C-contiguous.
     """
     s = as_matrix(scores, "scores")
     if s.shape[0] != s.shape[1]:
         raise NotSquare(f"scores must be square, got {s.shape}")
-    return row_softmax(s, tau_pred), row_softmax(s.T, tau_pred)
+    check_temperature(tau_pred)
+    return _predictions(s.copy(), tau_pred)
 
 
 def build_targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
-    """Softened target distribution for one batch (constant under backprop)."""
-    q_a2a = intra_modal_targets(batch.local_audio, cfg.tau_a2a)
-    q_t2t = intra_modal_targets(batch.text, cfg.tau_t2t)
-    return smooth_targets(mix_targets(q_a2a, q_t2t, cfg.gamma), cfg.beta)
+    """Softened target distribution for one batch (constant under backprop).
+
+    Equal, bit for bit, to ``smooth_targets(mix_targets(q_a2a, q_t2t, gamma),
+    beta)`` of the two ``intra_modal_targets``.
+    """
+    return _targets(batch, cfg)
 
 
 def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
@@ -191,7 +212,7 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
 
     Symmetric mode sums forward and reverse KL in both retrieval directions;
     forward mode keeps only KL(y || p). Either way the total is divided by
-    2 * batch size.
+    2 * batch size. The floor of ``cfg`` bounds both logs from below.
     """
     y = as_matrix(y, "y")
     p_a2t = as_matrix(p_a2t, "p_a2t")
@@ -202,31 +223,18 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
         )
     if y.shape[0] != y.shape[1]:
         raise NotSquare(f"distributions must be square, got {y.shape}")
-    if cfg.kl_mode is KLMode.SYMMETRIC and float(np.min(y)) < cfg.floor:
-        raise ZeroMassTarget(
-            "symmetric KL against targets with entries below the floor "
-            f"({cfg.floor}); increase beta or use forward mode"
-        )
-    b = y.shape[0]
-    total = kl_sum(y, p_a2t, cfg.floor) + kl_sum(y, p_t2a, cfg.floor)
-    if cfg.kl_mode is KLMode.SYMMETRIC:
-        total += kl_sum(p_a2t, y, cfg.floor) + kl_sum(p_t2a, y, cfg.floor)
-    return total / (2.0 * b)
+    kl = _KLTerms(y, cfg)
+    kl.add(p_a2t)
+    kl.add(p_t2a)
+    return kl.value()
 
 
 def clap_infonce(scores, tau_pred: float) -> float:
     """Symmetric InfoNCE: mean negative log-likelihood of the diagonal pairs."""
-    s = as_matrix(scores, "scores")
-    if s.shape[0] != s.shape[1]:
-        raise NotSquare(f"scores must be square, got {s.shape}")
-    if s.shape[0] < 2:
+    p_a2t, p_t2a = predicted_distributions(scores, tau_pred)
+    if p_a2t.shape[0] < 2:
         raise ShapeMismatch("InfoNCE needs a batch of at least 2")
-    p_a2t = row_softmax(s, tau_pred)
-    p_t2a = row_softmax(s.T, tau_pred)
-    tiny = np.finfo(np.float64).tiny
-    nll_a = -np.log(np.maximum(np.diag(p_a2t), tiny))
-    nll_t = -np.log(np.maximum(np.diag(p_t2a), tiny))
-    return 0.5 * (float(np.mean(nll_a)) + float(np.mean(nll_t)))
+    return _infonce(p_a2t, p_t2a)
 
 
 def loss_with_fixed_targets(
@@ -253,61 +261,171 @@ def loss_with_fixed_targets(
     return soft_loss(targets, p_a2t, p_t2a, cfg)
 
 
-def _kl_grad_wrt_logits(p, y, cfg: SmoothingConfig, symmetric: bool) -> np.ndarray:
-    # d/dz of sum_i [ KL(y_i || p_i) (+ KL(p_i || y_i)) ] where p = softmax(z)
-    # and y is constant. Forward term: p - y. Reverse term uses the floored
-    # logs so that, away from the floor, it is the exact derivative of the
-    # value computed by soft_loss.
-    g = p - y
-    if symmetric:
-        u = np.log(np.maximum(p, cfg.floor)) - np.log(np.maximum(y, cfg.floor))
-        g = g + p * (u - np.sum(p * u, axis=1, keepdims=True))
-    return g
+# --- private term code: trusted float64 arrays, no validation -------------------
+
+def _add_to_diagonal(m: np.ndarray, value: float) -> None:
+    m.flat[:: m.shape[0] + 1] += value
+
+
+def _predictions(s: np.ndarray, tau_pred: float) -> tuple[np.ndarray, np.ndarray]:
+    # the t2a softmax runs on a C-contiguous copy of the transpose, so both
+    # directions reduce along contiguous rows; s itself becomes p_a2t
+    p_t2a = row_softmax_inplace(np.ascontiguousarray(s.T), tau_pred)
+    return row_softmax_inplace(s, tau_pred), p_t2a
+
+
+def _intra_modal(features: np.ndarray, tau: float) -> np.ndarray:
+    return row_softmax_inplace(features @ features.T, tau)
+
+
+def _targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
+    # in place, the arithmetic of smooth_targets(mix_targets(...)); a zero
+    # weight skips its term, which adds exactly 0 there
+    if cfg.beta == 0.0:
+        return np.eye(batch.size)
+    if cfg.gamma == 1.0:
+        y = _intra_modal(batch.text, cfg.tau_t2t)
+    else:
+        y = _intra_modal(batch.local_audio, cfg.tau_a2a)
+        if cfg.gamma > 0.0:
+            y *= 1.0 - cfg.gamma
+            q_t2t = _intra_modal(batch.text, cfg.tau_t2t)
+            q_t2t *= cfg.gamma
+            y += q_t2t
+    y *= cfg.beta
+    _add_to_diagonal(y, 1.0 - cfg.beta)
+    return y
+
+
+def _infonce(p_a2t: np.ndarray, p_t2a: np.ndarray) -> float:
+    tiny = np.finfo(np.float64).tiny
+    nll_a = -np.log(np.maximum(np.diag(p_a2t), tiny))
+    nll_t = -np.log(np.maximum(np.diag(p_t2a), tiny))
+    return 0.5 * (float(np.mean(nll_a)) + float(np.mean(nll_t)))
+
+
+class _KLTerms:
+    """KL sums of one target matrix against predictions, one direction at a time.
+
+    For a prediction p, ``u = log max(p, floor) - log max(y, floor)`` is taken
+    once. It gives the forward term KL(y || p) = -sum(y * u), the reverse term
+    KL(p || y) = sum(p * u), and the reverse term's logit gradient
+    ``p * (u - rowsum(p * u))``. An entry with y == 0 or p == 0 contributes
+    exactly 0, because u is finite. Two scratch matrices are reused across
+    directions.
+    """
+
+    def __init__(self, y: np.ndarray, cfg: SmoothingConfig) -> None:
+        self.symmetric = cfg.kl_mode is KLMode.SYMMETRIC
+        if self.symmetric and float(np.min(y)) < cfg.floor:
+            raise ZeroMassTarget(
+                "symmetric KL against targets with entries below the floor "
+                f"({cfg.floor}); increase beta or use forward mode"
+            )
+        self.y = y
+        self.floor = cfg.floor
+        self.log_y = np.log(np.maximum(y, cfg.floor))
+        self.u = np.empty(y.shape)
+        self.prod = np.empty(y.shape)
+        self.forward: list[float] = []
+        self.reverse: list[float] = []
+
+    def add(self, p: np.ndarray) -> None:
+        """Add the terms of one prediction. Leaves in self.u its reverse-term
+        gradient when symmetric, else u itself."""
+        u, prod = self.u, self.prod
+        np.maximum(p, self.floor, out=u)
+        np.log(u, out=u)
+        u -= self.log_y
+        np.multiply(self.y, u, out=prod)
+        self.forward.append(-float(np.sum(prod)))
+        if self.symmetric:
+            np.multiply(p, u, out=prod)
+            rows = np.sum(prod, axis=1, keepdims=True)
+            self.reverse.append(float(np.sum(rows)))
+            u -= rows
+            u *= p
+
+    def value(self) -> float:
+        total = self.forward[0] + self.forward[1]
+        if self.symmetric:
+            total += self.reverse[0] + self.reverse[1]
+        return total / (2.0 * self.y.shape[0])
+
+    def logit_grad(self, p: np.ndarray, lam: float) -> np.ndarray:
+        """Overwrite p, the prediction last added, with the logit gradient of
+        lam * InfoNCE + (1 - lam) * KL terms for that direction."""
+        if lam == 0.0:
+            p -= self.y
+            if self.symmetric:
+                p += self.u
+            return p
+        np.multiply(self.y, 1.0 - lam, out=self.prod)
+        p -= self.prod
+        _add_to_diagonal(p, -lam)
+        if self.symmetric:
+            self.u *= 1.0 - lam
+            p += self.u
+        return p
 
 
 def loss_and_grad(
     batch: EmbeddingBatch,
     cfg: SmoothingConfig,
     objective: ObjectiveKind = ObjectiveKind.SMOOTH,
+    clap_mix_lambda: float = 0.0,
 ) -> LossOutput:
     """Forward loss and exact analytic gradients for one batch.
+
+    The loss is ``clap_mix_lambda * clap_infonce + (1 - clap_mix_lambda) *
+    soft_loss``; the CLAP objective is the mix at 1. InfoNCE is KL(I || p), so
+    the mix needs one pass: its logit gradient is ``p - (lam*I + (1-lam)*y)``
+    plus ``(1-lam)`` times the reverse-KL term.
 
     Gradients are with respect to the pre-normalization audio/text matrices
     (evaluated at the stored unit-norm rows) and with respect to
     ``log(tau_pred)``. Target distributions are constants. The returned value
-    is computed by the same public forward functions, so it matches a manual
-    composition bit for bit.
+    is computed by the same term code as the public forward functions, so it
+    matches a manual composition bit for bit.
     """
-    e_a = l2_normalize_rows(batch.audio)
-    e_t = l2_normalize_rows(batch.text)
+    if not 0.0 <= clap_mix_lambda <= 1.0:
+        raise ValueError(f"clap_mix_lambda must lie in [0, 1], got {clap_mix_lambda}")
+    lam = 1.0 if objective is ObjectiveKind.CLAP else clap_mix_lambda
+    e_a = unit_rows(batch.audio)
+    e_t = unit_rows(batch.text)
     b = batch.size
-    g = gram(e_a, e_t)
-    z = g / cfg.tau_pred
-    p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
+    p_a2t, p_t2a = _predictions(e_a @ e_t.T, cfg.tau_pred)
 
-    if objective is ObjectiveKind.CLAP:
-        value = clap_infonce(g, cfg.tau_pred)
-        y = np.eye(b)
-        symmetric = False
+    hard = _infonce(p_a2t, p_t2a) if lam > 0.0 else 0.0
+    if lam == 1.0:
+        value = hard
+        _add_to_diagonal(p_a2t, -1.0)
+        _add_to_diagonal(p_t2a, -1.0)
+        g_a2t, g_t2a = p_a2t, p_t2a
     else:
-        y = build_targets(batch, cfg)
-        value = soft_loss(y, p_a2t, p_t2a, cfg)
-        symmetric = cfg.kl_mode is KLMode.SYMMETRIC
+        kl = _KLTerms(_targets(batch, cfg), cfg)
+        kl.add(p_a2t)
+        g_a2t = kl.logit_grad(p_a2t, lam)
+        kl.add(p_t2a)
+        g_t2a = kl.logit_grad(p_t2a, lam)
+        soft = kl.value()
+        value = soft if lam == 0.0 else lam * hard + (1.0 - lam) * soft
 
     if not np.isfinite(value):
         raise NonFiniteLoss(f"forward loss is {value}")
 
-    g_z = _kl_grad_wrt_logits(p_a2t, y, cfg, symmetric)
-    g_zt = _kl_grad_wrt_logits(p_t2a, y, cfg, symmetric)
-
-    scale = 1.0 / (2.0 * b)
-    grad_gram = (scale / cfg.tau_pred) * (g_z + g_zt.T)
-    grad_ea = grad_gram @ e_t
-    grad_et = grad_gram.T @ e_a
+    # d loss / d gram = (g_a2t + g_t2a.T) / (2 b tau); the t2a half enters
+    # the matrix products transposed, so no B x B sum or transpose is formed
+    c = 1.0 / (2.0 * b * cfg.tau_pred)
+    grad_ea = c * (g_a2t @ e_t + g_t2a.T @ e_t)
+    grad_et = c * (g_a2t.T @ e_a + g_t2a @ e_a)
     # chain rule through row normalization: project out the radial component
-    grad_audio = grad_ea - np.sum(grad_ea * e_a, axis=1, keepdims=True) * e_a
+    radial_a = np.sum(grad_ea * e_a, axis=1, keepdims=True)
+    grad_audio = grad_ea - radial_a * e_a
     grad_text = grad_et - np.sum(grad_et * e_t, axis=1, keepdims=True) * e_t
-    grad_log_tau = -scale * (float(np.sum(g_z * z)) + float(np.sum(g_zt * z.T)))
+    # the logits are gram / tau, so d/dlog(tau) = -sum(dL/dgram * gram), and
+    # sum_ij (dL/dgram)_ij e_a[i].e_t[j] is the sum of the radial components
+    grad_log_tau = -float(np.sum(radial_a))
 
     return LossOutput(
         value=value,

@@ -24,9 +24,10 @@ from .errors import (
     EmptyVocabulary,
     InsufficientData,
     LengthMismatch,
-    NonFiniteLoss,
     ShapeMismatch,
+    TrainingStepFailed,
     UnknownQueryLabel,
+    ZeroMassTarget,
     ZeroRow,
 )
 from .numeric import as_matrix, l2_normalize_rows
@@ -56,20 +57,31 @@ def featurize_text(tags, vocabulary) -> np.ndarray:
     Unknown tags are ignored (counted and logged); a tag list with no known
     tags yields the zero vector, which the normalization rejects.
     """
+    return featurize_tag_lists([tags], vocabulary)[0]
+
+
+def featurize_tag_lists(tag_lists, vocabulary) -> np.ndarray:
+    """:func:`featurize_text` of every tag list, as the rows of one matrix.
+
+    The vocabulary index is built once and the rows are normalized in one
+    call; each row equals the one-list form bit for bit. One warning gives
+    the total count of unknown tags.
+    """
     if len(vocabulary) == 0:
         raise EmptyVocabulary("tag vocabulary is empty")
     index = {tag: i for i, tag in enumerate(vocabulary)}
-    vec = np.zeros(len(vocabulary))
+    feats = np.zeros((len(tag_lists), len(vocabulary)))
     unknown = 0
-    for tag in tags:
-        pos = index.get(tag)
-        if pos is None:
-            unknown += 1
-        else:
-            vec[pos] = 1.0
+    for row, tags in enumerate(tag_lists):
+        for tag in tags:
+            pos = index.get(tag)
+            if pos is None:
+                unknown += 1
+            else:
+                feats[row, pos] = 1.0
     if unknown:
         logger.warning("ignored %d tag(s) outside the vocabulary", unknown)
-    return l2_normalize_rows(vec[None, :])[0]
+    return l2_normalize_rows(feats)
 
 
 @dataclass
@@ -260,7 +272,7 @@ def embed_audio(model: TrainedModel, features) -> np.ndarray:
 
 def embed_tag_lists(model: TrainedModel, tag_lists) -> np.ndarray:
     """Featurize and project a list of tag lists."""
-    feats = np.stack([featurize_text(tags, model.vocabulary) for tags in tag_lists])
+    feats = featurize_tag_lists(tag_lists, model.vocabulary)
     return l2_normalize_rows(model.text_projection.project(feats))
 
 
@@ -306,7 +318,7 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
     vocabulary = sorted({tag for tags in tag_lists for tag in tags})
     if not vocabulary:
         raise EmptyVocabulary("no tags present in the training data")
-    text_feats = np.stack([featurize_text(tags, vocabulary) for tags in tag_lists])
+    text_feats = featurize_tag_lists(tag_lists, vocabulary)
     local = l2_normalize_rows(x)
 
     init_rng = _stream_rng(config.seed, _INIT_STREAM)
@@ -334,29 +346,24 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
             xt = text_feats[idx]
             za = proj_a.project(xa)
             zt = proj_t.project(xt)
-            ra = _row_norms_checked(za, "audio projection")
-            rt = _row_norms_checked(zt, "text projection")
             cfg_step = with_tau_pred(config.smoothing, math.exp(log_tau))
-            batch = EmbeddingBatch(audio=za, text=zt, local_audio=local[idx])
-            out = loss_and_grad(batch, cfg_step, config.objective)
-            value = out.value
-            grad_audio = out.grad_audio
-            grad_text = out.grad_text
-            grad_lt = out.grad_log_tau_pred
-            lam = config.clap_mix_lambda
-            if lam > 0.0 and config.objective is ObjectiveKind.SMOOTH:
-                hard = loss_and_grad(batch, cfg_step, ObjectiveKind.CLAP)
-                value = lam * hard.value + (1.0 - lam) * value
-                grad_audio = lam * hard.grad_audio + (1.0 - lam) * grad_audio
-                grad_text = lam * hard.grad_text + (1.0 - lam) * grad_text
-                grad_lt = lam * hard.grad_log_tau_pred + (1.0 - lam) * grad_lt
-            if not np.isfinite(value):
-                raise NonFiniteLoss(
-                    f"non-finite loss at epoch {epoch}, batch start {start}"
+            try:
+                ra = _row_norms_checked(za, "audio projection")
+                rt = _row_norms_checked(zt, "text projection")
+                # the rows l2_normalize_rows would give, without re-validating
+                batch = EmbeddingBatch.of_unit_rows(
+                    za / ra[:, None], zt / rt[:, None], local[idx]
                 )
+                out = loss_and_grad(
+                    batch, cfg_step, config.objective, config.clap_mix_lambda
+                )
+            except (ZeroRow, ZeroMassTarget) as exc:
+                raise TrainingStepFailed(
+                    f"epoch {epoch}, batch start {start}: {exc}"
+                ) from exc
             # undo the unit-norm evaluation point: d/dz = d/de / ||z||
-            dza = grad_audio / ra[:, None]
-            dzt = grad_text / rt[:, None]
+            dza = out.grad_audio / ra[:, None]
+            dzt = out.grad_text / rt[:, None]
             g_wa = xa.T @ dza
             g_ba = dza.sum(axis=0)
             g_wt = xt.T @ dzt
@@ -368,10 +375,10 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
             proj_t.weights, states["wt"] = adam_step(proj_t.weights, g_wt, states["wt"], lr)
             proj_t.bias, states["bt"] = adam_step(proj_t.bias, g_bt, states["bt"], lr)
             new_lt, states["lt"] = adam_step(
-                np.asarray(log_tau), np.asarray(grad_lt), states["lt"], lr
+                np.asarray(log_tau), np.asarray(out.grad_log_tau_pred), states["lt"], lr
             )
             log_tau = float(new_lt)
-            losses.append(value)
+            losses.append(out.value)
         history.append(float(np.mean(losses)))
     return TrainedModel(
         audio_projection=proj_a,

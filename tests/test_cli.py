@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,18 @@ def test_extract_unreadable_manifest(tmp_path):
     out = tmp_path / "profiles.jsonl"
     code = run_cli("extract", "--manifest", str(tmp_path / "missing.jsonl"), "--out", str(out))
     assert code == 2
+
+
+def test_extract_rejects_duplicate_manifest_ids(tmp_path, capsys):
+    entries = make_wavs(tmp_path)
+    entries.append({"id": "t0", "wav": entries[1]["wav"]})
+    manifest = write_manifest(tmp_path / "manifest.jsonl", entries)
+    out = tmp_path / "profiles.jsonl"
+    assert run_cli("extract", "--manifest", str(manifest), "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{manifest}:4:" in err and "'t0'" in err and "line 1" in err
 
 
 # --- tags ---
@@ -213,6 +229,30 @@ def test_tags_rejects_jsonl_line_that_is_not_an_object(tmp_path, capsys, line):
     assert err.startswith("error: ") and "profiles.jsonl:11:" in err
 
 
+def _append_duplicate_line(path, line_number):
+    """Append a copy of the record on ``line_number`` (1-based); returns its id."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[line_number - 1]]) + "\n")
+    return json.loads(lines[line_number - 1])["id"], len(lines) + 1
+
+
+@pytest.mark.parametrize("which", ["profiles", "labels"])
+def test_tags_rejects_duplicate_ids(tmp_path, capsys, which):
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    labels = write_label_entries(tmp_path / "labels.jsonl")
+    target = profiles if which == "profiles" else labels
+    dup_id, dup_line = _append_duplicate_line(target, 3)
+    out = tmp_path / "t.jsonl"
+    code = run_cli(
+        "tags", "--profiles", str(profiles), "--labels", str(labels), "--out", str(out)
+    )
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{target}:{dup_line}:" in err and repr(dup_id) in err and "line 3" in err
+
+
 # --- train ---
 
 def cluster_files(tmp_path, seed=6, n_per_class=16):
@@ -280,6 +320,108 @@ def test_train_rejects_beta0_symmetric(tmp_path):
     )
     assert code == 2
     assert not model_path.exists()
+
+
+def test_train_rejects_duplicate_tag_ids(tmp_path, capsys):
+    files = cluster_files(tmp_path)
+    dup_id, dup_line = _append_duplicate_line(files["tags"], 5)
+    model_path = tmp_path / "model.json"
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(model_path),
+    )
+    assert code == 2
+    assert not model_path.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{files['tags']}:{dup_line}:" in err and repr(dup_id) in err
+
+
+def test_zero_mass_target_in_training_loop_exits_1(tmp_path, capsys):
+    # beta = 1e-12 passes config validation, but every off-diagonal target
+    # falls below the KL floor, which the first training step detects
+    files = cluster_files(tmp_path)
+    model_path = tmp_path / "model.json"
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--kl-mode", "symmetric", "--beta", "1e-12", "--batch-size", "16",
+        "--out", str(model_path),
+    )
+    assert code == 1
+    assert not model_path.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "epoch 0, batch start 0" in err and "floor" in err
+
+
+def test_zero_mass_target_while_building_config_exits_2(tmp_path, capsys):
+    files = cluster_files(tmp_path)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--kl-mode", "symmetric", "--beta", "0", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    assert "symmetric KL requires beta > 0" in capsys.readouterr().err
+
+
+def test_zero_row_in_training_loop_exits_1(tmp_path, monkeypatch, capsys):
+    import smoothclap.trainer as trainer_module
+    from smoothclap.errors import ZeroRow
+
+    def degenerate(*args, **kwargs):
+        raise ZeroRow("row 3 has norm 0.000e+00, cannot normalize")
+
+    monkeypatch.setattr(trainer_module, "loss_and_grad", degenerate)
+    files = cluster_files(tmp_path)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 1
+    assert "row 3 has norm" in capsys.readouterr().err
+
+
+def test_zero_feature_row_before_training_exits_2(tmp_path, capsys):
+    fixture = make_cluster_fixture(6, 16)
+    fixture.features[4] = 0.0
+    files = write_cluster_fixture_files(tmp_path, fixture)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    assert "row 4 has norm" in capsys.readouterr().err
+
+
+def test_train_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # a batch large enough that the BLAS products split across threads
+    fixture = make_cluster_fixture(9, n_per_class=128, feature_dim=96)
+    files = write_cluster_fixture_files(tmp_path, fixture)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        }
+        model = tmp_path / f"model-{threads}.json"
+        history = tmp_path / f"history-{threads}.csv"
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "smoothclap.cli", "train",
+                "--features", str(files["features"]), "--tags", str(files["tags"]),
+                "--batch-size", "256", "--embed-dim", "64", "--epochs", "2",
+                "--clap-mix-lambda", "0.5", "--seed", "4",
+                "--out", str(model), "--history", str(history),
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append((model.read_bytes(), history.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # --- eval ---
@@ -419,6 +561,35 @@ def test_sweep_rejects_grid_outside_open_interval(tmp_path):
         "--out", str(tmp_path / "s.csv"),
     )
     assert code == 2
+
+
+def test_sweep_cell_failing_in_training_exits_1_after_writing_every_row(tmp_path, capsys):
+    files = cluster_files(tmp_path)
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--labels", str(files["labels"]), "--gamma-grid", "0.5",
+        "--beta-grid", "1e-12,0.5", "--kl-mode", "symmetric", "--epochs", "1",
+        "--batch-size", "16", "--out", str(out),
+    )
+    assert code == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [r[1] for r in rows] == ["1e-12", "0.5"]
+    assert rows[0][2:] == ["nan", "nan"]
+    assert all(np.isfinite(float(v)) for v in rows[1][2:])
+    assert "1 of 2 sweep cells failed" in capsys.readouterr().err
+
+
+def test_sweep_zero_mass_target_while_building_config_exits_2(tmp_path):
+    files = cluster_files(tmp_path)
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--labels", str(files["labels"]), "--kl-mode", "symmetric", "--beta", "0",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert not out.exists()
 
 
 # --- flags and config files ---

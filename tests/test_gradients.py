@@ -122,3 +122,20 @@ def test_relative_error_metric():
     assert max_relative_error([2.0], [1.0]) == pytest.approx(0.5)
     # tiny components are compared absolutely against the unit scale
     assert max_relative_error([1e-12], [0.0]) == pytest.approx(1e-12)
+
+
+@pytest.mark.parametrize("kl_mode", list(KLMode))
+def test_clap_mix_matches_finite_differences(kl_mode):
+    # the mixed loss is linear in its two parts, so its central differences
+    # are the same mix of each part's central differences
+    lam = 0.5
+    rng = np.random.default_rng(47)
+    batch = make_batch(rng, 6, 5)
+    cfg = SmoothingConfig(gamma=0.4, beta=0.3, tau_pred=0.7, kl_mode=kl_mode)
+    out = loss_and_grad(batch, cfg, ObjectiveKind.SMOOTH, lam)
+    hard = finite_difference_grads(batch, cfg, ObjectiveKind.CLAP)
+    soft = finite_difference_grads(batch, cfg, ObjectiveKind.SMOOTH)
+    num_a, num_t, num_lt = (lam * h + (1.0 - lam) * s for h, s in zip(hard, soft))
+    assert max_relative_error(out.grad_audio, num_a) < 1e-5
+    assert max_relative_error(out.grad_text, num_t) < 1e-5
+    assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5

@@ -27,6 +27,7 @@ from smoothclap.trainer import (
     adam_step,
     embed_audio,
     embed_query_labels,
+    featurize_tag_lists,
     featurize_text,
     init_projection,
     load_model,
@@ -51,6 +52,18 @@ def test_featurize_two_tags_normalized():
     expected = GOLDEN["two_tag_component"]
     np.testing.assert_allclose(vec, [0.0, expected, expected], atol=1e-12)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_featurize_tag_lists_equals_one_row_form(caplog):
+    vocabulary = ["angry", "happy", "high arousal", "sad"]
+    tag_lists = [["happy"], ["sad", "high arousal", "x"], ["angry", "y", "z", "happy"]]
+    with caplog.at_level("WARNING", logger="smoothclap.trainer"):
+        rows = featurize_tag_lists(tag_lists, vocabulary)
+    assert [r.getMessage() for r in caplog.records] == [
+        "ignored 3 tag(s) outside the vocabulary"
+    ]
+    for row, tags in zip(rows, tag_lists):
+        assert row.tobytes() == featurize_text(tags, vocabulary).tobytes()
 
 
 def test_featurize_empty_tags_rejected():
@@ -177,6 +190,24 @@ def test_clap_mix_lambda_one_equals_pure_clap():
         fx.features, fx.tag_lists, small_config(objective=ObjectiveKind.CLAP)
     )
     assert m_mixed.history == m_hard.history
+
+
+def test_clap_mix_takes_one_kernel_call_per_step(monkeypatch):
+    import smoothclap.trainer as trainer_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "loss_and_grad", counting)
+    fx = make_cluster_fixture(seed=8, n_per_class=16)
+    config = small_config(clap_mix_lambda=0.5)
+    train(fx.features, fx.tag_lists, config)
+    steps_per_epoch = len(fx.tag_lists) // config.batch_size
+    assert len(calls) == config.epochs * steps_per_epoch
+    assert all(args[3] == 0.5 for args in calls)
 
 
 def test_descent_on_frozen_batch():
