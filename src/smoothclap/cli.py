@@ -24,8 +24,10 @@ from .errors import (
     ComputationFailure,
     ConfigError,
     DuplicateId,
+    NonFiniteValue,
     SmoothClapError,
     TooFewValues,
+    ZeroRow,
 )
 from .evaluation import (
     EvalReport,
@@ -495,8 +497,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
             try:
                 model = train(features, tag_lists, config)
-                audio_emb = embed_audio(model, features)
-                query_emb = embed_query_labels(model, class_names)
+                try:
+                    audio_emb = embed_audio(model, features)
+                    query_emb = embed_query_labels(model, class_names)
+                except (ZeroRow, NonFiniteValue) as exc:
+                    # train has validated the inputs, so the trained weights
+                    # gave the degenerate row
+                    raise ComputationFailure(f"embedding with the trained model: {exc}") from exc
                 report = _evaluate(ids, audio_emb, class_names, query_emb, labels)
                 rows.append((gamma, beta, report.uar, model.history[-1]))
             except ComputationFailure as exc:

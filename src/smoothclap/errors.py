@@ -100,8 +100,9 @@ class NonFiniteLoss(ComputationFailure):
 
 
 class TrainingStepFailed(ComputationFailure):
-    """A training step met a degenerate batch: a zero-norm projection row or
-    targets below the KL floor. The original error is the ``__cause__``."""
+    """A training step broke down: a zero-norm or non-finite projection row,
+    targets below the KL floor, or a non-finite loss. The message names the
+    epoch and batch start; the original error is the ``__cause__``."""
 
 
 # --- evaluation ---

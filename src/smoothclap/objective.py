@@ -122,17 +122,6 @@ class EmbeddingBatch:
         self.text = text
         self.local_audio = local
 
-    @classmethod
-    def of_unit_rows(cls, audio, text, local_audio) -> "EmbeddingBatch":
-        """Wrap finite, unit-norm float64 rows of consistent shapes, unchecked.
-
-        For callers that have just normalized the rows themselves, such as
-        the training loop; everyone else constructs the batch normally.
-        """
-        batch = object.__new__(cls)
-        batch.audio, batch.text, batch.local_audio = audio, text, local_audio
-        return batch
-
     @property
     def size(self) -> int:
         return self.audio.shape[0]
@@ -279,19 +268,12 @@ def _intra_modal(features: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
-    # in place, the arithmetic of smooth_targets(mix_targets(...)); a zero
-    # weight skips its term, which adds exactly 0 there
-    if cfg.beta == 0.0:
-        return np.eye(batch.size)
-    if cfg.gamma == 1.0:
-        y = _intra_modal(batch.text, cfg.tau_t2t)
-    else:
-        y = _intra_modal(batch.local_audio, cfg.tau_a2a)
-        if cfg.gamma > 0.0:
-            y *= 1.0 - cfg.gamma
-            q_t2t = _intra_modal(batch.text, cfg.tau_t2t)
-            q_t2t *= cfg.gamma
-            y += q_t2t
+    # in place, the arithmetic of smooth_targets(mix_targets(...))
+    y = _intra_modal(batch.local_audio, cfg.tau_a2a)
+    y *= 1.0 - cfg.gamma
+    q_t2t = _intra_modal(batch.text, cfg.tau_t2t)
+    q_t2t *= cfg.gamma
+    y += q_t2t
     y *= cfg.beta
     _add_to_diagonal(y, 1.0 - cfg.beta)
     return y

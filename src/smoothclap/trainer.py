@@ -24,6 +24,8 @@ from .errors import (
     EmptyVocabulary,
     InsufficientData,
     LengthMismatch,
+    NonFiniteLoss,
+    NonFiniteValue,
     ShapeMismatch,
     TrainingStepFailed,
     UnknownQueryLabel,
@@ -350,14 +352,11 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
             try:
                 ra = _row_norms_checked(za, "audio projection")
                 rt = _row_norms_checked(zt, "text projection")
-                # the rows l2_normalize_rows would give, without re-validating
-                batch = EmbeddingBatch.of_unit_rows(
-                    za / ra[:, None], zt / rt[:, None], local[idx]
-                )
+                batch = EmbeddingBatch(audio=za, text=zt, local_audio=local[idx])
                 out = loss_and_grad(
                     batch, cfg_step, config.objective, config.clap_mix_lambda
                 )
-            except (ZeroRow, ZeroMassTarget) as exc:
+            except (ZeroRow, NonFiniteValue, ZeroMassTarget, NonFiniteLoss) as exc:
                 raise TrainingStepFailed(
                     f"epoch {epoch}, batch start {start}: {exc}"
                 ) from exc

@@ -381,6 +381,46 @@ def test_zero_row_in_training_loop_exits_1(tmp_path, monkeypatch, capsys):
     assert "row 3 has norm" in capsys.readouterr().err
 
 
+def test_nonfinite_loss_in_training_loop_names_the_step(tmp_path, monkeypatch, capsys):
+    import smoothclap.trainer as trainer_module
+    from smoothclap.errors import NonFiniteLoss
+
+    def diverged(*args, **kwargs):
+        raise NonFiniteLoss("forward loss is nan")
+
+    monkeypatch.setattr(trainer_module, "loss_and_grad", diverged)
+    files = cluster_files(tmp_path)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "epoch 0, batch start 0: forward loss is nan" in err
+
+
+def test_nonfinite_projection_in_training_loop_exits_1(tmp_path, monkeypatch, capsys):
+    import smoothclap.trainer as trainer_module
+
+    real_init = trainer_module.init_projection
+
+    def diverged_init(*args, **kwargs):
+        params = real_init(*args, **kwargs)
+        params.weights[0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(trainer_module, "init_projection", diverged_init)
+    files = cluster_files(tmp_path)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "epoch 0, batch start 0" in err and "NaN or Inf" in err
+
+
 def test_zero_feature_row_before_training_exits_2(tmp_path, capsys):
     fixture = make_cluster_fixture(6, 16)
     fixture.features[4] = 0.0
@@ -575,6 +615,36 @@ def test_sweep_cell_failing_in_training_exits_1_after_writing_every_row(tmp_path
     assert code == 1
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     assert [r[1] for r in rows] == ["1e-12", "0.5"]
+    assert rows[0][2:] == ["nan", "nan"]
+    assert all(np.isfinite(float(v)) for v in rows[1][2:])
+    assert "1 of 2 sweep cells failed" in capsys.readouterr().err
+
+
+def test_sweep_cell_failing_to_embed_exits_1_after_writing_every_row(
+    tmp_path, monkeypatch, capsys
+):
+    import smoothclap.cli as cli_mod
+    from smoothclap.errors import ZeroRow
+
+    real_embed = cli_mod.embed_audio
+
+    def embed(model, features):
+        if model.config.smoothing.beta == 0.5:
+            raise ZeroRow("row 2 has norm 0.000e+00, cannot normalize")
+        return real_embed(model, features)
+
+    monkeypatch.setattr(cli_mod, "embed_audio", embed)
+    files = cluster_files(tmp_path)
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--labels", str(files["labels"]), "--gamma-grid", "0.5",
+        "--beta-grid", "0.5,0.9", "--epochs", "1", "--batch-size", "16",
+        "--out", str(out),
+    )
+    assert code == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [r[1] for r in rows] == ["0.5", "0.9"]
     assert rows[0][2:] == ["nan", "nan"]
     assert all(np.isfinite(float(v)) for v in rows[1][2:])
     assert "1 of 2 sweep cells failed" in capsys.readouterr().err
