@@ -6,6 +6,8 @@ extraction, percentile-binned tag generation, deterministic training, and
 zero-shot evaluation, all exposed through the ``smoothclap`` CLI.
 """
 
+__version__ = "0.1.0"  # before the imports: artifacts writes it into every header
+
 from .errors import SmoothClapError
 from .evaluation import EvalReport, confusion_and_uar, zero_shot_classify
 from .numeric import (
@@ -28,8 +30,6 @@ from .objective import (
 from .paralinguistics import AcousticProfile, Waveform, acoustic_profile, load_wav
 from .tagging import BinThresholds, TagRecord, assign_bin, fit_bins, render_tags
 from .trainer import TrainConfig, TrainedModel, adam_step, featurize_text, train
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AcousticProfile",

@@ -1,0 +1,388 @@
+"""Every on-disk format: one validated reader and one writer per file kind.
+
+JSON documents (model, thresholds sidecar, eval report, run config) are
+indented with sorted keys and carry the ``_meta`` header as a key. JSONL files
+keyed by ``id`` (manifest, profiles, labels, tags) start with a
+``{"_meta": ...}`` line. The CSV tables the CLI writes start with a
+``# {meta}`` line and write floats with ``repr``; the id-keyed CSV inputs are
+features or embeddings (``id,c0..cN``) and truth (``id,label``).
+
+Readers check and coerce each field they use once, where they read it, and
+ignore unknown keys. A malformed file raises one SmoothClapError whose
+one-line message names the file, the line or row, and the field. Numbers are
+coerced with ``float()``; only values it rejects are errors.
+"""
+from __future__ import annotations
+
+import base64
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .errors import ConfigError, DuplicateId, NonNumericCell, RaggedRows, SmoothClapError
+from .tagging import (
+    DIMENSION_FEATURES,
+    LABEL_KINDS,
+    PROFILE_FIELDS,
+    BinThresholds,
+    TemplateSet,
+)
+
+MODEL_KIND = "smoothclap-model"
+MODEL_FORMAT_VERSION = 1
+_PROJECTIONS = ("audio_projection", "text_projection")
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def meta_header(command: str, config: dict) -> dict:
+    """Artifact header: the tool, its version and the run options the command read."""
+    return {
+        "tool": f"smoothclap-{command}",
+        "version": __version__,
+        "seed": config["seed"],
+        "config": config,
+    }
+
+
+# --- fields: ``where`` is "file" or "file:line", the name is the dotted path -------
+
+def _field(record: dict, key: str, where: str, kind: type | None = None, prefix: str = ""):
+    """``record[key]``; a ``float`` kind coerces with float(), another kind is
+    checked with isinstance."""
+    name = prefix + key
+    if key not in record:
+        raise ConfigError(f"{where}: missing field {name!r}")
+    value = record[key]
+    if kind is float:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where}: field {name!r} must be a number, got {value!r:.40}"
+            ) from None
+    if kind is not None and not isinstance(value, kind):
+        raise ConfigError(
+            f"{where}: field {name!r} must be {_JSON_TYPE_NAMES[kind]}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _strings(value, where: str, name: str) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{where}: field {name!r} must be a list of strings")
+    return value
+
+
+# --- JSON documents ------------------------------------------------------------------
+
+def _write_json(path, doc: dict, meta: dict | None) -> None:
+    if meta is not None:
+        doc["_meta"] = meta
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    return doc
+
+
+def _run_options(doc: dict, by_key: dict, where: str, strict: bool, prefix: str = "") -> dict:
+    """Run option values of a config object, coerced to each option's type.
+    Nested objects address their keys dotted; with ``strict`` an unknown key is
+    an error, otherwise it is skipped."""
+    values = {}
+    for key, value in doc.items():
+        name = prefix + key
+        if isinstance(value, dict):
+            values.update(_run_options(value, by_key, where, strict, name + "."))
+        elif name in by_key:
+            opt = by_key[name]
+            try:
+                values[opt] = opt.type(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: bad value for {name!r}: {value!r:.40}") from None
+        elif strict:
+            raise ConfigError(f"{where}: unknown config key {name!r}")
+    return values
+
+
+def read_config(path, options_by_key: dict) -> dict:
+    """Run option values of a JSON config file; every key must be known."""
+    return _run_options(_read_json(path), options_by_key, str(path), strict=True)
+
+
+def save_report(path, report, meta: dict | None = None) -> None:
+    """An EvalReport, with one {id, true, predicted, scores} object per prediction."""
+    doc = {
+        "class_names": report.class_names,
+        "confusion": report.confusion,
+        "per_class_recall": report.per_class_recall,
+        "uar": report.uar,
+        "predictions": [
+            {"id": p.utterance_id, "true": p.true_label, "predicted": p.predicted_label,
+             "scores": p.scores}
+            for p in report.predictions
+        ],
+        "warnings": report.warnings,
+    }
+    _write_json(path, doc, meta)
+
+
+def save_thresholds(path, thresholds: dict[str, BinThresholds], labels=None, meta=None) -> None:
+    """The sidecar: feature -> {low, high}, observed label sets under ``_labels``."""
+    doc: dict = {name: {"low": t.low, "high": t.high} for name, t in thresholds.items()}
+    if labels:
+        doc["_labels"] = {kind: sorted(values) for kind, values in labels.items()}
+    _write_json(path, doc, meta)
+
+
+def load_thresholds(path) -> tuple[dict[str, BinThresholds], TemplateSet]:
+    doc, where = _read_json(path), str(path)
+    thresholds = {}
+    for name in doc:
+        if name.startswith("_"):
+            continue
+        entry = _field(doc, name, where, dict)
+        low, high = (_field(entry, k, where, float, f"{name}.") for k in ("low", "high"))
+        try:
+            thresholds[name] = BinThresholds(name, low, high)
+        except (SmoothClapError, ValueError) as exc:
+            raise ConfigError(f"{where}: field {name!r}: {exc}") from None
+    label_sets = _field(doc, "_labels", where, dict) if "_labels" in doc else {}
+    return thresholds, TemplateSet.closed_to({
+        kind: _strings(label_sets[kind], where, f"_labels.{kind}")
+        for kind in LABEL_KINDS if kind in label_sets
+    })
+
+
+# model: base64 row-major float64 tensors, vocabulary, log-temperature, config echo
+
+def _encode_tensor(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return {
+        "shape": list(a.shape),
+        "dtype": "float64",
+        "data_b64": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_tensor(projection: dict, key: str, where: str, side: str, ndim: int) -> np.ndarray:
+    name = f"{side}.{key}"
+    entry = _field(projection, key, where, dict, f"{side}.")
+    shape = _field(entry, "shape", where, list, name + ".")
+    data = _field(entry, "data_b64", where, str, name + ".")
+    try:
+        if len(shape) != ndim or -1 in shape or entry.get("dtype") != "float64":
+            raise ValueError(f"shape {shape!r:.40}, dtype {entry.get('dtype')!r:.20}")
+        raw = base64.b64decode(data, validate=True)
+        return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"{where}: field {name!r} is not a {ndim}-d float64 tensor ({exc})"
+        ) from None
+
+
+def save_model(path, model, extra_meta: dict | None = None) -> None:
+    doc = {
+        "kind": MODEL_KIND,
+        "format_version": MODEL_FORMAT_VERSION,
+        "config": model.config.to_json_dict(),
+        "vocabulary": list(model.vocabulary),
+        "log_tau_pred": model.log_tau_pred,
+    }
+    for side in _PROJECTIONS:
+        p = getattr(model, side)
+        doc[side] = {"weights": _encode_tensor(p.weights), "bias": _encode_tensor(p.bias)}
+    _write_json(path, doc, extra_meta)
+
+
+def load_model(path):
+    """TrainedModel of a model file. Besides each field's type it checks the
+    format version, one output width for both projections' weights and biases,
+    and a text input width equal to the vocabulary size."""
+    # trainer imports this module for save_model and load_model
+    from .trainer import RUN_OPTIONS, ProjectionParams, TrainConfig, TrainedModel
+
+    doc, where = _read_json(path), str(path)
+    if doc.get("kind") != MODEL_KIND:
+        raise ConfigError(f"{where}: not a smoothclap model document")
+    version = doc.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ConfigError(f"{where}: format_version {version!r:.40} is not {MODEL_FORMAT_VERSION}")
+    tensors = {}
+    for side in _PROJECTIONS:
+        projection = _field(doc, side, where, dict)
+        for part, ndim in (("weights", 2), ("bias", 1)):
+            tensors[f"{side}.{part}"] = _decode_tensor(projection, part, where, side, ndim)
+    widths = {name: t.shape[-1] for name, t in tensors.items()}
+    if len(set(widths.values())) != 1:
+        raise ConfigError(f"{where}: projection output widths differ: {widths}")
+    audio, text = (
+        ProjectionParams(tensors[f"{side}.weights"], tensors[f"{side}.bias"])
+        for side in _PROJECTIONS
+    )
+    vocabulary = _strings(_field(doc, "vocabulary", where), where, "vocabulary")
+    if text.in_dim != len(vocabulary):
+        raise ConfigError(
+            f"{where}: text input width {text.in_dim} is not the vocabulary size "
+            f"{len(vocabulary)}"
+        )
+    # the echo nests options by section under their field names; keys of older
+    # versions are skipped
+    echo_keys = {".".join(filter(None, ("config", o.section, o.field))): o for o in RUN_OPTIONS}
+    values = _run_options(_field(doc, "config", where, dict), echo_keys, where, False, "config.")
+    try:
+        config = TrainConfig.from_options(values)
+    except (SmoothClapError, ValueError) as exc:
+        raise ConfigError(f"{where}: field 'config': {exc}") from None
+    return TrainedModel(
+        audio_projection=audio,
+        text_projection=text,
+        log_tau_pred=_field(doc, "log_tau_pred", where, float),
+        vocabulary=vocabulary,
+        config=config,
+    )
+
+
+# --- JSONL records keyed by id -------------------------------------------------------
+
+def write_jsonl(path, records, meta: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _read_jsonl_by_id(path, parse) -> dict:
+    """``parse(record, where)`` of each record, keyed by its ``id`` in file
+    order. Blank lines and the ``_meta`` header are skipped; a line that is not
+    a JSON object, or an id seen before, is an error."""
+    with open(path) as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    by_id = {}
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{where}: invalid JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise ConfigError(f"{where}: expected a JSON object, got {type(record).__name__}")
+        if "_meta" in record:
+            continue
+        key = _field(record, "id", where)
+        if isinstance(key, bool) or not isinstance(key, (str, int)):
+            raise ConfigError(f"{where}: field 'id' must be a string or an integer")
+        key = str(key)
+        if key in first_line:
+            raise DuplicateId(
+                f"{where}: duplicate id {key!r} (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        by_id[key] = parse(record, where)
+    return by_id
+
+
+def read_manifest(path) -> dict[str, Path]:
+    """WAV path by id; relative paths start at the manifest's directory."""
+    base = Path(path).parent
+    return _read_jsonl_by_id(path, lambda r, where: base / _field(r, "wav", where, str))
+
+
+def read_profiles(path) -> dict[str, dict[str, float]]:
+    """The binnable features of each profile record keyed by tag feature name
+    (tagging.PROFILE_FIELDS); a record that lacks a field skips that feature."""
+    return _read_jsonl_by_id(path, lambda r, where: {
+        name: _field(r, key, where, float) for name, key in PROFILE_FIELDS.items() if key in r
+    })
+
+
+def read_labels(path) -> dict[str, tuple[dict[str, str], dict[str, float]]]:
+    """(categorical label by kind, rating by dimension) of each labels record;
+    a manifest can double as a labels file."""
+    return _read_jsonl_by_id(path, lambda r, where: (
+        {k: _field(r, k, where, str) for k in LABEL_KINDS if k in r},
+        {k: _field(r, k, where, float) for k in DIMENSION_FEATURES if k in r},
+    ))
+
+
+def read_tags(path) -> dict[str, list[str]]:
+    return _read_jsonl_by_id(
+        path, lambda r, where: _strings(_field(r, "tags", where), where, "tags")
+    )
+
+
+# --- CSV ------------------------------------------------------------------------------
+
+def _read_id_csv(path, columns: list[str]) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of an id-keyed CSV whose header starts with
+    ``columns`` and names a value column. There is at least one row, and every
+    row has the header's width and a new id."""
+    with open(path, newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise RaggedRows(f"{path}: {exc}") from None
+    header = rows[0] if rows else []
+    if len(header) < 2 or header[: len(columns)] != columns:
+        raise RaggedRows(
+            f"{path}: expected a header starting with {','.join(columns)!r} and a value column"
+        )
+    first_row: dict[str, int] = {}
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise RaggedRows(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+        if row[0] in first_row:
+            raise DuplicateId(
+                f"{path}: row {r}: duplicate id {row[0]!r} (first on row {first_row[row[0]]})"
+            )
+        first_row[row[0]] = r
+    if not first_row:
+        raise RaggedRows(f"{path}: no data rows")
+    return header, rows[1:]
+
+
+def read_id_matrix_csv(path) -> tuple[list[str], np.ndarray]:
+    """Read an 'id,c0..cN' CSV into (ids, float64 matrix), order preserved."""
+    header, rows = _read_id_csv(path, ["id"])
+    data = np.empty((len(rows), len(header) - 1))
+    for r, row in enumerate(rows, start=2):
+        for c, cell in enumerate(row[1:], start=1):
+            try:
+                data[r - 2, c - 1] = float(cell)
+            except ValueError:
+                raise NonNumericCell(
+                    f"{path}: row {r}, column {header[c]!r}: {cell!r} is not a number"
+                ) from None
+    return [row[0] for row in rows], data
+
+
+def read_labels_csv(path) -> list[tuple[str, str]]:
+    """Read an 'id,label' truth CSV into (id, label) pairs, order preserved."""
+    _, rows = _read_id_csv(path, ["id", "label"])
+    return [(row[0], row[1]) for row in rows]
+
+
+def write_table(path, header: list[str], rows, meta: dict) -> None:
+    """A CSV table (history, predictions, sweep) under a ``# {meta}`` line."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -8,22 +8,19 @@ be reproduced from the outputs alone. The SMOOTHCLAP_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .errors import (
     ComputationFailure,
     ConfigError,
-    DuplicateId,
     NonFiniteValue,
     SmoothClapError,
     TooFewValues,
@@ -35,30 +32,17 @@ from .evaluation import (
     confusion_and_uar,
     format_confusion,
     ingest_external_embeddings,
-    read_id_matrix_csv,
-    read_labels_csv,
-    save_report,
     zero_shot_classify,
 )
 from .gradcheck import DEFAULT_SIZES, run_gradcheck_suite
 from .paralinguistics import acoustic_profile, load_wav
-from .tagging import (
-    DIMENSION_FEATURES,
-    TemplateSet,
-    fit_bins,
-    load_thresholds,
-    profile_feature_values,
-    render_tags,
-    save_thresholds,
-)
+from .tagging import TemplateSet, fit_bins, render_tags
 from .trainer import (
     RUN_OPTIONS,
     RunOption,
     TrainConfig,
     embed_audio,
     embed_query_labels,
-    load_model,
-    save_model,
     train,
 )
 
@@ -95,42 +79,13 @@ _SEED_FLAG = _flag_spec(_SEED)
 _TRAINING_FLAGS = tuple(_flag_spec(opt) for opt in RUN_OPTIONS)
 
 
-def _flatten_config(doc: dict, prefix: str = "") -> dict[str, object]:
-    flat: dict[str, object] = {}
-    for key, value in doc.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten_config(value, f"{name}."))
-        else:
-            flat[name] = value
-    return flat
-
-
 def resolve_run_options(args: argparse.Namespace) -> dict[RunOption, object]:
     """Config-file values overridden by flags, coerced to each option's type.
 
     Options set by neither are absent and take their dataclass default.
     Unknown keys in the config file are errors, never warnings.
     """
-    values: dict[RunOption, object] = {}
-    config_path = args.config
-    if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{config_path}: top level must be an object")
-        for key, value in _flatten_config(doc).items():
-            opt = _OPTIONS_BY_KEY.get(key)
-            if opt is None:
-                raise ConfigError(f"{config_path}: unknown config key {key!r}")
-            try:
-                values[opt] = opt.type(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{config_path}: bad value for {key!r}: {value!r}"
-                ) from None
+    values = artifacts.read_config(args.config, _OPTIONS_BY_KEY) if args.config else {}
     for opt in RUN_OPTIONS:
         flag_value = getattr(args, opt.name, None)
         if flag_value is not None:
@@ -147,102 +102,33 @@ def resolve_seed(args: argparse.Namespace) -> int:
     return resolve_run_options(args).get(_SEED, _SEED.default)
 
 
-def _meta(command: str, config: dict) -> dict:
-    """Artifact header: the tool, its version and the run options the command read."""
-    return {
-        "tool": f"smoothclap-{command}",
-        "version": __version__,
-        "seed": config["seed"],
-        "config": config,
-    }
-
-
-# --- JSONL helpers ---------------------------------------------------------------
-
-def _write_jsonl(path, records: list[dict], meta: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _jsonl_records(path):
-    """(line number, record) of a JSONL file; blank lines and the ``_meta``
-    header are skipped."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
-                )
-            if "_meta" in obj:
-                continue
-            yield lineno, obj
-
-
-def _read_jsonl_by_id(path) -> dict[str, dict]:
-    """Records of a JSONL file keyed by their ``id``, in file order.
-
-    A record without an id is a ConfigError; an id seen twice is a
-    DuplicateId naming the file, the line and the id.
-    """
-    by_id: dict[str, dict] = {}
-    first_line: dict[str, int] = {}
-    for lineno, record in _jsonl_records(path):
-        if "id" not in record:
-            raise ConfigError(f"{path}:{lineno}: record has no id")
-        key = str(record["id"])
-        if key in by_id:
-            raise DuplicateId(
-                f"{path}:{lineno}: duplicate id {key!r} (first on line {first_line[key]})"
-            )
-        by_id[key] = record
-        first_line[key] = lineno
-    return by_id
-
-
 # --- extract ----------------------------------------------------------------------
 
-def _extract_inputs(args: argparse.Namespace) -> list[tuple[str, Path]]:
+def _extract_inputs(args: argparse.Namespace) -> dict[str, Path]:
     if bool(args.manifest) == bool(args.in_dir):
         raise ConfigError("exactly one of --manifest or --in-dir is required")
     if args.in_dir:
         root = Path(args.in_dir)
         if not root.is_dir():
             raise ConfigError(f"{root} is not a directory")
-        return [(p.stem, p) for p in sorted(root.glob("*.wav"))]
-    manifest = Path(args.manifest)
-    base = manifest.parent
-    out: list[tuple[str, Path]] = []
-    for utt_id, entry in _read_jsonl_by_id(manifest).items():
-        if "wav" not in entry:
-            raise ConfigError(f"{manifest}: entry {utt_id!r} lacks wav")
-        wav = Path(entry["wav"])
-        out.append((utt_id, wav if wav.is_absolute() else base / wav))
-    return out
+        return {p.stem: p for p in sorted(root.glob("*.wav"))}
+    return artifacts.read_manifest(args.manifest)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    meta = _meta("extract", {"seed": resolve_seed(args)})
+    meta = artifacts.meta_header("extract", {"seed": resolve_seed(args)})
     inputs = _extract_inputs(args)
     records: list[dict] = []
     failures = 0
-    for utt_id, wav_path in inputs:
+    for utt_id, wav_path in inputs.items():
         try:
             profile = acoustic_profile(load_wav(wav_path))
         except (SmoothClapError, OSError) as exc:
             failures += 1
             logger.warning("skipping %s (%s): %s", utt_id, wav_path, exc)
             continue
-        records.append({"id": utt_id, **profile.to_json_dict()})
-    _write_jsonl(args.out, records, meta)
+        records.append({"id": utt_id, **asdict(profile)})
+    artifacts.write_jsonl(args.out, records, meta)
     if failures:
         print(f"warning: {failures} of {len(inputs)} files failed", file=sys.stderr)
         if args.strict:
@@ -253,19 +139,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
 # --- tags --------------------------------------------------------------------------
 
 def cmd_tags(args: argparse.Namespace) -> int:
-    meta = _meta("tags", {"seed": resolve_seed(args)})
-    profiles_by_id = _read_jsonl_by_id(args.profiles)
-    labels_by_id = _read_jsonl_by_id(args.labels) if args.labels else {}
+    meta = artifacts.meta_header("tags", {"seed": resolve_seed(args)})
+    profiles_by_id = artifacts.read_profiles(args.profiles)
+    labels_by_id = artifacts.read_labels(args.labels) if args.labels else {}
 
     fit_mode = args.thresholds_in is None or args.refit
     if fit_mode:
         feature_values: dict[str, list[float]] = {}
-        for entry in labels_by_id.values():
-            for dim in DIMENSION_FEATURES:
-                if dim in entry:
-                    feature_values.setdefault(dim, []).append(float(entry[dim]))
-        for profile in profiles_by_id.values():
-            for name, value in profile_feature_values(profile).items():
+        for _, dims in labels_by_id.values():
+            for dim, value in dims.items():
+                feature_values.setdefault(dim, []).append(value)
+        for features in profiles_by_id.values():
+            for name, value in features.items():
                 feature_values.setdefault(name, []).append(value)
         thresholds = {}
         for name, vals in feature_values.items():
@@ -273,39 +158,24 @@ def cmd_tags(args: argparse.Namespace) -> int:
                 thresholds[name] = fit_bins(vals, name)
             except TooFewValues as exc:
                 raise ConfigError(f"cannot fit thresholds: {exc}") from None
-        observed: dict[str, list[str]] = {}
-        for entry in labels_by_id.values():
-            for kind in ("emotion", "gender"):
-                if kind in entry:
-                    observed.setdefault(kind, [])
-                    if entry[kind] not in observed[kind]:
-                        observed[kind].append(entry[kind])
-        templates = TemplateSet(
-            emotions=frozenset(observed["emotion"]) if "emotion" in observed else None,
-            genders=frozenset(observed["gender"]) if "gender" in observed else None,
-        )
+        observed: dict[str, set[str]] = {}
+        for labels, _ in labels_by_id.values():
+            for kind, label in labels.items():
+                observed.setdefault(kind, set()).add(label)
+        templates = TemplateSet.closed_to(observed)
         thresholds_out = args.thresholds_out or f"{args.out}.thresholds.json"
-        save_thresholds(thresholds_out, thresholds, observed, meta)
+        artifacts.save_thresholds(thresholds_out, thresholds, observed, meta)
     else:
-        thresholds, templates = load_thresholds(args.thresholds_in)
+        thresholds, templates = artifacts.load_thresholds(args.thresholds_in)
 
-    matched = 0
-    records: list[dict] = []
-    for utt_id, profile in profiles_by_id.items():
-        entry = labels_by_id.get(utt_id)
-        if entry is not None:
-            matched += 1
-        labels = {}
-        dims = {}
-        if entry:
-            labels = {k: str(entry[k]) for k in ("emotion", "gender") if k in entry}
-            dims = {k: float(entry[k]) for k in DIMENSION_FEATURES if k in entry}
-        record = render_tags(
-            utt_id, labels, dims, profile_feature_values(profile), thresholds, templates
-        )
+    records = []
+    for utt_id, features in profiles_by_id.items():
+        labels, dims = labels_by_id.get(utt_id, ({}, {}))
+        record = render_tags(utt_id, labels, dims, features, thresholds, templates)
         records.append(record.to_json_dict())
-    _write_jsonl(args.out, records, meta)
+    artifacts.write_jsonl(args.out, records, meta)
 
+    matched = len(profiles_by_id.keys() & labels_by_id.keys())
     unmatched_profiles = len(profiles_by_id) - matched
     unmatched_labels = len(labels_by_id) - matched
     if unmatched_profiles or unmatched_labels:
@@ -320,10 +190,8 @@ def cmd_tags(args: argparse.Namespace) -> int:
 # --- train -------------------------------------------------------------------------
 
 def _load_training_data(features_path, tags_path, min_rows: int):
-    feature_ids, features = read_id_matrix_csv(features_path)
-    tags_by_id = {
-        utt_id: list(r["tags"]) for utt_id, r in _read_jsonl_by_id(tags_path).items()
-    }
+    feature_ids, features = artifacts.read_id_matrix_csv(features_path)
+    tags_by_id = artifacts.read_tags(tags_path)
     keep = [i for i, fid in enumerate(feature_ids) if fid in tags_by_id]
     dropped_features = len(feature_ids) - len(keep)
     dropped_tags = len(tags_by_id) - len(keep)
@@ -347,15 +215,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.features, args.tags, config.batch_size
     )
     model = train(features, tag_lists, config)
-    meta = _meta("train", config.to_json_dict())
-    save_model(args.out, model, extra_meta=meta)
+    meta = artifacts.meta_header("train", config.to_json_dict())
+    artifacts.save_model(args.out, model, extra_meta=meta)
     history_path = args.history or f"{args.out}.history.csv"
-    with open(history_path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(model.history, start=1):
-            writer.writerow([epoch, repr(loss)])
+    rows = enumerate(map(repr, model.history), start=1)
+    artifacts.write_table(history_path, ["epoch", "loss"], rows, meta)
     print(f"final epoch loss: {model.history[-1]:.9f}")
     return 0
 
@@ -395,14 +259,15 @@ def _evaluate(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    meta = _meta("eval", {"seed": resolve_seed(args)})
-    labels = dict(read_labels_csv(args.labels))
+    meta = artifacts.meta_header("eval", {"seed": resolve_seed(args)})
+    labels = dict(artifacts.read_labels_csv(args.labels))
+    # read once, for the audio features and the label-string queries alike
+    model = artifacts.load_model(args.model) if args.model else None
 
     if args.embeddings:
         audio_emb, audio_ids = ingest_external_embeddings(args.embeddings)
-    elif args.model and args.features:
-        model = load_model(args.model)
-        audio_ids, features = read_id_matrix_csv(args.features)
+    elif model is not None and args.features:
+        audio_ids, features = artifacts.read_id_matrix_csv(args.features)
         audio_emb = embed_audio(model, features)
     else:
         raise ConfigError("need --embeddings, or --model together with --features")
@@ -410,9 +275,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.query_embeddings:
         query_emb, class_names = ingest_external_embeddings(args.query_embeddings)
     else:
-        if not args.model:
+        if model is None:
             raise ConfigError("label-string queries need --model")
-        model = load_model(args.model)
         class_names = (
             [q.strip() for q in args.queries.split(",") if q.strip()]
             if args.queries
@@ -421,14 +285,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         query_emb = embed_query_labels(model, class_names)
 
     report = _evaluate(audio_ids, audio_emb, list(class_names), query_emb, labels)
-    save_report(args.out, report, meta=meta)
+    artifacts.save_report(args.out, report, meta=meta)
     if args.predictions_csv:
-        with open(args.predictions_csv, "w", newline="") as fh:
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["id", "true", "predicted"])
-            for p in report.predictions:
-                writer.writerow([p.utterance_id, p.true_label, p.predicted_label])
+        artifacts.write_table(
+            args.predictions_csv, ["id", "true", "predicted"],
+            ([p.utterance_id, p.true_label, p.predicted_label] for p in report.predictions),
+            meta,
+        )
     print(format_confusion(report))
     return 0
 
@@ -484,7 +347,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ids, features, tag_lists = _load_training_data(
         args.features, args.tags, base_config.batch_size
     )
-    labels = dict(read_labels_csv(args.labels))
+    labels = dict(artifacts.read_labels_csv(args.labels))
     class_names = sorted(set(labels.values()))
 
     rows: list[tuple[float, float, float, float]] = []
@@ -510,13 +373,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 failed += 1
                 logger.warning("sweep cell gamma=%s beta=%s failed: %s", gamma, beta, exc)
                 rows.append((gamma, beta, float("nan"), float("nan")))
-    meta = _meta("sweep", base_config.to_json_dict())
-    with open(args.out, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "beta", "uar", "final_loss"])
-        for gamma, beta, uar, final_loss in rows:
-            writer.writerow([repr(gamma), repr(beta), repr(uar), repr(final_loss)])
+    artifacts.write_table(
+        args.out, ["gamma", "beta", "uar", "final_loss"], (map(repr, row) for row in rows),
+        artifacts.meta_header("sweep", base_config.to_json_dict()),
+    )
     if failed:
         print(f"error: {failed} of {len(rows)} sweep cells failed", file=sys.stderr)
         return 1
@@ -625,7 +485,7 @@ def main(argv=None) -> int:
     except ComputationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SmoothClapError, OSError, ValueError, KeyError) as exc:
+    except (SmoothClapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,9 +100,9 @@ class NonFiniteLoss(ComputationFailure):
 
 
 class TrainingStepFailed(ComputationFailure):
-    """A training step broke down: a zero-norm or non-finite projection row,
-    targets below the KL floor, or a non-finite loss. The message names the
-    epoch and batch start; the original error is the ``__cause__``."""
+    """A training step broke down: a zero-norm or non-finite projection row, a
+    temperature out of range, targets below the KL floor, or a non-finite loss.
+    The message names the epoch and batch start; the error is the ``__cause__``."""
 
 
 # --- evaluation ---

@@ -7,21 +7,13 @@ average recall over classes that actually appear in the ground truth.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateId,
-    LabelOutOfRange,
-    LengthMismatch,
-    NonNumericCell,
-    RaggedRows,
-    ShapeMismatch,
-)
+# the report's writer is part of this module's interface
+from .artifacts import read_id_matrix_csv, save_report  # noqa: F401
+from .errors import LabelOutOfRange, LengthMismatch, ShapeMismatch
 from .numeric import as_matrix, l2_normalize_rows
 
 
@@ -54,23 +46,6 @@ class Prediction:
     predicted_label: str
     scores: list[float] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.utterance_id,
-            "true": self.true_label,
-            "predicted": self.predicted_label,
-            "scores": list(self.scores),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Prediction":
-        return cls(
-            utterance_id=d["id"],
-            true_label=d["true"],
-            predicted_label=d["predicted"],
-            scores=[float(s) for s in d.get("scores", [])],
-        )
-
 
 @dataclass
 class EvalReport:
@@ -82,27 +57,6 @@ class EvalReport:
     uar: float
     predictions: list[Prediction] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class_names": list(self.class_names),
-            "confusion": [list(row) for row in self.confusion],
-            "per_class_recall": list(self.per_class_recall),
-            "uar": self.uar,
-            "predictions": [p.to_json_dict() for p in self.predictions],
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            class_names=list(d["class_names"]),
-            confusion=[[int(v) for v in row] for row in d["confusion"]],
-            per_class_recall=[float(r) for r in d["per_class_recall"]],
-            uar=float(d["uar"]),
-            predictions=[Prediction.from_json_dict(p) for p in d.get("predictions", [])],
-            warnings=list(d.get("warnings", [])),
-        )
 
 
 def confusion_and_uar(y_true, y_pred, num_classes: int, class_names=None) -> EvalReport:
@@ -157,78 +111,9 @@ def format_confusion(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-# --- CSV ingestion -------------------------------------------------------------
-
-def read_id_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read an 'id,c0..cN' CSV into (ids, float64 matrix), order preserved."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "id":
-        raise RaggedRows(f"{path}: expected a header starting with 'id'")
-    width = len(rows[0])
-    if width < 2:
-        raise RaggedRows(f"{path}: header names no value columns")
-    ids: list[str] = []
-    seen: set[str] = set()
-    data = np.empty((len(rows) - 1, width - 1))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise RaggedRows(f"{path}: row {r} has {len(row)} cells, expected {width}")
-        row_id = row[0]
-        if row_id in seen:
-            raise DuplicateId(f"{path}: id {row_id!r} appears more than once")
-        seen.add(row_id)
-        ids.append(row_id)
-        for c, cell in enumerate(row[1:], start=1):
-            try:
-                data[r - 2, c - 1] = float(cell)
-            except ValueError:
-                raise NonNumericCell(
-                    f"{path}: row {r}, column {rows[0][c]!r}: {cell!r} is not a number"
-                ) from None
-    if not ids:
-        raise RaggedRows(f"{path}: no data rows")
-    return ids, data
-
+# --- external embeddings -------------------------------------------------------
 
 def ingest_external_embeddings(path) -> tuple[np.ndarray, list[str]]:
     """Load externally produced embeddings and L2-normalize their rows."""
     ids, data = read_id_matrix_csv(path)
     return l2_normalize_rows(data), ids
-
-
-def read_labels_csv(path) -> list[tuple[str, str]]:
-    """Read an 'id,label' CSV, order preserved."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["id", "label"]:
-        raise RaggedRows(f"{path}: expected header 'id,label'")
-    out: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise RaggedRows(f"{path}: row {r} has {len(row)} cells, expected 2")
-        if row[0] in seen:
-            raise DuplicateId(f"{path}: id {row[0]!r} appears more than once")
-        seen.add(row[0])
-        out.append((row[0], row[1]))
-    return out
-
-
-def write_labels_csv(path, pairs) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for row_id, label in pairs:
-            writer.writerow([row_id, label])
-
-
-def save_report(path, report: EvalReport, meta: dict | None = None) -> None:
-    doc = report.to_json_dict()
-    if meta is not None:
-        doc["_meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_report(path) -> EvalReport:
-    return EvalReport.from_json_dict(json.loads(Path(path).read_text()))

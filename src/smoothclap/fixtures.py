@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from .paralinguistics import AcousticProfile
 
 # class centers sit on a circle at these angles (degrees); the two tight
 # pairs are (0,1) and (2,3), and all six pairwise cosines are distinct
@@ -209,16 +211,7 @@ def profiles_to_features(profiles: list[dict]) -> np.ndarray:
 
     Lets extractor output feed the trainer directly in end-to-end runs.
     """
-    cols = (
-        "pitch_mean_hz",
-        "pitch_std_hz",
-        "intensity_mean_db",
-        "intensity_std_db",
-        "jitter",
-        "shimmer",
-        "duration_s",
-        "voiced_fraction",
-    )
+    cols = [f.name for f in fields(AcousticProfile) if f.name != "flags"]
     x = np.array([[float(p[c]) for c in cols] for p in profiles])
     mean = x.mean(axis=0)
     std = x.std(axis=0)

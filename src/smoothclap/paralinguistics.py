@@ -124,33 +124,6 @@ class AcousticProfile:
     voiced_fraction: float
     flags: list[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pitch_mean_hz": self.pitch_mean_hz,
-            "pitch_std_hz": self.pitch_std_hz,
-            "intensity_mean_db": self.intensity_mean_db,
-            "intensity_std_db": self.intensity_std_db,
-            "jitter": self.jitter,
-            "shimmer": self.shimmer,
-            "duration_s": self.duration_s,
-            "voiced_fraction": self.voiced_fraction,
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AcousticProfile":
-        return cls(
-            pitch_mean_hz=float(d["pitch_mean_hz"]),
-            pitch_std_hz=float(d["pitch_std_hz"]),
-            intensity_mean_db=float(d["intensity_mean_db"]),
-            intensity_std_db=float(d["intensity_std_db"]),
-            jitter=float(d["jitter"]),
-            shimmer=float(d["shimmer"]),
-            duration_s=float(d["duration_s"]),
-            voiced_fraction=float(d["voiced_fraction"]),
-            flags=list(d.get("flags", [])),
-        )
-
 
 # --- WAV decoding -----------------------------------------------------------
 

@@ -8,11 +8,9 @@ outputs are byte-reproducible.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +26,7 @@ from .paralinguistics import AcousticProfile
 LOW_PERCENTILE = 30.0
 HIGH_PERCENTILE = 70.0
 
+LABEL_KINDS = ("emotion", "gender")
 DIMENSION_FEATURES = ("arousal", "valence", "dominance")
 # tag feature name -> AcousticProfile field (also its profile-record key)
 PROFILE_FIELDS = {
@@ -121,6 +120,12 @@ class TemplateSet:
     emotions: frozenset[str] | None = None
     genders: frozenset[str] | None = None
 
+    @classmethod
+    def closed_to(cls, label_sets: dict[str, set[str] | list[str]]) -> "TemplateSet":
+        """Closed to the given labels of each kind; a kind not given stays open."""
+        closed = {kind: frozenset(labels) for kind, labels in label_sets.items()}
+        return cls(emotions=closed.get("emotion"), genders=closed.get("gender"))
+
     def check_label(self, kind: str, value: str) -> str:
         if not value:
             raise UnknownLabel(f"empty {kind} label")
@@ -161,13 +166,9 @@ def _acoustic_tag(feature: str, b: Bin) -> str:
     return f"{_ACOUSTIC_WORDS[int(b)]} {feature}"
 
 
-def profile_feature_values(profile: AcousticProfile | dict) -> dict[str, float]:
-    """The binnable scalar features of a profile or profile record, keyed by
-    tag feature name. A record that lacks a field skips that feature."""
-    record = vars(profile) if isinstance(profile, AcousticProfile) else profile
-    return {
-        name: float(record[key]) for name, key in PROFILE_FIELDS.items() if key in record
-    }
+def profile_feature_values(profile: AcousticProfile) -> dict[str, float]:
+    """The binnable scalar features of a profile, keyed by tag feature name."""
+    return {name: float(getattr(profile, key)) for name, key in PROFILE_FIELDS.items()}
 
 
 def render_tags(
@@ -194,10 +195,9 @@ def render_tags(
     tags: list[str] = []
     bins: dict[str, str] = {}
 
-    if "emotion" in labels:
-        tags.append(templates.check_label("emotion", labels["emotion"]))
-    if "gender" in labels:
-        tags.append(templates.check_label("gender", labels["gender"]))
+    for kind in LABEL_KINDS:
+        if kind in labels:
+            tags.append(templates.check_label(kind, labels[kind]))
 
     for feature in DIMENSION_FEATURES:
         if feature not in dims:
@@ -220,53 +220,3 @@ def render_tags(
     seen: set[str] = set()
     unique_tags = [t for t in tags if not (t in seen or seen.add(t))]
     return TagRecord(utterance_id=utterance_id, tags=unique_tags, bins=bins)
-
-
-# --- thresholds sidecar -------------------------------------------------------
-
-def thresholds_to_json_dict(thresholds: dict[str, BinThresholds]) -> dict:
-    return {
-        name: {"low": t.low, "high": t.high} for name, t in sorted(thresholds.items())
-    }
-
-
-def thresholds_from_json_dict(d: dict) -> dict[str, BinThresholds]:
-    out: dict[str, BinThresholds] = {}
-    for name, entry in d.items():
-        if name.startswith("_"):
-            continue
-        out[name] = BinThresholds(
-            feature_name=name, low=float(entry["low"]), high=float(entry["high"])
-        )
-    return out
-
-
-def save_thresholds(
-    path,
-    thresholds: dict[str, BinThresholds],
-    labels: dict[str, list[str]] | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Write the sidecar: a JSON map feature -> {low, high}.
-
-    Observed categorical vocabularies go under "_labels" and the
-    reproducibility header under "_meta"; apply-mode readers treat
-    underscore keys as metadata.
-    """
-    doc: dict = dict(thresholds_to_json_dict(thresholds))
-    if labels:
-        doc["_labels"] = {k: sorted(v) for k, v in labels.items()}
-    if meta is not None:
-        doc["_meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_thresholds(path) -> tuple[dict[str, BinThresholds], TemplateSet]:
-    doc = json.loads(Path(path).read_text())
-    thresholds = thresholds_from_json_dict(doc)
-    label_sets = doc.get("_labels", {})
-    templates = TemplateSet(
-        emotions=frozenset(label_sets["emotion"]) if "emotion" in label_sets else None,
-        genders=frozenset(label_sets["gender"]) if "gender" in label_sets else None,
-    )
-    return thresholds, templates

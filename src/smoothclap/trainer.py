@@ -9,23 +9,23 @@ given (data, config, seed) triple.
 """
 from __future__ import annotations
 
-import base64
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
-from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
+# the model's reader and writer, next to the model they serialize
+from .artifacts import load_model, save_model  # noqa: F401
 from .errors import (
     EmptyVocabulary,
     InsufficientData,
     LengthMismatch,
     NonFiniteLoss,
     NonFiniteValue,
+    NonPositiveTemperature,
     ShapeMismatch,
     TrainingStepFailed,
     UnknownQueryLabel,
@@ -198,15 +198,6 @@ class TrainConfig:
     def to_json_dict(self) -> dict:
         return asdict(self, dict_factory=_with_enum_values)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrainConfig":
-        values = {}
-        for opt in RUN_OPTIONS:
-            holder = d.get(opt.section, {}) if opt.section else d
-            if opt.field in holder:
-                values[opt] = opt.type(holder[opt.field])
-        return cls.from_options(values)
-
 
 @dataclass(frozen=True)
 class RunOption:
@@ -269,6 +260,11 @@ class TrainedModel:
 def embed_audio(model: TrainedModel, features) -> np.ndarray:
     """Project raw audio feature rows and normalize to unit length."""
     x = as_matrix(features, "features")
+    if x.shape[1] != model.audio_projection.in_dim:
+        raise ShapeMismatch(
+            f"features have {x.shape[1]} columns, the model's audio input width "
+            f"is {model.audio_projection.in_dim}"
+        )
     return l2_normalize_rows(model.audio_projection.project(x))
 
 
@@ -298,6 +294,15 @@ def _row_norms_checked(m: np.ndarray, what: str) -> np.ndarray:
     if np.any(norms < 1e-12):
         raise ZeroRow(f"{what} produced a zero row")
     return norms
+
+
+def _tau_pred(log_tau: float) -> float:
+    """exp(log_tau); an overflow is a NonFiniteValue. An underflow to 0 is a
+    NonPositiveTemperature from the SmoothingConfig built with it."""
+    try:
+        return math.exp(log_tau)
+    except OverflowError:
+        raise NonFiniteValue(f"tau_pred = exp({log_tau:.6g}) overflows") from None
 
 
 def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
@@ -348,15 +353,17 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
             xt = text_feats[idx]
             za = proj_a.project(xa)
             zt = proj_t.project(xt)
-            cfg_step = with_tau_pred(config.smoothing, math.exp(log_tau))
             try:
+                cfg_step = with_tau_pred(config.smoothing, _tau_pred(log_tau))
                 ra = _row_norms_checked(za, "audio projection")
                 rt = _row_norms_checked(zt, "text projection")
                 batch = EmbeddingBatch(audio=za, text=zt, local_audio=local[idx])
                 out = loss_and_grad(
                     batch, cfg_step, config.objective, config.clap_mix_lambda
                 )
-            except (ZeroRow, NonFiniteValue, ZeroMassTarget, NonFiniteLoss) as exc:
+            except (
+                ZeroRow, NonFiniteValue, NonPositiveTemperature, ZeroMassTarget, NonFiniteLoss
+            ) as exc:
                 raise TrainingStepFailed(
                     f"epoch {epoch}, batch start {start}: {exc}"
                 ) from exc
@@ -387,66 +394,3 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
         config=config,
         history=history,
     )
-
-
-# --- serialization ------------------------------------------------------------
-
-def _encode_tensor(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return {
-        "shape": list(a.shape),
-        "dtype": "float64",
-        "data_b64": base64.b64encode(a.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_tensor(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data_b64"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
-
-
-def model_to_json_dict(model: TrainedModel) -> dict:
-    return {
-        "kind": "smoothclap-model",
-        "format_version": 1,
-        "config": model.config.to_json_dict(),
-        "vocabulary": list(model.vocabulary),
-        "log_tau_pred": model.log_tau_pred,
-        "audio_projection": {
-            "weights": _encode_tensor(model.audio_projection.weights),
-            "bias": _encode_tensor(model.audio_projection.bias),
-        },
-        "text_projection": {
-            "weights": _encode_tensor(model.text_projection.weights),
-            "bias": _encode_tensor(model.text_projection.bias),
-        },
-    }
-
-
-def model_from_json_dict(d: dict) -> TrainedModel:
-    if d.get("kind") != "smoothclap-model":
-        raise ValueError("not a model document")
-    return TrainedModel(
-        audio_projection=ProjectionParams(
-            weights=_decode_tensor(d["audio_projection"]["weights"]),
-            bias=_decode_tensor(d["audio_projection"]["bias"]),
-        ),
-        text_projection=ProjectionParams(
-            weights=_decode_tensor(d["text_projection"]["weights"]),
-            bias=_decode_tensor(d["text_projection"]["bias"]),
-        ),
-        log_tau_pred=float(d["log_tau_pred"]),
-        vocabulary=list(d["vocabulary"]),
-        config=TrainConfig.from_json_dict(d["config"]),
-    )
-
-
-def save_model(path, model: TrainedModel, extra_meta: dict | None = None) -> None:
-    doc = model_to_json_dict(model)
-    if extra_meta:
-        doc["_meta"] = extra_meta
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_model(path) -> TrainedModel:
-    return model_from_json_dict(json.loads(Path(path).read_text()))

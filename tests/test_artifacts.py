@@ -1,0 +1,426 @@
+"""Readers and writers of every artifact format, through the library and cli.main."""
+import base64
+import csv
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import run_cli, write_cluster_fixture_files
+from smoothclap.artifacts import (
+    load_model,
+    load_thresholds,
+    read_labels,
+    read_profiles,
+    read_tags,
+    save_model,
+    write_jsonl,
+)
+from smoothclap.cli import main
+from smoothclap.errors import ConfigError
+from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
+from smoothclap.paralinguistics import Waveform, acoustic_profile
+
+
+def run_main(*argv) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one in-process CLI run."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue().splitlines()
+
+
+def write_records(path, records) -> Path:
+    path = Path(path)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+PROFILE = {
+    "pitch_mean_hz": 100.0, "pitch_std_hz": 1.0, "intensity_mean_db": -30.0,
+    "intensity_std_db": 1.0, "jitter": 0.01, "shimmer": 0.1, "duration_s": 1.0,
+    "voiced_fraction": 1.0, "flags": [],
+}
+
+
+def profile_records(n=6):
+    return [
+        {**PROFILE, "id": f"u{i}", "pitch_mean_hz": 100.0 + 10 * i, "jitter": 0.01 * (i + 1)}
+        for i in range(n)
+    ]
+
+
+def label_records(n=6):
+    return [
+        {"id": f"u{i}", "emotion": "happy" if i % 2 else "sad", "gender": "male",
+         "arousal": i / n}
+        for i in range(n)
+    ]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """One valid file of every kind, and a model trained on the cluster files."""
+    root = tmp_path_factory.mktemp("corpus")
+    files = write_cluster_fixture_files(root, make_cluster_fixture(3, n_per_class=8))
+    files["profiles"] = write_records(root / "profiles.jsonl", profile_records())
+    files["labels_jsonl"] = write_records(root / "labels.jsonl", label_records())
+    for name in ("a", "b"):
+        write_wav(root / f"{name}.wav", synth_tone(180.0, 0.25))
+    files["manifest"] = write_records(
+        root / "manifest.jsonl", [{"id": "a", "wav": "a.wav"}, {"id": "b", "wav": "b.wav"}]
+    )
+    files["thresholds"] = root / "thresholds.json"
+    assert run_cli(
+        "tags", "--profiles", str(files["profiles"]), "--labels", str(files["labels_jsonl"]),
+        "--thresholds-out", str(files["thresholds"]), "--out", str(root / "tags_out.jsonl"),
+    ) == 0
+    files["model"] = root / "model.json"
+    assert run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "8", "--epochs", "1", "--embed-dim", "4", "--out", str(files["model"]),
+    ) == 0
+    files["config"] = root / "config.json"
+    files["config"].write_text(
+        json.dumps({"seed": 3, "smoothing": {"gamma": 0.4}, "train.epochs": 2, "lr": 0.01})
+    )
+    files["root"] = root
+    return files
+
+
+# --- malformed records: exit 2 with one line naming the file and the field ---------
+
+def mutate_line(path, lineno, change):
+    lines = Path(path).read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    change(record)
+    lines[lineno - 1] = json.dumps(record)
+    out = Path(path).with_name("mutated-" + Path(path).name)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+def tags_argv(corpus, profiles=None, labels=None, thresholds=None):
+    argv = ["tags", "--profiles", profiles or corpus["profiles"],
+            "--out", corpus["root"] / "t.jsonl"]
+    if labels:
+        argv += ["--labels", labels]
+    if thresholds:
+        argv += ["--thresholds-in", thresholds]
+    return argv
+
+
+def train_argv(corpus, tags):
+    return ["train", "--features", corpus["features"], "--tags", tags, "--batch-size", "8",
+            "--epochs", "1", "--out", corpus["root"] / "m.json"]
+
+
+def eval_argv(corpus, model=None, features=None, labels=None):
+    return ["eval", "--model", model or corpus["model"],
+            "--features", features or corpus["features"],
+            "--labels", labels or corpus["labels"], "--out", corpus["root"] / "r.json"]
+
+
+def write_doc(corpus, name, doc):
+    path = corpus["root"] / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def model_doc(corpus):
+    return json.loads(corpus["model"].read_text())
+
+
+MALFORMED = {
+    "thresholds feature not an object": (
+        lambda c: tags_argv(c, thresholds=write_doc(c, "th.json", {"pitch": 5})),
+        "th.json", "field 'pitch' must be an object",
+    ),
+    "thresholds not an object": (
+        lambda c: tags_argv(c, thresholds=write_doc(c, "th.json", [1, 2])),
+        "th.json", "top level must be an object",
+    ),
+    "thresholds missing high": (
+        lambda c: tags_argv(c, thresholds=write_doc(c, "th.json", {"pitch": {"low": 1.0}})),
+        "th.json", "missing field 'pitch.high'",
+    ),
+    "thresholds label set not strings": (
+        lambda c: tags_argv(c, thresholds=write_doc(
+            c, "th.json", {**json.loads(c["thresholds"].read_text()), "_labels": {"emotion": [1]}}
+        )),
+        "th.json", "field '_labels.emotion' must be a list of strings",
+    ),
+    "model not an object": (
+        lambda c: eval_argv(c, model=write_doc(c, "bad.json", [])),
+        "bad.json", "top level must be an object",
+    ),
+    "model config not an object": (
+        lambda c: eval_argv(c, model=write_doc(c, "bad.json", {**model_doc(c), "config": "x"})),
+        "bad.json", "field 'config' must be an object",
+    ),
+    "model config value": (
+        lambda c: eval_argv(c, model=write_doc(
+            c, "bad.json", {**model_doc(c), "config": {"smoothing": {"gamma": "high"}}}
+        )),
+        "bad.json", "'config.smoothing.gamma'",
+    ),
+    "manifest wav not a string": (
+        lambda c: ["extract", "--out", c["root"] / "o.jsonl",
+                   "--manifest", mutate_line(c["manifest"], 1, lambda r: r.update(wav=5))],
+        "mutated-manifest.jsonl:1:", "field 'wav' must be a string",
+    ),
+    "profile field null": (
+        lambda c: tags_argv(c, profiles=mutate_line(
+            c["profiles"], 3, lambda r: r.update(pitch_mean_hz=None)
+        )),
+        "mutated-profiles.jsonl:3:", "field 'pitch_mean_hz' must be a number",
+    ),
+    "labels dimension null": (
+        lambda c: tags_argv(c, labels=mutate_line(
+            c["labels_jsonl"], 2, lambda r: r.update(arousal=None)
+        )),
+        "mutated-labels.jsonl:2:", "field 'arousal' must be a number",
+    ),
+    "labels emotion a list": (
+        lambda c: tags_argv(c, labels=mutate_line(
+            c["labels_jsonl"], 2, lambda r: r.update(emotion=["x"])
+        )),
+        "mutated-labels.jsonl:2:", "field 'emotion' must be a string",
+    ),
+    # a bare string is iterable: it must not train on the vocabulary ['a','h','p','y']
+    "tags a string": (
+        lambda c: train_argv(c, mutate_line(c["tags"], 4, lambda r: r.update(tags="happy"))),
+        "mutated-tags.jsonl:4:", "field 'tags' must be a list of strings",
+    ),
+    "tags missing": (
+        lambda c: train_argv(c, mutate_line(c["tags"], 4, lambda r: r.pop("tags"))),
+        "mutated-tags.jsonl:4:", "missing field 'tags'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_record_exits_2_naming_file_and_field(corpus, case):
+    argv, where, what = MALFORMED[case]
+    code, err = run_main(*argv(corpus))
+    assert code == 2
+    assert len(err) == 1, err
+    assert err[0].startswith("error: ") and where in err[0] and what in err[0], err[0]
+
+
+@pytest.mark.parametrize("bad_id", [None, [1], {"a": 1}, True, 1.5])
+def test_record_id_must_be_a_string_or_an_integer(tmp_path, bad_id):
+    path = write_records(tmp_path / "t.jsonl", [{"id": bad_id, "tags": ["a"]}])
+    with pytest.raises(ConfigError, match=r"t.jsonl:1: field 'id' must be a string or an int"):
+        read_tags(path)
+
+
+# --- model reader checks ------------------------------------------------------------
+
+def tensor_entry(a):
+    return {"shape": list(a.shape), "dtype": "float64",
+            "data_b64": base64.b64encode(np.asarray(a, float).tobytes()).decode()}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d.update(format_version=99), "format_version 99 is not 1"),
+        (lambda d: d.update(kind="other"), "not a smoothclap model"),
+        (lambda d: d["audio_projection"].update(bias=tensor_entry(np.zeros(3))),
+         "output widths differ: {'audio_projection.weights': 4, 'audio_projection.bias': 3,"),
+        (lambda d: d["text_projection"].update(
+            weights=tensor_entry(np.zeros((len(d["vocabulary"]), 5))),
+            bias=tensor_entry(np.zeros(5))),
+         "'text_projection.weights': 5, 'text_projection.bias': 5}"),
+        (lambda d: d.update(vocabulary=d["vocabulary"][:-1]),
+         "is not the vocabulary size"),
+        (lambda d: d["audio_projection"]["weights"].update(shape=[2, 2]),
+         "'audio_projection.weights' is not a 2-d float64 tensor (cannot reshape"),
+        (lambda d: d["audio_projection"]["weights"].update(dtype="float32"),
+         "'audio_projection.weights' is not a 2-d float64 tensor"),
+        (lambda d: d["text_projection"]["bias"].update(data_b64="@@"),
+         "'text_projection.bias' is not a 1-d float64 tensor"),
+        (lambda d: d["audio_projection"]["bias"].update(shape=[4, 1]),
+         "'audio_projection.bias' is not a 1-d float64 tensor"),
+        (lambda d: d["audio_projection"]["bias"].update(shape=[-1]),
+         "'audio_projection.bias' is not a 1-d float64 tensor"),
+        (lambda d: d.update(log_tau_pred=[0.0]), "field 'log_tau_pred' must be a number"),
+    ],
+)
+def test_model_reader_rejects_inconsistent_documents(corpus, change, message):
+    doc = model_doc(corpus)
+    change(doc)
+    path = write_doc(corpus, "bad.json", doc)
+    with pytest.raises(ConfigError) as err:
+        load_model(path)
+    assert str(path) in str(err.value) and message in str(err.value)
+    code, lines = run_main(*eval_argv(corpus, model=path))
+    assert code == 2 and len(lines) == 1
+
+
+def test_model_reader_skips_config_keys_of_older_versions(corpus):
+    doc = model_doc(corpus)
+    doc["config"]["lr_text"] = 1e-5
+    loaded = load_model(write_doc(corpus, "old.json", doc))
+    assert loaded.config == load_model(corpus["model"]).config
+
+
+def test_model_roundtrip_is_byte_identical(corpus, tmp_path):
+    path = tmp_path / "again.json"
+    save_model(path, load_model(corpus["model"]), extra_meta=model_doc(corpus)["_meta"])
+    assert path.read_bytes() == corpus["model"].read_bytes()
+
+
+def test_eval_rejects_features_of_another_width(corpus):
+    rows = corpus["features"].read_text().splitlines()
+    wide = corpus["root"] / "wide.csv"
+    wide.write_text("\n".join([rows[0] + ",extra"] + [r + ",1.0" for r in rows[1:]]) + "\n")
+    code, err = run_main(*eval_argv(corpus, features=wide))
+    assert code == 2
+    assert err == ["error: features have 13 columns, the model's audio input width is 12"]
+
+
+# --- typed records -----------------------------------------------------------------
+
+def test_profile_record_roundtrip(tmp_path):
+    profile = acoustic_profile(Waveform(synth_tone(220.0, 0.5), 16000))
+    path = tmp_path / "p.jsonl"
+    write_jsonl(path, [{"id": "x", **asdict(profile)}], {"seed": 0})
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"_meta": {"seed": 0}}
+    assert json.loads(lines[1]) == {"id": "x", **asdict(profile)}
+    features = read_profiles(path)["x"]
+    assert features["pitch"] == profile.pitch_mean_hz
+    assert features["duration"] == profile.duration_s
+
+
+def test_labels_reader_types_and_ignores_unknown_keys(tmp_path):
+    path = write_records(tmp_path / "l.jsonl", [
+        {"id": 7, "wav": "x.wav", "emotion": "sad", "arousal": "0.25", "valence": 1},
+    ])
+    assert read_labels(path) == {"7": ({"emotion": "sad"}, {"arousal": 0.25, "valence": 1.0})}
+
+
+def test_thresholds_reader_wraps_invalid_cut_points(corpus):
+    path = write_doc(corpus, "th.json", {"pitch": {"low": 2.0, "high": 1.0}})
+    with pytest.raises(ConfigError, match="th.json: field 'pitch': low threshold"):
+        load_thresholds(path)
+
+
+# --- fuzzing every reader through cli.main -------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 100) | st.floats(-1e6, 1e6) | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def jsonl_mutations(draw, text):
+    """(mutated text, whether an intact record was duplicated)."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["set", "delete", "truncate", "duplicate"]))
+    if op == "duplicate":
+        return "\n".join(lines + [lines[i]]) + "\n", True
+    if op == "truncate":
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))]
+    else:
+        record = json.loads(lines[i])
+        key = draw(st.sampled_from(sorted(record) + ["id", "tags", "wav", "emotion"]))
+        if op == "set":
+            record[key] = draw(JSON_VALUES)
+        else:
+            record.pop(key, None)
+        lines[i] = json.dumps(record)
+    return "\n".join(lines) + "\n", False
+
+
+@st.composite
+def document_mutations(draw, text):
+    """A JSON document with one nested field replaced or deleted, or truncated."""
+    op = draw(st.sampled_from(["set", "delete", "truncate"]))
+    if op == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))], False
+    doc = json.loads(text)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node)))
+        if isinstance(node[key], dict) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        if op == "set":
+            node[key] = draw(JSON_VALUES)
+        else:
+            del node[key]
+        return json.dumps(doc), False
+
+
+@st.composite
+def csv_mutations(draw, text):
+    rows = list(csv.reader(io.StringIO(text)))
+    i = draw(st.integers(0, len(rows) - 1))
+    op = draw(st.sampled_from(["set", "drop", "truncate", "duplicate"]))
+    if op == "duplicate" and i > 0:
+        rows.append(rows[i])
+    elif op == "truncate":
+        lines = text.splitlines()
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        return "\n".join(lines) + "\n", False
+    else:
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        if op == "drop":
+            del rows[i][j]
+        else:
+            rows[i][j] = draw(st.text(max_size=6))
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue(), op == "duplicate" and i > 0
+
+
+# reader -> (input file key, mutation strategy, argv given the mutated path)
+FUZZED_READERS = {
+    "manifest": ("manifest", jsonl_mutations,
+                 lambda c, p: ["extract", "--manifest", p, "--out", c["root"] / "o.jsonl"]),
+    "profiles": ("profiles", jsonl_mutations,
+                 lambda c, p: tags_argv(c, profiles=p, labels=c["labels_jsonl"])),
+    "labels": ("labels_jsonl", jsonl_mutations, lambda c, p: tags_argv(c, labels=p)),
+    "tags": ("tags", jsonl_mutations,
+             lambda c, p: train_argv(c, p) + ["--embed-dim", "4"]),
+    "features": ("features", csv_mutations, lambda c, p: eval_argv(c, features=p)),
+    "truth": ("labels", csv_mutations, lambda c, p: eval_argv(c, labels=p)),
+    "model": ("model", document_mutations, lambda c, p: eval_argv(c, model=p)),
+    "thresholds": ("thresholds", document_mutations,
+                   lambda c, p: tags_argv(c, labels=c["labels_jsonl"], thresholds=p)),
+    "config": ("config", document_mutations,
+               lambda c, p: tags_argv(c) + ["--config", p]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FUZZED_READERS))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_input_exits_cleanly(corpus, reader, data):
+    key, mutations, argv = FUZZED_READERS[reader]
+    source = Path(corpus[key])
+    text, duplicated = data.draw(mutations(source.read_text()))
+    path = source.with_name("fuzzed-" + source.name)
+    path.write_text(text)
+    code, err = run_main(*argv(corpus, path))
+    assert code in (0, 1, 2)
+    assert not any("Traceback" in line for line in err)
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == (code != 0), err
+    if duplicated:
+        assert code == 2 and "duplicate id" in errors[0]

@@ -14,7 +14,6 @@ from helpers import (
     write_embeddings_csv,
     write_labels_csv,
 )
-from smoothclap.evaluation import load_report
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.objective import KLMode, ObjectiveKind, SmoothingConfig
 from smoothclap.trainer import (
@@ -421,6 +420,25 @@ def test_nonfinite_projection_in_training_loop_exits_1(tmp_path, monkeypatch, ca
     assert "epoch 0, batch start 0" in err and "NaN or Inf" in err
 
 
+@pytest.mark.parametrize(
+    "seed, failure",
+    [(0, "tau_pred = exp(1e+200) overflows"), (5, "tau_pred must be > 0, got 0.0")],
+)
+def test_learned_temperature_out_of_range_exits_1(tmp_path, capsys, seed, failure):
+    # lr 1e200 sends log(tau_pred) to +-1e200 after the first step
+    files = write_cluster_fixture_files(tmp_path, make_cluster_fixture(16, n_per_class=6))
+    model_path = tmp_path / "m.json"
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "8", "--lr", "1e200", "--seed", str(seed), "--out", str(model_path),
+    )
+    assert code == 1
+    assert not model_path.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"epoch 0, batch start 8: {failure}" in err
+
+
 def test_zero_feature_row_before_training_exits_2(tmp_path, capsys):
     fixture = make_cluster_fixture(6, 16)
     fixture.features[4] = 0.0
@@ -480,7 +498,7 @@ def test_eval_perfect_fixture(tmp_path, capsys):
     )
     assert code == 0
     assert "UAR: 1.000" in capsys.readouterr().out
-    assert load_report(report_path).uar == 1.0
+    assert json.loads(report_path.read_text())["uar"] == 1.0
 
 
 def test_eval_confusion_8246_fixture(tmp_path, capsys):
@@ -500,9 +518,9 @@ def test_eval_confusion_8246_fixture(tmp_path, capsys):
         "--predictions-csv", str(predictions_path),
     )
     assert code == 0
-    report = load_report(report_path)
-    assert report.confusion == [[8, 2], [4, 6]]
-    assert report.uar == pytest.approx(0.7)
+    report = json.loads(report_path.read_text())
+    assert report["confusion"] == [[8, 2], [4, 6]]
+    assert report["uar"] == pytest.approx(0.7)
     assert "UAR: 0.700" in capsys.readouterr().out
     assert predictions_path.read_text().count("\n") == 22  # meta + header + 20 rows
 
@@ -533,13 +551,36 @@ def test_eval_model_and_external_paths_agree(tmp_path):
         "--labels", str(files["labels"]), "--out", str(report_b),
     ) == 0
 
-    ra = load_report(report_a)
-    rb = load_report(report_b)
-    assert ra.confusion == rb.confusion
-    assert ra.uar == rb.uar
-    assert [p.predicted_label for p in ra.predictions] == [
-        p.predicted_label for p in rb.predictions
+    ra = json.loads(report_a.read_text())
+    rb = json.loads(report_b.read_text())
+    assert ra["confusion"] == rb["confusion"]
+    assert ra["uar"] == rb["uar"]
+    assert [p["predicted"] for p in ra["predictions"]] == [
+        p["predicted"] for p in rb["predictions"]
     ]
+
+
+def test_eval_reads_the_model_once(tmp_path, monkeypatch):
+    import smoothclap.artifacts as artifacts
+
+    files = cluster_files(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--epochs", "1", "--batch-size", "16", "--out", str(model_path),
+    ) == 0
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_model(path)
+
+    monkeypatch.setattr(artifacts, "load_model", counting_load)
+    assert run_cli(
+        "eval", "--model", str(model_path), "--features", str(files["features"]),
+        "--labels", str(files["labels"]), "--out", str(tmp_path / "r.json"),
+    ) == 0
+    assert calls == [str(model_path)]
 
 
 def test_eval_unknown_query_label(tmp_path):

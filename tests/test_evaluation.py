@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from helpers import random_unit_rows, write_embeddings_csv
+from helpers import random_unit_rows, write_embeddings_csv, write_labels_csv
+from smoothclap.artifacts import read_labels_csv
 from smoothclap.errors import (
     DuplicateId,
     LabelOutOfRange,
@@ -15,10 +18,7 @@ from smoothclap.evaluation import (
     confusion_and_uar,
     format_confusion,
     ingest_external_embeddings,
-    load_report,
-    read_labels_csv,
     save_report,
-    write_labels_csv,
     zero_shot_classify,
 )
 from smoothclap.numeric import l2_normalize_rows
@@ -132,7 +132,21 @@ def test_report_roundtrip(tmp_path):
     ]
     path = tmp_path / "report.json"
     save_report(path, report, meta={"seed": 0})
-    assert load_report(path) == report
+    doc = json.loads(path.read_text())
+    assert doc.pop("_meta") == {"seed": 0}
+    predictions = doc.pop("predictions")
+    assert doc == {
+        "class_names": report.class_names,
+        "confusion": report.confusion,
+        "per_class_recall": report.per_class_recall,
+        "uar": report.uar,
+        "warnings": report.warnings,
+    }
+    assert predictions == [
+        {"id": p.utterance_id, "true": p.true_label, "predicted": p.predicted_label,
+         "scores": p.scores}
+        for p in report.predictions
+    ]
 
 
 def test_format_confusion_contains_counts_and_uar():
@@ -178,5 +192,5 @@ def test_ingest_duplicate_id(tmp_path):
 def test_labels_csv_roundtrip(tmp_path):
     path = tmp_path / "labels.csv"
     pairs = [("u0", "happy"), ("u1", "sad")]
-    write_labels_csv(path, pairs)
+    write_labels_csv(path, [i for i, _ in pairs], [label for _, label in pairs])
     assert read_labels_csv(path) == pairs

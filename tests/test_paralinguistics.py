@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +263,7 @@ def test_profile_duration_is_exact():
 
 def test_profile_json_field_names():
     p = acoustic_profile(tone())
-    d = p.to_json_dict()
+    d = asdict(p)
     assert sorted(d) == sorted(
         [
             "pitch_mean_hz",

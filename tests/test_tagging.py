@@ -15,11 +15,10 @@ from smoothclap.tagging import (
     TemplateSet,
     assign_bin,
     fit_bins,
-    load_thresholds,
     profile_feature_values,
     render_tags,
-    save_thresholds,
 )
+from smoothclap.artifacts import load_thresholds, save_thresholds
 
 
 # --- fit_bins ---

@@ -31,8 +31,6 @@ from smoothclap.trainer import (
     featurize_text,
     init_projection,
     load_model,
-    model_from_json_dict,
-    model_to_json_dict,
     save_model,
     train,
 )
@@ -255,10 +253,11 @@ def test_descent_on_frozen_batch():
 
 # --- model serialization and embedding ---
 
-def test_model_json_roundtrip():
+def test_model_json_roundtrip(tmp_path):
     fx = make_cluster_fixture(seed=9, n_per_class=16)
     model = train(fx.features, fx.tag_lists, small_config())
-    restored = model_from_json_dict(model_to_json_dict(model))
+    save_model(tmp_path / "model.json", model)
+    restored = load_model(tmp_path / "model.json")
     np.testing.assert_array_equal(
         restored.audio_projection.weights, model.audio_projection.weights
     )
