@@ -323,9 +323,15 @@ def read_labels(path) -> dict[str, tuple[dict[str, str], dict[str, float]]]:
 
 
 def read_tags(path) -> dict[str, list[str]]:
-    return _read_jsonl_by_id(
-        path, lambda r, where: _strings(_field(r, "tags", where), where, "tags")
-    )
+    """The tag list of each record; an empty list is an error, since a text
+    row with no tag has no direction to normalize."""
+    def parse(record: dict, where: str) -> list[str]:
+        tags = _strings(_field(record, "tags", where), where, "tags")
+        if not tags:
+            raise ConfigError(f"{where}: field 'tags' must list at least one tag")
+        return tags
+
+    return _read_jsonl_by_id(path, parse)
 
 
 # --- CSV ------------------------------------------------------------------------------
@@ -362,14 +368,19 @@ def read_id_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Read an 'id,c0..cN' CSV into (ids, float64 matrix), order preserved."""
     header, rows = _read_id_csv(path, ["id"])
     data = np.empty((len(rows), len(header) - 1))
-    for r, row in enumerate(rows, start=2):
-        for c, cell in enumerate(row[1:], start=1):
-            try:
-                data[r - 2, c - 1] = float(cell)
-            except ValueError:
-                raise NonNumericCell(
-                    f"{path}: row {r}, column {header[c]!r}: {cell!r} is not a number"
-                ) from None
+    for r, row in enumerate(rows):
+        try:
+            # numpy parses each string cell exactly as float() does
+            data[r] = row[1:]
+        except ValueError:
+            for c, cell in enumerate(row[1:], start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumericCell(
+                        f"{path}: row {r + 2}, column {header[c]!r}: {cell!r} is not a number"
+                    ) from None
+            raise
     return [row[0] for row in rows], data
 
 

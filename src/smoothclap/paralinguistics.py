@@ -97,17 +97,10 @@ class F0Track:
 
     def voiced_runs(self) -> list[tuple[int, int]]:
         """Maximal runs of consecutive voiced frames as (start, end) index pairs, end exclusive."""
-        runs: list[tuple[int, int]] = []
-        start = None
-        for i, flag in enumerate(self.voiced):
-            if flag and start is None:
-                start = i
-            elif not flag and start is not None:
-                runs.append((start, i))
-                start = None
-        if start is not None:
-            runs.append((start, len(self.voiced)))
-        return runs
+        padded = np.concatenate(([False], self.voiced, [False]))
+        # padded[i] != padded[i + 1] where a run starts at frame i or ends before it
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        return list(zip(edges[0::2], edges[1::2]))
 
 
 @dataclass
@@ -265,39 +258,36 @@ def estimate_f0(
     lag_min = int(math.ceil(sample_rate / fmax))
     lag_max = int(math.floor(sample_rate / fmin))
     lag_max = min(lag_max, n - 1)
+    if lag_min < 1:
+        raise ValueError(f"fmax must be a positive finite frequency, got {fmax}")
     if lag_min >= lag_max:
         raise ValueError("frame too short for the requested pitch range")
     ncc = _normalized_autocorr(frames, lag_max)
 
-    hz = np.zeros(frames.shape[0])
-    voiced = np.zeros(frames.shape[0], dtype=bool)
-    for fi in range(frames.shape[0]):
-        r = ncc[fi]
-        window = r[lag_min : lag_max + 1]
-        peak_val = float(np.max(window))
-        if peak_val < voicing_threshold:
-            continue
-        floor = max(voicing_threshold, PEAK_RELATIVE_THRESHOLD * peak_val)
-        lag = None
-        for k in range(lag_min, lag_max + 1):
-            if r[k] < floor:
-                continue
-            left = r[k - 1] if k > 0 else -np.inf
-            right = r[k + 1] if k < lag_max else -np.inf
-            if r[k] >= left and r[k] >= right:
-                lag = k
-                break
-        if lag is None:
-            lag = lag_min + int(np.argmax(window))
-        refined = float(lag)
-        if 0 < lag < lag_max:
-            denom = r[lag - 1] - 2.0 * r[lag] + r[lag + 1]
-            if denom < 0.0:
-                delta = 0.5 * (r[lag - 1] - r[lag + 1]) / denom
-                refined = lag + float(np.clip(delta, -0.5, 0.5))
-        refined = float(np.clip(refined, sample_rate / fmax, sample_rate / fmin))
-        hz[fi] = sample_rate / refined
-        voiced[fi] = True
+    # all frames at once; columns of ``window`` are the lags lag_min..lag_max
+    window = ncc[:, lag_min:]
+    peak = window.max(axis=1)
+    # "not below" rather than ">=": a NaN threshold voices every frame
+    voiced = ~(peak < voicing_threshold)
+    floor = np.maximum(PEAK_RELATIVE_THRESHOLD * peak, voicing_threshold)
+    # a candidate reaches the floor and both neighbours; lag_max has no right one
+    candidate = ~(window < floor[:, None])
+    candidate &= window >= ncc[:, lag_min - 1 : lag_max]
+    candidate[:, :-1] &= window[:, :-1] >= window[:, 1:]
+    # the first maximum past lag_min is always a candidate, so a row without
+    # one peaks at lag_min, where argmax of an all-False row points too
+    lag = lag_min + candidate.argmax(axis=1)
+
+    rows = np.arange(ncc.shape[0])
+    lo = ncc[rows, lag - 1]
+    mid = ncc[rows, lag]
+    hi = ncc[rows, np.minimum(lag + 1, lag_max)]
+    denom = lo - 2.0 * mid + hi
+    bend = (lag < lag_max) & (denom < 0.0)
+    delta = 0.5 * (lo - hi) / np.where(bend, denom, -1.0)
+    refined = np.where(bend, lag + np.clip(delta, -0.5, 0.5), lag)
+    refined = np.clip(refined, sample_rate / fmax, sample_rate / fmin)
+    hz = np.where(voiced, sample_rate / refined, 0.0)
     return F0Track(frames_hz=hz, voiced=voiced, hop_seconds=hop_seconds)
 
 
@@ -338,24 +328,25 @@ def shimmer_local(
     x = np.abs(w.samples)
     hop = int(round(track.hop_seconds * w.sample_rate))
     frame_len = int(round(frame_seconds * w.sample_rate))
+    frames_hz = track.frames_hz.tolist()
     diffs: list[np.ndarray] = []
     amps_all: list[np.ndarray] = []
     for start, end in track.voiced_runs():
         run_start = start * hop
         run_end = min(x.size, (end - 1) * hop + frame_len)
-        amps: list[float] = []
+        # each period ends where the next one starts: x[bounds[k]:bounds[k + 1]]
+        bounds = [run_start]
         t = float(run_start)
         while True:
             fi = min(end - 1, max(start, int(t // hop)))
-            period = w.sample_rate / track.frames_hz[fi]
-            lo = int(round(t))
+            period = w.sample_rate / frames_hz[fi]
             hi = int(round(t + period))
-            if hi > run_end or hi <= lo:
+            if hi > run_end or hi <= bounds[-1]:
                 break
-            amps.append(float(np.max(x[lo:hi])))
+            bounds.append(hi)
             t += period
-        if len(amps) >= 2:
-            a = np.asarray(amps)
+        if len(bounds) >= 3:
+            a = np.maximum.reduceat(x[: bounds[-1]], bounds[:-1])
             diffs.append(np.abs(np.diff(a)))
             amps_all.append(a)
     if not diffs:

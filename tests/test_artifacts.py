@@ -16,6 +16,7 @@ from helpers import run_cli, write_cluster_fixture_files
 from smoothclap.artifacts import (
     load_model,
     load_thresholds,
+    read_id_matrix_csv,
     read_labels,
     read_profiles,
     read_tags,
@@ -23,7 +24,7 @@ from smoothclap.artifacts import (
     write_jsonl,
 )
 from smoothclap.cli import main
-from smoothclap.errors import ConfigError
+from smoothclap.errors import ConfigError, NonNumericCell
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.paralinguistics import Waveform, acoustic_profile
 
@@ -202,6 +203,11 @@ MALFORMED = {
         lambda c: train_argv(c, mutate_line(c["tags"], 4, lambda r: r.pop("tags"))),
         "mutated-tags.jsonl:4:", "missing field 'tags'",
     ),
+    # no tag leaves a zero text row, which train cannot normalize
+    "tags empty": (
+        lambda c: train_argv(c, mutate_line(c["tags"], 4, lambda r: r.update(tags=[]))),
+        "mutated-tags.jsonl:4:", "field 'tags' must list at least one tag",
+    ),
 }
 
 
@@ -288,6 +294,36 @@ def test_eval_rejects_features_of_another_width(corpus):
 
 
 # --- typed records -----------------------------------------------------------------
+
+# cells that float() accepts, some of them only just, and cells it rejects
+FLOAT_CELLS = ["1_0", " 2.5 ", "\t3\n", "\uff11\uff12", "inf", "-Infinity", "nan", "1e400",
+               "1e-400", "-0", "0.30000000000000004", "9007199254740993", "+.5", "5."]
+NON_FLOAT_CELLS = ["", " ", "0x10", "1,5", "1__0", "_1", "nan(1)", "1.5j", "True", "abc"]
+
+
+def write_csv_rows(path, rows) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def test_features_csv_cells_parse_as_float_does(tmp_path):
+    header = ["id"] + [f"c{i}" for i in range(len(FLOAT_CELLS))]
+    path = write_csv_rows(tmp_path / "f.csv", [header, ["u0"] + FLOAT_CELLS])
+    ids, matrix = read_id_matrix_csv(path)
+    assert ids == ["u0"]
+    expected = np.array([[float(cell) for cell in FLOAT_CELLS]])
+    np.testing.assert_array_equal(matrix.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("cell", NON_FLOAT_CELLS)
+def test_features_csv_names_the_first_non_numeric_cell(tmp_path, cell):
+    rows = [["id", "c0", "c1", "c2"], ["u0", "1", "2", "3"], ["u1", "4", cell, "x"]]
+    path = write_csv_rows(tmp_path / "f.csv", rows)
+    with pytest.raises(NonNumericCell) as err:
+        read_id_matrix_csv(path)
+    assert str(err.value) == f"{path}: row 3, column 'c1': {cell!r} is not a number"
+
 
 def test_profile_record_roundtrip(tmp_path):
     profile = acoustic_profile(Waveform(synth_tone(220.0, 0.5), 16000))

@@ -1,0 +1,281 @@
+"""The array-at-once F0 peak picking, shimmer walk and voiced runs against the
+per-frame and per-period loops they replaced.
+
+The references below are the earlier implementations. The arithmetic is the
+same expressions in the same order, so agreement is bit for bit: ``frames_hz``
+is compared through an int64 view and the shimmer ratio with ``==``.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from smoothclap.fixtures import (
+    synth_alternating_amplitude_tone,
+    synth_chirp,
+    synth_pulse_train,
+    synth_tone,
+)
+from smoothclap.paralinguistics import (
+    FMAX_HZ,
+    FMIN_HZ,
+    FRAME_MS,
+    HOP_MS,
+    PEAK_RELATIVE_THRESHOLD,
+    VOICING_THRESHOLD,
+    F0Track,
+    Waveform,
+    _normalized_autocorr,
+    estimate_f0,
+    frame_signal,
+    shimmer_local,
+)
+
+
+def reference_f0(frames, sample_rate, fmin=FMIN_HZ, fmax=FMAX_HZ,
+                 voicing_threshold=VOICING_THRESHOLD):
+    """(frames_hz, voiced, branch per frame): branch is the picked lag's kind,
+    "min", "max", "inner" or "fallback", or None when unvoiced."""
+    n = frames.shape[1]
+    lag_min = int(math.ceil(sample_rate / fmax))
+    lag_max = min(int(math.floor(sample_rate / fmin)), n - 1)
+    if lag_min >= lag_max:
+        raise ValueError("frame too short for the requested pitch range")
+    ncc = _normalized_autocorr(frames, lag_max)
+    hz = np.zeros(frames.shape[0])
+    voiced = np.zeros(frames.shape[0], dtype=bool)
+    branches = []
+    for fi in range(frames.shape[0]):
+        r = ncc[fi]
+        window = r[lag_min : lag_max + 1]
+        peak_val = float(np.max(window))
+        if peak_val < voicing_threshold:
+            branches.append(None)
+            continue
+        floor = max(voicing_threshold, PEAK_RELATIVE_THRESHOLD * peak_val)
+        lag = None
+        for k in range(lag_min, lag_max + 1):
+            if r[k] < floor:
+                continue
+            left = r[k - 1] if k > 0 else -np.inf
+            right = r[k + 1] if k < lag_max else -np.inf
+            if r[k] >= left and r[k] >= right:
+                lag = k
+                break
+        if lag is None:
+            lag = lag_min + int(np.argmax(window))
+            branches.append("fallback")
+        else:
+            branches.append({lag_min: "min", lag_max: "max"}.get(lag, "inner"))
+        refined = float(lag)
+        if 0 < lag < lag_max:
+            denom = r[lag - 1] - 2.0 * r[lag] + r[lag + 1]
+            if denom < 0.0:
+                delta = 0.5 * (r[lag - 1] - r[lag + 1]) / denom
+                refined = lag + float(np.clip(delta, -0.5, 0.5))
+        refined = float(np.clip(refined, sample_rate / fmax, sample_rate / fmin))
+        hz[fi] = sample_rate / refined
+        voiced[fi] = True
+    return hz, voiced, branches
+
+
+def reference_voiced_runs(voiced):
+    runs = []
+    start = None
+    for i, flag in enumerate(voiced):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(voiced)))
+    return runs
+
+
+def reference_shimmer(w, track, frame_seconds=FRAME_MS / 1000.0):
+    x = np.abs(w.samples)
+    hop = int(round(track.hop_seconds * w.sample_rate))
+    frame_len = int(round(frame_seconds * w.sample_rate))
+    diffs, amps_all = [], []
+    for start, end in reference_voiced_runs(track.voiced):
+        run_start = start * hop
+        run_end = min(x.size, (end - 1) * hop + frame_len)
+        amps = []
+        t = float(run_start)
+        while True:
+            fi = min(end - 1, max(start, int(t // hop)))
+            period = w.sample_rate / track.frames_hz[fi]
+            lo = int(round(t))
+            hi = int(round(t + period))
+            if hi > run_end or hi <= lo:
+                break
+            amps.append(float(np.max(x[lo:hi])))
+            t += period
+        if len(amps) >= 2:
+            a = np.asarray(amps)
+            diffs.append(np.abs(np.diff(a)))
+            amps_all.append(a)
+    if not diffs:
+        return 0.0, True
+    mean_diff = float(np.mean(np.concatenate(diffs)))
+    mean_amp = float(np.mean(np.concatenate(amps_all)))
+    if mean_amp <= 0.0:
+        return 0.0, True
+    return mean_diff / mean_amp, False
+
+
+def assert_same_track(frames, rate, **kw):
+    """estimate_f0 equals the reference bit for bit; returns the reference's branches."""
+    hz, voiced, branches = reference_f0(frames, rate, **kw)
+    track = estimate_f0(frames, sample_rate=rate, **kw)
+    np.testing.assert_array_equal(track.frames_hz.view(np.int64), hz.view(np.int64))
+    np.testing.assert_array_equal(track.voiced, voiced)
+    assert track.voiced_runs() == reference_voiced_runs(voiced)
+    return branches
+
+
+def assert_same_shimmer(w, track):
+    value, degraded = shimmer_local(w, track)
+    expected, expected_degraded = reference_shimmer(w, track)
+    assert value == expected and degraded == expected_degraded
+    return degraded
+
+
+RATES = (16000, 22050, 44100)
+
+
+def fixture_signals(rate):
+    rng = np.random.default_rng(rate)
+    alt_hz = {16000: 200.0, 22050: 225.0, 44100: 210.0}[rate]
+    tone = synth_tone(180.0, 0.3, rate=rate)
+    return {
+        "chirp": synth_chirp(90.0, 450.0, 0.4, rate=rate),
+        "pulse": synth_pulse_train(130.0, 0.3, rate=rate),
+        "alternating": synth_alternating_amplitude_tone(alt_hz, 0.3, 0.3, 0.7, rate=rate),
+        "noise": np.clip(0.3 * rng.standard_normal(int(0.3 * rate)), -1.0, 1.0),
+        # a 20 Hz hum falls over the whole band: no lag is a local maximum
+        "hum": synth_tone(20.0, 0.3, rate=rate),
+        "silence": np.zeros(int(0.2 * rate)),
+        # coarse quantization leaves plateaus, so neighbouring lags tie
+        "quantized": np.round(tone * 3.0) / 3.0,
+        "square": 0.5 * np.sign(tone),
+        "gapped tone": tone * (np.arange(tone.size) % (rate // 10) < rate // 20),
+    }
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_fixture_signals_match_the_loops(rate):
+    branches = []
+    for samples in fixture_signals(rate).values():
+        w = Waveform(samples, rate)
+        frames = frame_signal(w)
+        branches += assert_same_track(frames, rate)
+        assert_same_shimmer(w, estimate_f0(frames, sample_rate=rate))
+    assert {"inner", "fallback", None} <= set(branches)
+
+
+def test_tones_from_40_to_700_hz_match_the_loops():
+    for hz in (40.0, 55.0, 97.3, 150.0, 220.0, 333.3, 440.0, 599.0, 650.0, 700.0):
+        w = Waveform(synth_tone(hz, 0.25), 16000)
+        frames = frame_signal(w)
+        assert_same_track(frames, 16000)
+        assert_same_shimmer(w, estimate_f0(frames))
+
+
+def test_constant_frames_tie_everywhere_and_pick_lag_min():
+    frames = np.full((3, 400), 0.25)
+    assert set(assert_same_track(frames, 16000)) == {"min"}
+
+
+@pytest.mark.parametrize(
+    "kw, branch",
+    [
+        # the period of a 200 Hz tone is 80 samples: the band ends there
+        ({"fmax": 200.0}, "min"),
+        ({"fmin": 200.0}, "max"),
+    ],
+)
+def test_first_peak_at_the_band_edges(kw, branch):
+    frames = frame_signal(Waveform(synth_tone(200.0, 0.2), 16000))
+    assert branch in assert_same_track(frames, 16000, **kw)
+
+
+def test_lag_max_clipped_to_the_frame():
+    # 200-sample frames cannot reach the 320-sample lag of 50 Hz
+    frames = frame_signal(Waveform(synth_chirp(70.0, 300.0, 0.3), 16000), frame_ms=12.5)
+    assert_same_track(frames, 16000)
+
+
+@pytest.mark.parametrize("signal", ["noise", "silence"])
+def test_voicing_threshold_zero_voices_every_frame(signal):
+    # a silent frame correlates to 0 at every lag, which reaches a 0 threshold
+    frames = frame_signal(Waveform(fixture_signals(16000)[signal], 16000))
+    branches = assert_same_track(frames, 16000, voicing_threshold=0.0)
+    assert None not in branches
+
+
+def test_frame_too_short_raises_like_the_loop():
+    frames = np.ones((2, 20))
+    with pytest.raises(ValueError, match="frame too short"):
+        reference_f0(frames, 16000)
+    with pytest.raises(ValueError, match="frame too short"):
+        estimate_f0(frames, sample_rate=16000)
+
+
+@pytest.mark.parametrize("fmax", [-100.0, math.inf])
+def test_fmax_that_leaves_no_positive_lag_is_rejected(fmax):
+    with pytest.raises(ValueError, match="fmax must be a positive finite frequency"):
+        estimate_f0(np.ones((2, 400)), fmax=fmax)
+
+
+def test_random_frames_and_bands_match_the_loops():
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        rate = int(rng.choice([8000, 16000, 22050, 44100]))
+        fmin = float(rng.uniform(40.0, 300.0))
+        fmax = float(rng.uniform(fmin * 1.5, 1200.0))
+        n = int(rng.integers(int(rate / fmax) + 3, int(rate / fmin) + 40))
+        period = rate / rng.uniform(fmin * 0.7, fmax * 1.3)
+        t = np.arange(3 * n)
+        x = np.sin(2.0 * np.pi * t / period) + rng.uniform(0.0, 1.5) * rng.standard_normal(t.size)
+        if rng.random() < 0.3:
+            x = np.round(x * rng.integers(1, 4))
+        frames = np.stack([x[i : i + n] for i in range(0, 2 * n, max(1, n // 3))])
+        try:
+            reference_f0(frames, rate, fmin, fmax)
+        except ValueError:
+            with pytest.raises(ValueError, match="frame too short"):
+                estimate_f0(frames, rate, fmin, fmax)
+            continue
+        assert_same_track(frames, rate, fmin=fmin, fmax=fmax,
+                          voicing_threshold=float(rng.uniform(0.0, 0.9)))
+
+
+def test_random_tracks_match_the_shimmer_loop():
+    rng = np.random.default_rng(11)
+    degraded = set()
+    for _ in range(100):
+        rate = int(rng.choice([8000, 16000]))
+        n_frames = int(rng.integers(1, 30))
+        hop_seconds = float(rng.choice([HOP_MS / 1000.0, 0.005, 0.0137]))
+        samples = rng.uniform(-1.0, 1.0, int(n_frames * hop_seconds * rate) + 400)
+        voiced = rng.random(n_frames) < rng.uniform(0.2, 1.0)
+        # up to 3 * rate Hz, so some periods round to no samples at all
+        hz = np.where(voiced, np.exp(rng.uniform(math.log(40.0), math.log(3.0 * rate), n_frames)), 0.0)
+        track = F0Track(hz, voiced, hop_seconds)
+        assert track.voiced_runs() == reference_voiced_runs(voiced)
+        degraded.add(assert_same_shimmer(Waveform(samples, rate), track))
+    assert degraded == {True, False}
+
+
+@pytest.mark.parametrize(
+    "voiced",
+    [[], [False], [True], [True, True, False, True], [False, True, True], [True] * 5],
+)
+def test_voiced_runs_match_the_loop(voiced):
+    voiced = np.array(voiced, dtype=bool)
+    track = F0Track(np.where(voiced, 100.0, 0.0), voiced, 0.01)
+    runs = track.voiced_runs()
+    assert runs == reference_voiced_runs(voiced)
+    assert all(type(i) is int for run in runs for i in run)
