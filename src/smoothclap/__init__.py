@@ -21,7 +21,6 @@ from .objective import (
     EmbeddingBatch,
     KLMode,
     LossOutput,
-    ObjectiveKind,
     SmoothingConfig,
     clap_infonce,
     loss_and_grad,
@@ -29,7 +28,7 @@ from .objective import (
 )
 from .paralinguistics import AcousticProfile, Waveform, acoustic_profile, load_wav
 from .tagging import BinThresholds, TagRecord, assign_bin, fit_bins, render_tags
-from .trainer import TrainConfig, TrainedModel, adam_step, featurize_text, train
+from .trainer import ObjectiveKind, TrainConfig, TrainedModel, adam_step, featurize_text, train
 
 __all__ = [
     "AcousticProfile",

@@ -240,6 +240,9 @@ def load_model(path):
     # versions are skipped
     echo_keys = {".".join(filter(None, ("config", o.section, o.field))): o for o in RUN_OPTIONS}
     values = _run_options(_field(doc, "config", where, dict), echo_keys, where, False, "config.")
+    if values.get(echo_keys["config.objective"]) == "clap":
+        # objective clap trained at 1 whatever clap_mix_lambda older versions echo
+        values.pop(echo_keys["config.clap_mix_lambda"], None)
     try:
         config = TrainConfig.from_options(values)
     except (SmoothClapError, ValueError) as exc:

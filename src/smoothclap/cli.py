@@ -48,8 +48,6 @@ from .trainer import (
 
 logger = logging.getLogger(__name__)
 
-GRADCHECK_TOLERANCE = 1e-5
-
 
 # --- run configuration ----------------------------------------------------------
 # Every flag and config key below derives from trainer.RUN_OPTIONS. The seed is
@@ -342,6 +340,11 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base_config = resolve_train_config(args)
+    if base_config.mix_lambda == 1.0:
+        raise ConfigError(
+            "sweep needs a mix below 1: at clap_mix_lambda 1 (or objective clap) "
+            "no targets are built, so every gamma/beta cell trains the same model"
+        )
     gamma_grid = _parse_grid(args.gamma_grid, "gamma")
     beta_grid = _parse_grid(args.beta_grid, "beta")
     ids, features, tag_lists = _load_training_data(

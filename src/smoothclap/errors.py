@@ -48,7 +48,7 @@ class ZeroMassTarget(SmoothClapError):
 # --- audio decoding and feature extraction ---
 
 class UnsupportedFormat(SmoothClapError):
-    """WAV encoding other than PCM-16 or IEEE float32."""
+    """WAV encoding other than PCM-16 or IEEE float32, or a sample rate out of range."""
 
 
 class CorruptHeader(SmoothClapError):

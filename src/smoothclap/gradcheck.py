@@ -6,6 +6,7 @@ matching the stop-gradient contract of the analytic path.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,6 @@ import numpy as np
 from .objective import (
     EmbeddingBatch,
     KLMode,
-    ObjectiveKind,
     SmoothingConfig,
     build_targets,
     loss_and_grad,
@@ -31,41 +31,36 @@ TAU_PRED_CYCLE = (0.5, 1.0, 2.0)
 def finite_difference_grads(
     batch: EmbeddingBatch,
     cfg: SmoothingConfig,
-    objective: ObjectiveKind,
+    clap_mix_lambda: float = 0.0,
     h: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Central differences for both embedding matrices and log(tau_pred)."""
-    targets = None
-    if objective is ObjectiveKind.SMOOTH:
-        targets = build_targets(batch, cfg)
+    """Central differences for both embedding matrices and log(tau_pred), of
+    ``loss_and_grad``'s mix at ``clap_mix_lambda``. The targets are built once,
+    and only when ``clap_mix_lambda < 1``."""
+    targets = build_targets(batch, cfg) if clap_mix_lambda < 1.0 else None
 
-    def f(audio: np.ndarray, text: np.ndarray, tau: float) -> float:
-        return loss_with_fixed_targets(audio, text, targets, with_tau_pred(cfg, tau), objective)
+    def f(audio: np.ndarray, text: np.ndarray, tau: float = cfg.tau_pred) -> float:
+        return loss_with_fixed_targets(
+            audio, text, targets, with_tau_pred(cfg, tau), clap_mix_lambda
+        )
+
+    def nudged(m: np.ndarray, index: tuple[int, ...], step: float) -> np.ndarray:
+        out = m.copy()
+        out[index] += step
+        return out
+
+    def central(args_at) -> float:
+        # args_at(step): the arguments of f with one coordinate moved by step
+        return (f(*args_at(h)) - f(*args_at(-h))) / (2.0 * h)
 
     num_audio = np.zeros_like(batch.audio)
+    for index in np.ndindex(num_audio.shape):
+        num_audio[index] = central(lambda step: (nudged(batch.audio, index, step), batch.text))
     num_text = np.zeros_like(batch.text)
-    for m, out, other_first in (
-        (batch.audio, num_audio, True),
-        (batch.text, num_text, False),
-    ):
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                plus = m.copy()
-                plus[i, j] += h
-                minus = m.copy()
-                minus[i, j] -= h
-                if other_first:
-                    f_plus = f(plus, batch.text, cfg.tau_pred)
-                    f_minus = f(minus, batch.text, cfg.tau_pred)
-                else:
-                    f_plus = f(batch.audio, plus, cfg.tau_pred)
-                    f_minus = f(batch.audio, minus, cfg.tau_pred)
-                out[i, j] = (f_plus - f_minus) / (2.0 * h)
-
+    for index in np.ndindex(num_text.shape):
+        num_text[index] = central(lambda step: (batch.audio, nudged(batch.text, index, step)))
     log_tau = math.log(cfg.tau_pred)
-    f_plus = f(batch.audio, batch.text, math.exp(log_tau + h))
-    f_minus = f(batch.audio, batch.text, math.exp(log_tau - h))
-    num_log_tau = (f_plus - f_minus) / (2.0 * h)
+    num_log_tau = central(lambda step: (batch.audio, batch.text, math.exp(log_tau + step)))
     return num_audio, num_text, num_log_tau
 
 
@@ -86,14 +81,14 @@ def max_relative_error(analytic, numeric) -> float:
 class GradCheckCase:
     batch_size: int
     dim: int
-    objective: ObjectiveKind
+    clap_mix_lambda: float
     config: SmoothingConfig
     error: float
 
     def describe(self) -> str:
         c = self.config
         return (
-            f"B={self.batch_size} d={self.dim} objective={self.objective.value} "
+            f"B={self.batch_size} d={self.dim} clap_mix_lambda={self.clap_mix_lambda} "
             f"gamma={c.gamma} beta={c.beta} kl_mode={c.kl_mode.value} "
             f"tau_pred={c.tau_pred} -> rel_err={self.error:.3e}"
         )
@@ -110,24 +105,19 @@ class GradCheckReport:
         return self.max_error < 1e-5
 
 
-def _case_configs() -> list[tuple[ObjectiveKind, SmoothingConfig]]:
-    configs: list[tuple[ObjectiveKind, SmoothingConfig]] = []
-    k = 0
-    for gamma in GAMMA_GRID:
-        for beta in BETA_GRID:
-            for mode in (KLMode.SYMMETRIC, KLMode.FORWARD):
-                cfg = SmoothingConfig(
-                    gamma=gamma,
-                    beta=beta,
-                    tau_a2a=0.7,
-                    tau_t2t=1.3,
-                    tau_pred=TAU_PRED_CYCLE[k % len(TAU_PRED_CYCLE)],
-                    kl_mode=mode,
-                )
-                configs.append((ObjectiveKind.SMOOTH, cfg))
-                k += 1
-    configs.append((ObjectiveKind.CLAP, SmoothingConfig(kl_mode=KLMode.FORWARD, beta=0.0)))
-    return configs
+def _case_configs() -> list[tuple[float, SmoothingConfig]]:
+    """(clap_mix_lambda, config) pairs: the soft loss over the grids, then CLAP."""
+    grid = itertools.product(GAMMA_GRID, BETA_GRID, (KLMode.SYMMETRIC, KLMode.FORWARD))
+    soft = [
+        SmoothingConfig(
+            gamma=gamma, beta=beta, tau_a2a=0.7, tau_t2t=1.3,
+            tau_pred=TAU_PRED_CYCLE[k % len(TAU_PRED_CYCLE)], kl_mode=mode,
+        )
+        for k, (gamma, beta, mode) in enumerate(grid)
+    ]
+    # at 1 no targets are built, so only tau_pred of the config counts
+    clap = SmoothingConfig(kl_mode=KLMode.FORWARD, beta=0.0)
+    return [(0.0, cfg) for cfg in soft] + [(1.0, clap)]
 
 
 def run_gradcheck_suite(
@@ -136,34 +126,30 @@ def run_gradcheck_suite(
     h: float = 1e-5,
     corrupt_gradient: bool = False,
 ) -> GradCheckReport:
-    """Sweep batch sizes, dimensions, and objective configurations.
+    """Sweep batch sizes, dimensions, and mix and smoothing configurations.
 
     ``corrupt_gradient`` injects a deliberate error into one analytic
     component; it exists so the harness can prove it would catch a bad
     gradient.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    worst: GradCheckCase | None = None
-    n_cases = 0
+    cases: list[GradCheckCase] = []
     for b, d in sizes:
-        for objective, cfg in _case_configs():
+        for lam, cfg in _case_configs():
             batch = EmbeddingBatch(
                 audio=rng.standard_normal((b, d)),
                 text=rng.standard_normal((b, d)),
                 local_audio=rng.standard_normal((b, d + 1)),
             )
-            out = loss_and_grad(batch, cfg, objective)
+            out = loss_and_grad(batch, cfg, lam)
             if corrupt_gradient:
                 out.grad_audio[0, 0] += 1e-3
-            num_a, num_t, num_lt = finite_difference_grads(batch, cfg, objective, h=h)
+            num_a, num_t, num_lt = finite_difference_grads(batch, cfg, lam, h=h)
             err = max(
                 max_relative_error(out.grad_audio, num_a),
                 max_relative_error(out.grad_text, num_t),
                 max_relative_error(out.grad_log_tau_pred, num_lt),
             )
-            case = GradCheckCase(b, d, objective, cfg, err)
-            if worst is None or err > worst.error:
-                worst = case
-            n_cases += 1
-    assert worst is not None
-    return GradCheckReport(max_error=worst.error, n_cases=n_cases, worst=worst)
+            cases.append(GradCheckCase(b, d, lam, cfg, err))
+    worst = max(cases, key=lambda case: case.error)  # the first of equal errors
+    return GradCheckReport(max_error=worst.error, n_cases=len(cases), worst=worst)

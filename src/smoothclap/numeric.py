@@ -98,7 +98,7 @@ def check_floor(floor: float) -> None:
         raise ValueError(f"floor must be in (0, 1e-4], got {floor}")
 
 
-def kl_sum(p, q, floor: float = DEFAULT_KL_FLOOR) -> float:
+def kl_sum(p, q, floor: float) -> float:
     """Sum over rows of KL(p_i || q_i), with ``floor`` applied inside the logs.
 
     Entries with p == 0 contribute exactly 0 regardless of q.
@@ -112,10 +112,9 @@ def kl_sum(p, q, floor: float = DEFAULT_KL_FLOOR) -> float:
     return float(np.sum(np.where(p > 0.0, p * log_ratio, 0.0)))
 
 
-def kl_rows(p, q, floor: float = DEFAULT_KL_FLOOR) -> float:
+def kl_rows(p, q, floor: float) -> float:
     """Row-averaged KL divergence between two row-stochastic matrices."""
-    p = as_matrix(p, "p")
-    return kl_sum(p, q, floor) / p.shape[0]
+    return kl_sum(p, q, floor) / len(p)
 
 
 def gram(a, b) -> np.ndarray:

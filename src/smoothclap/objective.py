@@ -50,11 +50,6 @@ class KLMode(str, Enum):
     FORWARD = "forward"
 
 
-class ObjectiveKind(str, Enum):
-    CLAP = "clap"
-    SMOOTH = "smooth"
-
-
 @dataclass(frozen=True)
 class SmoothingConfig:
     """All hyperparameters of the soft-target objective.
@@ -139,16 +134,14 @@ class LossOutput:
 
 def cross_modal_scores(batch: EmbeddingBatch, tau_pred: float) -> np.ndarray:
     """Temperature-scaled audio-text similarity: dot(e_a[i], e_t[j]) / tau_pred."""
-    if not tau_pred > 0.0:
-        raise NonPositiveTemperature(f"tau_pred must be > 0, got {tau_pred}")
+    check_temperature(tau_pred)
     return gram(batch.audio, batch.text) / tau_pred
 
 
 def intra_modal_targets(features, tau: float) -> np.ndarray:
     """Row-softmax of the self-similarity matrix of unit-norm feature rows."""
     features = as_matrix(features, "features")
-    if not tau > 0.0:
-        raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
+    check_temperature(tau)
     return _intra_modal(features, tau)
 
 
@@ -226,12 +219,17 @@ def clap_infonce(scores, tau_pred: float) -> float:
     return _infonce(p_a2t, p_t2a)
 
 
+def _check_mix_lambda(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"clap_mix_lambda must lie in [0, 1], got {lam}")
+
+
 def loss_with_fixed_targets(
     audio,
     text,
     targets,
     cfg: SmoothingConfig,
-    objective: ObjectiveKind = ObjectiveKind.SMOOTH,
+    clap_mix_lambda: float = 0.0,
 ) -> float:
     """Forward loss with the target distribution held constant.
 
@@ -240,14 +238,22 @@ def loss_with_fixed_targets(
     stays fixed. Finite-difference checks of :func:`loss_and_grad` must use
     this function, since the analytic gradients deliberately do not
     differentiate through the target branch.
+
+    The mix is the kernel's: InfoNCE alone at ``clap_mix_lambda = 1`` (then
+    ``targets`` is unused), the soft loss alone at 0, and ``lam * InfoNCE +
+    (1 - lam) * soft_loss`` in between, from one pair of predictions.
     """
+    _check_mix_lambda(clap_mix_lambda)
     e_a = l2_normalize_rows(as_matrix(audio, "audio"))
     e_t = l2_normalize_rows(as_matrix(text, "text"))
     g = gram(e_a, e_t)
-    if objective is ObjectiveKind.CLAP:
+    if clap_mix_lambda == 1.0:
         return clap_infonce(g, cfg.tau_pred)
     p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
-    return soft_loss(targets, p_a2t, p_t2a, cfg)
+    soft = soft_loss(targets, p_a2t, p_t2a, cfg)
+    if clap_mix_lambda == 0.0:
+        return soft
+    return clap_mix_lambda * _infonce(p_a2t, p_t2a) + (1.0 - clap_mix_lambda) * soft
 
 
 # --- private term code: trusted float64 arrays, no validation -------------------
@@ -354,15 +360,15 @@ class _KLTerms:
 def loss_and_grad(
     batch: EmbeddingBatch,
     cfg: SmoothingConfig,
-    objective: ObjectiveKind = ObjectiveKind.SMOOTH,
     clap_mix_lambda: float = 0.0,
 ) -> LossOutput:
     """Forward loss and exact analytic gradients for one batch.
 
     The loss is ``clap_mix_lambda * clap_infonce + (1 - clap_mix_lambda) *
-    soft_loss``; the CLAP objective is the mix at 1. InfoNCE is KL(I || p), so
-    the mix needs one pass: its logit gradient is ``p - (lam*I + (1-lam)*y)``
-    plus ``(1-lam)`` times the reverse-KL term.
+    soft_loss``: plain CLAP at 1, where no targets are built, and the soft
+    objective alone at 0. InfoNCE is KL(I || p), so the mix needs one pass:
+    its logit gradient is ``p - (lam*I + (1-lam)*y)`` plus ``(1-lam)`` times
+    the reverse-KL term.
 
     Gradients are with respect to the pre-normalization audio/text matrices
     (evaluated at the stored unit-norm rows) and with respect to
@@ -370,9 +376,8 @@ def loss_and_grad(
     is computed by the same term code as the public forward functions, so it
     matches a manual composition bit for bit.
     """
-    if not 0.0 <= clap_mix_lambda <= 1.0:
-        raise ValueError(f"clap_mix_lambda must lie in [0, 1], got {clap_mix_lambda}")
-    lam = 1.0 if objective is ObjectiveKind.CLAP else clap_mix_lambda
+    _check_mix_lambda(clap_mix_lambda)
+    lam = clap_mix_lambda
     e_a = unit_rows(batch.audio)
     e_t = unit_rows(batch.text)
     b = batch.size

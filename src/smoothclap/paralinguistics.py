@@ -29,6 +29,8 @@ from .errors import (
 )
 
 TARGET_RATE = 16000
+MIN_SAMPLE_RATE = 8000
+MAX_SAMPLE_RATE = 192000
 FRAME_MS = 25.0
 HOP_MS = 10.0
 FMIN_HZ = 50.0
@@ -145,7 +147,8 @@ def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
     """Decode a PCM-16 or IEEE-float32 WAV file to mono at ``target_rate``.
 
     Channels are averaged, samples normalized to [-1, 1], and rate conversion
-    uses polyphase windowed-sinc interpolation.
+    uses polyphase windowed-sinc interpolation. Header rates outside
+    ``MIN_SAMPLE_RATE``-``MAX_SAMPLE_RATE`` are UnsupportedFormat.
     """
     data = Path(path).read_bytes()
     chunks = _parse_riff_chunks(data)
@@ -157,9 +160,13 @@ def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from(
         "<HHIIHH", fmt, 0
     )
-    if n_channels < 1 or sample_rate <= 0:
-        raise CorruptHeader(
-            f"bad channel count ({n_channels}) or sample rate ({sample_rate})"
+    if n_channels < 1:
+        raise CorruptHeader(f"bad channel count ({n_channels})")
+    # resample_poly's filter has 20 * max(up, down) + 1 taps, so a header
+    # rate far from the target would ask for gigabytes
+    if not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
+        raise UnsupportedFormat(
+            f"sample rate {sample_rate} Hz is outside {MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE} Hz"
         )
     raw = chunks[b"data"]
     if audio_format == _WAVE_PCM and bits == 16:

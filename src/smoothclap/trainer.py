@@ -33,19 +33,17 @@ from .errors import (
     ZeroRow,
 )
 from .numeric import as_matrix, l2_normalize_rows
-from .objective import (
-    EmbeddingBatch,
-    ObjectiveKind,
-    SmoothingConfig,
-    loss_and_grad,
-    with_tau_pred,
-)
+from .objective import EmbeddingBatch, SmoothingConfig, loss_and_grad, with_tau_pred
 
 logger = logging.getLogger(__name__)
 
 # Philox streams: 0 = parameter init, 1 + epoch = per-epoch shuffles
 _INIT_STREAM = 0
 _EPOCH_STREAM_BASE = 1
+
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -100,10 +98,6 @@ class ProjectionParams:
     def in_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[1]
-
 
 def init_projection(in_dim: int, out_dim: int, rng: np.random.Generator) -> ProjectionParams:
     bound = 1.0 / math.sqrt(in_dim)
@@ -120,9 +114,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros_like(cls, param: np.ndarray) -> "AdamState":
@@ -140,14 +131,19 @@ def adam_step(
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
     step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    updated = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return updated, AdamState(
-        m=m, v=v, step=step, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
+    m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grads
+    v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - _ADAM_BETA1**step)
+    v_hat = v / (1.0 - _ADAM_BETA2**step)
+    updated = params - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    return updated, AdamState(m=m, v=v, step=step)
+
+
+class ObjectiveKind(str, Enum):
+    """The ``objective`` run option: ``clap`` is the hard/soft mix at 1."""
+
+    CLAP = "clap"
+    SMOOTH = "smooth"
 
 
 @dataclass(frozen=True)
@@ -180,6 +176,8 @@ class TrainConfig:
             raise ValueError(f"embed_dim must be >= 2, got {self.embed_dim}")
         if not 0.0 <= self.clap_mix_lambda <= 1.0:
             raise ValueError("clap_mix_lambda must lie in [0, 1]")
+        if self.objective is ObjectiveKind.CLAP and 0.0 < self.clap_mix_lambda < 1.0:
+            raise ValueError(f"objective clap is clap_mix_lambda 1, not {self.clap_mix_lambda}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -194,6 +192,11 @@ class TrainConfig:
         for section, section_kwargs in sections.items():
             kwargs[section] = _SECTION_TYPES[section](**section_kwargs)
         return cls(**kwargs)
+
+    @property
+    def mix_lambda(self) -> float:
+        """The hard/soft mix weight the loss sees: 1 for objective clap."""
+        return 1.0 if self.objective is ObjectiveKind.CLAP else self.clap_mix_lambda
 
     def to_json_dict(self) -> dict:
         return asdict(self, dict_factory=_with_enum_values)
@@ -251,10 +254,6 @@ class TrainedModel:
     vocabulary: list[str]
     config: TrainConfig
     history: list[float] = field(default_factory=list)
-
-    @property
-    def tau_pred(self) -> float:
-        return math.exp(self.log_tau_pred)
 
 
 def embed_audio(model: TrainedModel, features) -> np.ndarray:
@@ -358,9 +357,7 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
                 ra = _row_norms_checked(za, "audio projection")
                 rt = _row_norms_checked(zt, "text projection")
                 batch = EmbeddingBatch(audio=za, text=zt, local_audio=local[idx])
-                out = loss_and_grad(
-                    batch, cfg_step, config.objective, config.clap_mix_lambda
-                )
+                out = loss_and_grad(batch, cfg_step, config.mix_lambda)
             except (
                 ZeroRow, NonFiniteValue, NonPositiveTemperature, ZeroMassTarget, NonFiniteLoss
             ) as exc:

@@ -33,7 +33,6 @@ from smoothclap.numeric import (
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
-    ObjectiveKind,
     SmoothingConfig,
     clap_infonce,
     cross_modal_scores,
@@ -54,6 +53,7 @@ from smoothclap.paralinguistics import (
 from smoothclap.tagging import Bin, TemplateSet, assign_bin, fit_bins, render_tags
 from smoothclap.trainer import (
     AdamState,
+    ObjectiveKind,
     TrainConfig,
     adam_step,
     embed_audio,

@@ -278,6 +278,19 @@ def test_model_reader_skips_config_keys_of_older_versions(corpus):
     assert loaded.config == load_model(corpus["model"]).config
 
 
+def test_model_reader_takes_clap_with_a_partial_mix_of_older_versions_as_clap(corpus):
+    # older versions trained objective clap at lambda 1 whatever clap_mix_lambda
+    # said, and echoed both
+    doc = model_doc(corpus)
+    doc["config"].update(objective="clap", clap_mix_lambda=0.5)
+    path = write_doc(corpus, "old_clap.json", doc)
+    config = load_model(path).config
+    assert config.objective == "clap" and config.clap_mix_lambda == 0.0
+    assert config.mix_lambda == 1.0
+    code, lines = run_main(*eval_argv(corpus, model=path))
+    assert code == 0
+
+
 def test_model_roundtrip_is_byte_identical(corpus, tmp_path):
     path = tmp_path / "again.json"
     save_model(path, load_model(corpus["model"]), extra_meta=model_doc(corpus)["_meta"])

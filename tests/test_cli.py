@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,8 +16,9 @@ from helpers import (
     write_labels_csv,
 )
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
-from smoothclap.objective import KLMode, ObjectiveKind, SmoothingConfig
+from smoothclap.objective import KLMode, SmoothingConfig
 from smoothclap.trainer import (
+    ObjectiveKind,
     TrainConfig,
     embed_audio,
     embed_query_labels,
@@ -89,6 +91,31 @@ def test_extract_corrupt_file_policy(tmp_path, capsys):
         run_cli("extract", "--manifest", str(manifest), "--out", str(out), "--strict")
         == 1
     )
+
+
+def test_extract_skips_a_wav_with_an_out_of_range_sample_rate(tmp_path, monkeypatch, capsys):
+    import smoothclap.paralinguistics as para
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("resample_poly must not be called")
+
+    monkeypatch.setattr(para, "resample_poly", refuse)  # the corpus is at 16 kHz
+    entries = make_wavs(tmp_path)
+    wav = tmp_path / "t1.wav"
+    header = bytearray(wav.read_bytes())
+    header[24:28] = struct.pack("<I", 4294967291)  # the fmt chunk's sample rate
+    wav.write_bytes(bytes(header))
+    manifest = write_manifest(tmp_path / "manifest.jsonl", entries)
+    out = tmp_path / "profiles.jsonl"
+
+    assert run_cli("extract", "--manifest", str(manifest), "--out", str(out)) == 0
+    assert [r["id"] for r in read_jsonl_records(out)] == ["t0", "t2"]
+    err = capsys.readouterr().err
+    assert "skipping t1" in err and "sample rate 4294967291 Hz" in err
+    assert "1 of 3 files failed" in err
+
+    args = ("extract", "--manifest", str(manifest), "--out", str(out), "--strict")
+    assert run_cli(*args) == 1
 
 
 def test_extract_unreadable_manifest(tmp_path):
@@ -634,6 +661,24 @@ def test_sweep_grid_shape_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv", [["--clap-mix-lambda", "1"], ["--objective", "clap"]], ids=["lambda", "objective"]
+)
+def test_sweep_rejects_a_mix_of_one(tmp_path, capsys, argv):
+    # no targets are built at lambda 1, so every gamma/beta cell would train
+    # the same model
+    files = cluster_files(tmp_path)
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--labels", str(files["labels"]), "--batch-size", "16", "--out", str(out), *argv,
+    )
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: sweep needs a mix below 1")
+
+
 def test_sweep_rejects_grid_outside_open_interval(tmp_path):
     files = cluster_files(tmp_path)
     code = run_cli(
@@ -751,6 +796,26 @@ def test_nonfinite_loss_maps_to_exit_1(tmp_path, monkeypatch):
         "--batch-size", "16", "--out", str(tmp_path / "m.json"),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_clap_objective_with_a_partial_mix(tmp_path, capsys, source):
+    # objective clap is the mix at 1, so a lambda in (0, 1) would be ignored
+    files = cluster_files(tmp_path)
+    if source == "flag":
+        argv = ["--objective", "clap", "--clap-mix-lambda", "0.5"]
+    else:
+        doc = {"objective": "clap", "clap_mix_lambda": 0.5}
+        argv = ["--config", str(write_config(tmp_path, doc))]
+    out = tmp_path / "m.json"
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(out), *argv,
+    )
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "objective clap is clap_mix_lambda 1, not 0.5" in err
 
 
 def test_flags_override_config_file(tmp_path):

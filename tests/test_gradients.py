@@ -9,7 +9,6 @@ from smoothclap.gradcheck import (
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
-    ObjectiveKind,
     SmoothingConfig,
     loss_and_grad,
     loss_with_fixed_targets,
@@ -30,8 +29,8 @@ def test_single_config_matches_finite_differences():
     rng = np.random.default_rng(42)
     batch = make_batch(rng, 8, 16)
     cfg = SmoothingConfig(gamma=0.5, beta=0.1, tau_pred=1.0)
-    out = loss_and_grad(batch, cfg, ObjectiveKind.SMOOTH)
-    num_a, num_t, num_lt = finite_difference_grads(batch, cfg, ObjectiveKind.SMOOTH)
+    out = loss_and_grad(batch, cfg)
+    num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
     assert max_relative_error(out.grad_audio, num_a) < 1e-5
     assert max_relative_error(out.grad_text, num_t) < 1e-5
     assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
@@ -41,8 +40,8 @@ def test_forward_mode_with_hard_targets():
     rng = np.random.default_rng(43)
     batch = make_batch(rng, 4, 6)
     cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=0.8)
-    out = loss_and_grad(batch, cfg, ObjectiveKind.SMOOTH)
-    num_a, num_t, num_lt = finite_difference_grads(batch, cfg, ObjectiveKind.SMOOTH)
+    out = loss_and_grad(batch, cfg)
+    num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
     assert max_relative_error(out.grad_audio, num_a) < 1e-5
     assert max_relative_error(out.grad_text, num_t) < 1e-5
     assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
@@ -69,8 +68,8 @@ def test_aligned_batch_has_smaller_gradient_than_shuffled():
     perm = np.roll(np.arange(6), 1)
     shuffled = EmbeddingBatch(rows, rows[perm], rows.copy())
     cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=0.1)
-    g_aligned = loss_and_grad(aligned, cfg, ObjectiveKind.CLAP)
-    g_shuffled = loss_and_grad(shuffled, cfg, ObjectiveKind.CLAP)
+    g_aligned = loss_and_grad(aligned, cfg, 1.0)
+    g_shuffled = loss_and_grad(shuffled, cfg, 1.0)
 
     def norm(out):
         return np.sqrt(
@@ -82,7 +81,7 @@ def test_aligned_batch_has_smaller_gradient_than_shuffled():
     assert norm(g_aligned) < norm(g_shuffled)
     # and the finite-difference oracle agrees on both
     for batch, out in ((aligned, g_aligned), (shuffled, g_shuffled)):
-        num_a, num_t, num_lt = finite_difference_grads(batch, cfg, ObjectiveKind.CLAP)
+        num_a, num_t, num_lt = finite_difference_grads(batch, cfg, 1.0)
         assert max_relative_error(out.grad_audio, num_a) < 1e-5
         assert max_relative_error(out.grad_text, num_t) < 1e-5
         assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
@@ -100,7 +99,7 @@ def test_target_branch_is_stop_gradient():
     out_b = loss_and_grad(batch, cfg_b)
     assert out_a.value != out_b.value
     for cfg, out in ((cfg_a, out_a), (cfg_b, out_b)):
-        num_a, num_t, num_lt = finite_difference_grads(batch, cfg, ObjectiveKind.SMOOTH)
+        num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
         assert max_relative_error(out.grad_audio, num_a) < 1e-5
         assert max_relative_error(out.grad_text, num_t) < 1e-5
 
@@ -126,16 +125,11 @@ def test_relative_error_metric():
 
 @pytest.mark.parametrize("kl_mode", list(KLMode))
 def test_clap_mix_matches_finite_differences(kl_mode):
-    # the mixed loss is linear in its two parts, so its central differences
-    # are the same mix of each part's central differences
-    lam = 0.5
     rng = np.random.default_rng(47)
     batch = make_batch(rng, 6, 5)
     cfg = SmoothingConfig(gamma=0.4, beta=0.3, tau_pred=0.7, kl_mode=kl_mode)
-    out = loss_and_grad(batch, cfg, ObjectiveKind.SMOOTH, lam)
-    hard = finite_difference_grads(batch, cfg, ObjectiveKind.CLAP)
-    soft = finite_difference_grads(batch, cfg, ObjectiveKind.SMOOTH)
-    num_a, num_t, num_lt = (lam * h + (1.0 - lam) * s for h, s in zip(hard, soft))
+    out = loss_and_grad(batch, cfg, 0.5)
+    num_a, num_t, num_lt = finite_difference_grads(batch, cfg, 0.5)
     assert max_relative_error(out.grad_audio, num_a) < 1e-5
     assert max_relative_error(out.grad_text, num_t) < 1e-5
     assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5

@@ -14,7 +14,6 @@ from smoothclap.numeric import gram, kl_sum, l2_normalize_rows, row_softmax
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
-    ObjectiveKind,
     SmoothingConfig,
     intra_modal_targets,
     loss_and_grad,
@@ -33,7 +32,7 @@ def _kl_grad_wrt_logits(p, y, cfg, symmetric):
     return g
 
 
-def reference_loss_and_grad(batch, cfg, objective, lam):
+def reference_loss_and_grad(batch, cfg, lam):
     """(value, grad_audio, grad_text, grad_log_tau_pred) the old way."""
     e_a = l2_normalize_rows(batch.audio)
     e_t = l2_normalize_rows(batch.text)
@@ -61,7 +60,7 @@ def reference_loss_and_grad(batch, cfg, objective, lam):
         + float(np.mean(-np.log(np.maximum(np.diag(p_t2a), tiny))))
     )
     hard = with_grads(infonce, np.eye(b), False)
-    if objective is ObjectiveKind.CLAP or lam == 1.0:
+    if lam == 1.0:
         return hard
     y = smooth_targets(
         mix_targets(
@@ -101,17 +100,16 @@ def assert_close(actual, expected):
 # tau_pred 0.05 at B=16 puts predicted entries below the floor
 @pytest.mark.parametrize("b,tau_pred", [(2, 0.7), (16, 0.05), (256, 0.5)])
 @pytest.mark.parametrize("kl_mode", list(KLMode))
-@pytest.mark.parametrize("objective", list(ObjectiveKind))
-@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-def test_kernel_matches_reference(b, tau_pred, kl_mode, objective, lam):
+# "smooth" in the ids keeps the case names from when the kernel also took an
+# objective
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0], ids=["0.0-smooth", "0.5-smooth", "1.0-smooth"])
+def test_kernel_matches_reference(b, tau_pred, kl_mode, lam):
     batch = make_batch(b, seed=b)
     cfg = SmoothingConfig(
         gamma=0.3, beta=0.4, tau_a2a=0.8, tau_t2t=1.2, tau_pred=tau_pred, kl_mode=kl_mode
     )
-    out = loss_and_grad(batch, cfg, objective, lam)
-    value, grad_audio, grad_text, grad_log_tau = reference_loss_and_grad(
-        batch, cfg, objective, lam
-    )
+    out = loss_and_grad(batch, cfg, lam)
+    value, grad_audio, grad_text, grad_log_tau = reference_loss_and_grad(batch, cfg, lam)
     assert_close(out.value, value)
     assert_close(out.grad_audio, grad_audio)
     assert_close(out.grad_text, grad_text)
@@ -126,26 +124,15 @@ def test_floor_is_hit_in_the_reference_cases():
     assert float(np.min(p)) < SmoothingConfig().floor
 
 
-def test_lambda_one_is_the_clap_objective_exactly():
-    batch = make_batch(16, seed=3)
-    cfg = SmoothingConfig(beta=0.2)
-    mixed = loss_and_grad(batch, cfg, ObjectiveKind.SMOOTH, 1.0)
-    clap = loss_and_grad(batch, cfg, ObjectiveKind.CLAP)
-    assert mixed.value == clap.value
-    np.testing.assert_array_equal(mixed.grad_audio, clap.grad_audio)
-    np.testing.assert_array_equal(mixed.grad_text, clap.grad_text)
-    assert mixed.grad_log_tau_pred == clap.grad_log_tau_pred
-
-
 def test_kernel_rejects_targets_below_the_floor_at_any_mix():
     batch = make_batch(4, seed=5)
     cfg = SmoothingConfig(beta=1e-12, kl_mode=KLMode.SYMMETRIC)
     for lam in (0.0, 0.5):
         with pytest.raises(ZeroMassTarget):
-            loss_and_grad(batch, cfg, ObjectiveKind.SMOOTH, lam)
+            loss_and_grad(batch, cfg, lam)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5])
 def test_kernel_rejects_mix_weight_outside_unit_interval(lam):
     with pytest.raises(ValueError):
-        loss_and_grad(make_batch(4, seed=6), SmoothingConfig(), ObjectiveKind.SMOOTH, lam)
+        loss_and_grad(make_batch(4, seed=6), SmoothingConfig(), lam)

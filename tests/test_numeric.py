@@ -126,7 +126,7 @@ def test_kl_asymmetric_example():
 
 def test_kl_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        kl_rows([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+        kl_rows([[1.0, 0.0]], [[1.0, 0.0, 0.0]], 1e-12)
 
 
 def test_kl_floor_validation():

@@ -17,13 +17,13 @@ from smoothclap.numeric import gram, is_row_stochastic, l2_normalize_rows
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
-    ObjectiveKind,
     SmoothingConfig,
     build_targets,
     clap_infonce,
     cross_modal_scores,
     intra_modal_targets,
     loss_and_grad,
+    loss_with_fixed_targets,
     mix_targets,
     predicted_distributions,
     smooth_targets,
@@ -284,16 +284,18 @@ def test_loss_value_matches_manual_composition_bitwise():
     rng = np.random.default_rng(13)
     batch = make_batch(rng, b=5, d=7)
     cfg = SmoothingConfig(gamma=0.3, beta=0.4, tau_pred=0.9)
-    out = loss_and_grad(batch, cfg, ObjectiveKind.SMOOTH)
     e_a = l2_normalize_rows(batch.audio)
     e_t = l2_normalize_rows(batch.text)
     g = gram(e_a, e_t)
     p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
     y = build_targets(batch, cfg)
-    assert out.value == soft_loss(y, p_a2t, p_t2a, cfg)
-
-    out_clap = loss_and_grad(batch, cfg, ObjectiveKind.CLAP)
-    assert out_clap.value == clap_infonce(g, cfg.tau_pred)
+    assert loss_and_grad(batch, cfg).value == soft_loss(y, p_a2t, p_t2a, cfg)
+    assert loss_and_grad(batch, cfg, 1.0).value == clap_infonce(g, cfg.tau_pred)
+    # the fixed-target forward evaluates the kernel's mix from the same terms;
+    # 0.3 tells the weight of InfoNCE from that of the soft loss
+    for lam in (0.0, 0.3, 0.5, 1.0):
+        fixed = loss_with_fixed_targets(batch.audio, batch.text, y, cfg, lam)
+        assert fixed == loss_and_grad(batch, cfg, lam).value
 
 
 def test_permutation_equivariance():

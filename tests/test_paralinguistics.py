@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -92,6 +93,38 @@ def test_load_rejects_unsupported_encoding(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(UnsupportedFormat):
         load_wav(path)
+
+
+def wav_with_header_rate(path, rate):
+    """A quarter second of PCM-16 tone whose fmt chunk claims ``rate`` Hz."""
+    raw = np.round(synth_tone(200.0, 0.25, 0.5) * 32767.0).astype("<i2").tobytes()
+    blob = b"RIFF" + struct.pack("<I", 36 + len(raw)) + b"WAVE"
+    blob += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, (2 * rate) % 2**32, 2, 16)
+    blob += b"data" + struct.pack("<I", len(raw)) + raw
+    path.write_bytes(blob)
+    return path
+
+
+def refuse_resampling(*args, **kwargs):
+    raise AssertionError("resample_poly must not be called")
+
+
+@pytest.mark.parametrize("rate", [1, 7999, 192001, 4294967291])
+def test_load_rejects_sample_rate_out_of_range_before_resampling(tmp_path, monkeypatch, rate):
+    # at 4294967291 Hz resample_poly would design a filter of about 8.6e10 taps
+    import smoothclap.paralinguistics as para
+
+    monkeypatch.setattr(para, "resample_poly", refuse_resampling)
+    path = wav_with_header_rate(tmp_path / "r.wav", rate)
+    with pytest.raises(UnsupportedFormat, match=f"sample rate {rate} Hz"):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("rate", [8000, 192000])
+def test_load_accepts_the_sample_rate_bounds(tmp_path, rate):
+    w = load_wav(wav_with_header_rate(tmp_path / "r.wav", rate))
+    assert w.sample_rate == 16000
+    assert w.samples.size == math.ceil(4000 * 16000 / rate)
 
 
 def test_load_rejects_empty_data(tmp_path):

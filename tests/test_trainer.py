@@ -16,13 +16,13 @@ from smoothclap.numeric import l2_normalize_rows
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
-    ObjectiveKind,
     SmoothingConfig,
     loss_and_grad,
     with_tau_pred,
 )
 from smoothclap.trainer import (
     AdamState,
+    ObjectiveKind,
     TrainConfig,
     adam_step,
     embed_audio,
@@ -190,6 +190,20 @@ def test_clap_mix_lambda_one_equals_pure_clap():
     assert m_mixed.history == m_hard.history
 
 
+@pytest.mark.parametrize(
+    "objective,lam,expected",
+    [("smooth", 0.0, 0.0), ("smooth", 0.5, 0.5), ("smooth", 1.0, 1.0), ("clap", 0.0, 1.0), ("clap", 1.0, 1.0)],
+)
+def test_mix_lambda_resolves_the_objective(objective, lam, expected):
+    config = TrainConfig(objective=ObjectiveKind(objective), clap_mix_lambda=lam)
+    assert config.mix_lambda == expected
+
+
+def test_clap_objective_rejects_a_partial_mix():
+    with pytest.raises(ValueError, match="objective clap is clap_mix_lambda 1, not 0.5"):
+        TrainConfig(objective=ObjectiveKind.CLAP, clap_mix_lambda=0.5)
+
+
 def test_clap_mix_takes_one_kernel_call_per_step(monkeypatch):
     import smoothclap.trainer as trainer_module
 
@@ -205,7 +219,7 @@ def test_clap_mix_takes_one_kernel_call_per_step(monkeypatch):
     train(fx.features, fx.tag_lists, config)
     steps_per_epoch = len(fx.tag_lists) // config.batch_size
     assert len(calls) == config.epochs * steps_per_epoch
-    assert all(args[3] == 0.5 for args in calls)
+    assert all(args[2] == 0.5 for args in calls)
 
 
 def test_descent_on_frozen_batch():
