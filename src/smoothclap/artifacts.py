@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import base64
 import csv
+import itertools
 import json
+import math
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,9 @@ from .tagging import (
     DIMENSION_FEATURES,
     LABEL_KINDS,
     PROFILE_FIELDS,
+    Bin,
     BinThresholds,
+    TagTable,
     TemplateSet,
 )
 
@@ -35,6 +40,7 @@ MODEL_KIND = "smoothclap-model"
 MODEL_FORMAT_VERSION = 1
 _PROJECTIONS = ("audio_projection", "text_projection")
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+_DIMENSION_KEYS = {k: k for k in DIMENSION_FEATURES}  # a rating's name is its key
 
 
 def meta_header(command: str, config: dict) -> dict:
@@ -71,6 +77,20 @@ def _field(record: dict, key: str, where: str, kind: type | None = None, prefix:
     return value
 
 
+def _finite_floats(record: dict, keys: dict[str, str], where: str) -> dict[str, float]:
+    """float() of the field under each key that the record has, by name
+    (``keys`` maps name -> key); NaN and ±Inf are errors."""
+    try:
+        values = {name: float(record[key]) for name, key in keys.items() if key in record}
+    except (TypeError, ValueError):
+        # the same coercion again through _field, which names the rejected field
+        values = {name: _field(record, key, where, float) for name, key in keys.items() if key in record}
+    if not all(map(math.isfinite, values.values())):
+        name = next(name for name, value in values.items() if not math.isfinite(value))
+        raise ConfigError(f"{where}: field {keys[name]!r} must be finite")
+    return values
+
+
 def _strings(value, where: str, name: str) -> list[str]:
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise ConfigError(f"{where}: field {name!r} must be a list of strings")
@@ -79,10 +99,14 @@ def _strings(value, where: str, name: str) -> list[str]:
 
 # --- JSON documents ------------------------------------------------------------------
 
-def _write_json(path, doc: dict, meta: dict | None) -> None:
+def _json_text(doc: dict, meta: dict | None) -> str:
     if meta is not None:
         doc["_meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _write_json(path, doc: dict, meta: dict | None) -> None:
+    Path(path).write_text(_json_text(doc, meta) + "\n")
 
 
 def _read_json(path) -> dict:
@@ -120,21 +144,45 @@ def read_config(path, options_by_key: dict) -> dict:
     return _run_options(_read_json(path), options_by_key, str(path), strict=True)
 
 
+# json writes a non-finite float as these literals
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _prediction_json(p) -> str:
+    """One prediction object as ``json.dumps(indent=2, sort_keys=True)`` writes
+    it inside the report's ``predictions`` list."""
+    scores = [_JSON_NONFINITE.get(v, v) for v in map(float.__repr__, p.scores)]
+    scores_json = "[\n        " + ",\n        ".join(scores) + "\n      ]" if scores else "[]"
+    return (
+        f'    {{\n      "id": {_json_str(p.utterance_id)},'
+        f'\n      "predicted": {_json_str(p.predicted_label)},'
+        f'\n      "scores": {scores_json},'
+        f'\n      "true": {_json_str(p.true_label)}\n    }}'
+    )
+
+
 def save_report(path, report, meta: dict | None = None) -> None:
-    """An EvalReport, with one {id, true, predicted, scores} object per prediction."""
+    """An EvalReport, with one {id, true, predicted, scores} object per prediction.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``. That
+    call takes json's pure-Python encoder, so the prediction objects, nearly
+    all of a report, are formatted here and spliced into the dump of the rest.
+    """
     doc = {
         "class_names": report.class_names,
         "confusion": report.confusion,
         "per_class_recall": report.per_class_recall,
         "uar": report.uar,
-        "predictions": [
-            {"id": p.utterance_id, "true": p.true_label, "predicted": p.predicted_label,
-             "scores": p.scores}
-            for p in report.predictions
-        ],
+        "predictions": [],
         "warnings": report.warnings,
     }
-    _write_json(path, doc, meta)
+    text = _json_text(doc, meta)
+    if report.predictions:
+        # the one top-level key at two spaces; a newline in a string is escaped
+        head, _, tail = text.partition('\n  "predictions": []')
+        items = ",\n".join(map(_prediction_json, report.predictions))
+        text = f'{head}\n  "predictions": [\n{items}\n  ]{tail}'
+    Path(path).write_text(text + "\n")
 
 
 def save_thresholds(path, thresholds: dict[str, BinThresholds], labels=None, meta=None) -> None:
@@ -265,6 +313,27 @@ def write_jsonl(path, records, meta: dict) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def write_tags(path, table: TagTable, meta: dict) -> None:
+    """The tags file: one ``json.dumps(record, sort_keys=True)`` line per row,
+    with the keys ``bins``, ``id`` and ``tags``, built from JSON fragments made
+    once per distinct tag and once per feature and bin."""
+    tag_json = {t: _json_str(t) for t in set(itertools.chain.from_iterable(table.tags))}
+    # '"feature": "bin", ' by code, and '' for code -1 (no value); the column
+    # of ''s keeps a row for each id when no feature has a value
+    bin_columns = [[""] * len(table.ids)]
+    for feature in sorted(table.codes):
+        fragments = tuple(f"{_json_str(feature)}: {_json_str(b.key)}, " for b in Bin) + ("",)
+        bin_columns.append([fragments[c] for c in table.codes[feature].tolist()])
+    bins = ["".join(row)[:-2] for row in zip(*bin_columns)]
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
+        fh.writelines(
+            f'{{"bins": {{{b}}}, "id": {_json_str(i)}, '
+            f'"tags": [{", ".join([tag_json[t] for t in tags])}]}}\n'
+            for i, b, tags in zip(table.ids, bins, table.tags)
+        )
+
+
 def _read_jsonl_by_id(path, parse) -> dict:
     """``parse(record, where)`` of each record, keyed by its ``id`` in file
     order. Blank lines and the ``_meta`` header are skipped; a line that is not
@@ -310,18 +379,17 @@ def read_manifest(path) -> dict[str, Path]:
 
 def read_profiles(path) -> dict[str, dict[str, float]]:
     """The binnable features of each profile record keyed by tag feature name
-    (tagging.PROFILE_FIELDS); a record that lacks a field skips that feature."""
-    return _read_jsonl_by_id(path, lambda r, where: {
-        name: _field(r, key, where, float) for name, key in PROFILE_FIELDS.items() if key in r
-    })
+    (tagging.PROFILE_FIELDS), each finite; a record that lacks a field skips
+    that feature."""
+    return _read_jsonl_by_id(path, lambda r, where: _finite_floats(r, PROFILE_FIELDS, where))
 
 
 def read_labels(path) -> dict[str, tuple[dict[str, str], dict[str, float]]]:
-    """(categorical label by kind, rating by dimension) of each labels record;
-    a manifest can double as a labels file."""
+    """(categorical label by kind, finite rating by dimension) of each labels
+    record; a manifest can double as a labels file."""
     return _read_jsonl_by_id(path, lambda r, where: (
         {k: _field(r, k, where, str) for k in LABEL_KINDS if k in r},
-        {k: _field(r, k, where, float) for k in DIMENSION_FEATURES if k in r},
+        _finite_floats(r, _DIMENSION_KEYS, where),
     ))
 
 

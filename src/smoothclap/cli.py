@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .gradcheck import DEFAULT_SIZES, run_gradcheck_suite
 from .paralinguistics import acoustic_profile, load_wav
-from .tagging import TemplateSet, fit_bins, render_tags
+from .tagging import LABEL_KINDS, TemplateSet, fit_thresholds, render_tag_table
 from .trainer import (
     RUN_OPTIONS,
     RunOption,
@@ -143,35 +143,35 @@ def cmd_tags(args: argparse.Namespace) -> int:
 
     fit_mode = args.thresholds_in is None or args.refit
     if fit_mode:
-        feature_values: dict[str, list[float]] = {}
-        for _, dims in labels_by_id.values():
-            for dim, value in dims.items():
-                feature_values.setdefault(dim, []).append(value)
-        for features in profiles_by_id.values():
-            for name, value in features.items():
-                feature_values.setdefault(name, []).append(value)
-        thresholds = {}
-        for name, vals in feature_values.items():
-            try:
-                thresholds[name] = fit_bins(vals, name)
-            except TooFewValues as exc:
-                raise ConfigError(f"cannot fit thresholds: {exc}") from None
-        observed: dict[str, set[str]] = {}
-        for labels, _ in labels_by_id.values():
-            for kind, label in labels.items():
-                observed.setdefault(kind, set()).add(label)
+        label_records = list(labels_by_id.values())
+        try:
+            thresholds = fit_thresholds(
+                [dims for _, dims in label_records], list(profiles_by_id.values())
+            )
+        except TooFewValues as exc:
+            raise ConfigError(f"cannot fit thresholds: {exc}") from None
+        observed = {}
+        for kind in LABEL_KINDS:
+            seen = {labels[kind] for labels, _ in label_records if kind in labels}
+            if seen:
+                observed[kind] = seen
         templates = TemplateSet.closed_to(observed)
         thresholds_out = args.thresholds_out or f"{args.out}.thresholds.json"
         artifacts.save_thresholds(thresholds_out, thresholds, observed, meta)
     else:
         thresholds, templates = artifacts.load_thresholds(args.thresholds_in)
 
-    records = []
-    for utt_id, features in profiles_by_id.items():
-        labels, dims = labels_by_id.get(utt_id, ({}, {}))
-        record = render_tags(utt_id, labels, dims, features, thresholds, templates)
-        records.append(record.to_json_dict())
-    artifacts.write_jsonl(args.out, records, meta)
+    ids = list(profiles_by_id)
+    joined = [labels_by_id.get(utt_id, ({}, {})) for utt_id in ids]
+    table = render_tag_table(
+        ids,
+        [labels for labels, _ in joined],
+        [dims for _, dims in joined],
+        list(profiles_by_id.values()),
+        thresholds,
+        templates,
+    )
+    artifacts.write_tags(args.out, table, meta)
 
     matched = len(profiles_by_id.keys() & labels_by_id.keys())
     unmatched_profiles = len(profiles_by_id) - matched

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .errors import (
     CorruptHeader,
@@ -143,6 +144,17 @@ def _parse_riff_chunks(data: bytes) -> dict[bytes, bytes]:
     return chunks
 
 
+@lru_cache(maxsize=4)
+def _resample_filter(max_rate: int) -> np.ndarray:
+    """The low-pass FIR filter ``resample_poly`` designs for ``max(up, down)``
+    with its default Kaiser window; passed back as ``window=``, it gives the
+    same output bits without the design. A few entries bound the cache: near
+    ``MAX_SAMPLE_RATE`` one filter has millions of taps."""
+    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
+
+
 def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
     """Decode a PCM-16 or IEEE-float32 WAV file to mono at ``target_rate``.
 
@@ -187,7 +199,8 @@ def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
         samples = samples.reshape(-1, n_channels).mean(axis=1)
     if sample_rate != target_rate:
         g = math.gcd(sample_rate, target_rate)
-        samples = resample_poly(samples, target_rate // g, sample_rate // g)
+        up, down = target_rate // g, sample_rate // g
+        samples = resample_poly(samples, up, down, window=_resample_filter(max(up, down)))
         if samples.size == 0:
             raise EmptyAudio(f"{path} is too short to resample")
     samples = np.clip(samples, -1.0, 1.0)

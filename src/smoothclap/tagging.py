@@ -9,6 +9,7 @@ outputs are byte-reproducible.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -37,6 +38,8 @@ PROFILE_FIELDS = {
     "duration": "duration_s",
 }
 ACOUSTIC_FEATURES = tuple(PROFILE_FIELDS)
+# every binned feature, in tag order
+BINNED_FEATURES = DIMENSION_FEATURES + ACOUSTIC_FEATURES
 
 
 class Bin(IntEnum):
@@ -93,6 +96,12 @@ def fit_bins(values, feature_name: str) -> BinThresholds:
     )
 
 
+def _bin_codes(values, thresholds: BinThresholds):
+    """Bin value of each element, one comparison per threshold: ``low <= high``
+    makes ``(v > low) + (v > high)`` the rule of ``assign_bin``."""
+    return (values > thresholds.low).astype(np.int8) + (values > thresholds.high)
+
+
 def assign_bin(value: float, thresholds: BinThresholds) -> Bin:
     """Low if value <= low, High if value > high, Mid otherwise.
 
@@ -101,11 +110,7 @@ def assign_bin(value: float, thresholds: BinThresholds) -> Bin:
     """
     if not np.isfinite(value):
         raise NonFiniteValue(f"cannot bin non-finite value {value}")
-    if value <= thresholds.low:
-        return Bin.LOW
-    if value > thresholds.high:
-        return Bin.HIGH
-    return Bin.MID
+    return Bin(int(_bin_codes(np.float64(value), thresholds)))
 
 
 @dataclass(frozen=True)
@@ -156,19 +161,118 @@ class TagRecord:
         return {"id": self.utterance_id, "tags": list(self.tags), "bins": dict(self.bins)}
 
 
-def _dim_tag(feature: str, b: Bin) -> str:
-    return f"{_DIM_WORDS[int(b)]} {feature}"
+@dataclass(frozen=True)
+class TagTable:
+    """Rendered tags of many utterances, one row each.
+
+    ``codes`` holds, for each binned feature that some row has, the Bin value
+    of every row as an int8 column, with -1 where the row has no value.
+    """
+
+    ids: list[str]
+    tags: list[list[str]]
+    codes: dict[str, np.ndarray]
+
+    def record(self, row: int) -> TagRecord:
+        bins = {f: Bin(int(c[row])).key for f, c in self.codes.items() if c[row] >= 0}
+        return TagRecord(utterance_id=self.ids[row], tags=self.tags[row], bins=bins)
 
 
-def _acoustic_tag(feature: str, b: Bin) -> str:
-    if feature == "duration":
-        return f"{_DURATION_WORDS[int(b)]} duration"
-    return f"{_ACOUSTIC_WORDS[int(b)]} {feature}"
+def _feature_tag(feature: str, b: Bin) -> str:
+    if feature in DIMENSION_FEATURES:
+        words = _DIM_WORDS
+    elif feature == "duration":
+        words = _DURATION_WORDS
+    else:
+        words = _ACOUSTIC_WORDS
+    return f"{words[int(b)]} {feature}"
+
+
+# the tag of each feature by bin code; code -1 (no value) indexes the None
+_TAGS_BY_CODE = {f: tuple(_feature_tag(f, b) for b in Bin) + (None,) for f in BINNED_FEATURES}
 
 
 def profile_feature_values(profile: AcousticProfile) -> dict[str, float]:
     """The binnable scalar features of a profile, keyed by tag feature name."""
     return {name: float(getattr(profile, key)) for name, key in PROFILE_FIELDS.items()}
+
+
+def _columns(dims: Sequence[Mapping], acoustics: Sequence[Mapping]):
+    """(feature, values, present) for each binned feature in tag order that
+    some record has: its values as a float column, NaN where a record lacks
+    it, and the mask of the records that have it."""
+    for features, records in ((DIMENSION_FEATURES, dims), (ACOUSTIC_FEATURES, acoustics)):
+        for feature in features:
+            values = np.array([r.get(feature, np.nan) for r in records], dtype=np.float64)
+            present = ~np.isnan(values)
+            if not present.all():  # a record lacks the feature, or has NaN
+                present = np.array([feature in r for r in records], dtype=bool)
+            if present.any():
+                yield feature, values, present
+
+
+def fit_thresholds(
+    dims: Sequence[Mapping[str, float]], acoustics: Sequence[Mapping[str, float]]
+) -> dict[str, BinThresholds]:
+    """Thresholds of each binned feature that some record has, from one
+    ``fit_bins`` call on all its values: ratings from the ``dims`` records,
+    acoustic features from the ``acoustics`` records."""
+    return {
+        feature: fit_bins(values[present], feature)
+        for feature, values, present in _columns(dims, acoustics)
+    }
+
+
+def render_tag_table(
+    ids: Sequence[str],
+    labels: Sequence[Mapping[str, str]],
+    dims: Sequence[Mapping[str, float]],
+    acoustics: Sequence[Mapping[str, float]],
+    thresholds: dict[str, BinThresholds],
+    templates: TemplateSet = OPEN_TEMPLATES,
+) -> TagTable:
+    """Render the tags of many utterances at once; row i is what
+    ``render_tags(ids[i], labels[i], dims[i], acoustics[i], ...)`` gives.
+
+    Each categorical label is checked once per distinct value, and each binned
+    feature is binned as one column. Tags take the fixed order of
+    ``render_tags`` and each row keeps the first of equal tags. Of the faults,
+    the one raised is the one ``render_tags`` meets first: the earliest row,
+    and within it the first in tag order.
+    """
+    faults = []  # (row, error), in tag order within a row
+    columns = []  # one per tag slot: the tag of every row, None where it has none
+    for kind in LABEL_KINDS:
+        column = [r.get(kind) for r in labels]
+        for value in set(column) - {None}:
+            try:
+                templates.check_label(kind, value)
+            except UnknownLabel as exc:
+                faults.append((column.index(value), exc))
+        columns.append(column)
+    codes = {}
+    for feature, values, present in _columns(dims, acoustics):
+        if feature not in thresholds:
+            error = MissingThresholds(f"no thresholds fitted for {feature}")
+            faults.append((int(present.argmax()), error))
+            continue
+        bad = present & ~np.isfinite(values)
+        if bad.any():
+            row = int(bad.argmax())
+            faults.append((row, NonFiniteValue(f"cannot bin non-finite value {values[row]}")))
+        code = _bin_codes(values, thresholds[feature])
+        code[~present] = -1
+        codes[feature] = code
+        columns.append([_TAGS_BY_CODE[feature][c] for c in code.tolist()])
+    if faults:
+        # min keeps the first of equal rows, so the first in tag order
+        raise min(faults, key=lambda fault: fault[0])[1]
+    tags = []
+    for row in zip(*columns):
+        unique = dict.fromkeys(row)
+        unique.pop(None, None)
+        tags.append(list(unique))
+    return TagTable(ids=list(ids), tags=tags, codes=codes)
 
 
 def render_tags(
@@ -187,36 +291,9 @@ def render_tags(
     a single duration tag. ``acoustics`` may be a whole profile or a mapping
     with a subset of the acoustic feature names.
     """
-    labels = labels or {}
-    dims = dims or {}
     if isinstance(acoustics, AcousticProfile):
         acoustics = profile_feature_values(acoustics)
-    acoustics = acoustics or {}
-    tags: list[str] = []
-    bins: dict[str, str] = {}
-
-    for kind in LABEL_KINDS:
-        if kind in labels:
-            tags.append(templates.check_label(kind, labels[kind]))
-
-    for feature in DIMENSION_FEATURES:
-        if feature not in dims:
-            continue
-        if feature not in thresholds:
-            raise MissingThresholds(f"no thresholds fitted for {feature}")
-        b = assign_bin(float(dims[feature]), thresholds[feature])
-        bins[feature] = b.key
-        tags.append(_dim_tag(feature, b))
-
-    for feature in ACOUSTIC_FEATURES:
-        if feature not in acoustics:
-            continue
-        if feature not in thresholds:
-            raise MissingThresholds(f"no thresholds fitted for {feature}")
-        b = assign_bin(float(acoustics[feature]), thresholds[feature])
-        bins[feature] = b.key
-        tags.append(_acoustic_tag(feature, b))
-
-    seen: set[str] = set()
-    unique_tags = [t for t in tags if not (t in seen or seen.add(t))]
-    return TagRecord(utterance_id=utterance_id, tags=unique_tags, bins=bins)
+    table = render_tag_table(
+        [utterance_id], [labels or {}], [dims or {}], [acoustics or {}], thresholds, templates
+    )
+    return table.record(0)

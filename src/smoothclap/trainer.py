@@ -32,7 +32,7 @@ from .errors import (
     ZeroMassTarget,
     ZeroRow,
 )
-from .numeric import as_matrix, l2_normalize_rows
+from .numeric import ZERO_ROW_TOL, as_matrix, l2_normalize_rows
 from .objective import EmbeddingBatch, SmoothingConfig, loss_and_grad, with_tau_pred
 
 logger = logging.getLogger(__name__)
@@ -290,7 +290,7 @@ def embed_query_labels(model: TrainedModel, labels) -> np.ndarray:
 
 def _row_norms_checked(m: np.ndarray, what: str) -> np.ndarray:
     norms = np.sqrt(np.sum(m * m, axis=1))
-    if np.any(norms < 1e-12):
+    if np.any(norms < ZERO_ROW_TOL):
         raise ZeroRow(f"{what} produced a zero row")
     return norms
 

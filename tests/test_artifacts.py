@@ -220,6 +220,20 @@ def test_malformed_record_exits_2_naming_file_and_field(corpus, case):
     assert err[0].startswith("error: ") and where in err[0] and what in err[0], err[0]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "nan", "-inf"])
+@pytest.mark.parametrize("source,key", [("profiles", "pitch_mean_hz"), ("labels_jsonl", "arousal")])
+@pytest.mark.parametrize("mode", ["fit", "thresholds-in"])
+def test_non_finite_binned_value_exits_2_naming_file_line_and_field(corpus, value, source, key, mode):
+    bad = mutate_line(corpus[source], 3, lambda r: r.update({key: value}))
+    files = {"profiles": corpus["profiles"], "labels_jsonl": corpus["labels_jsonl"], source: bad}
+    code, err = run_main(*tags_argv(
+        corpus, files["profiles"], files["labels_jsonl"],
+        corpus["thresholds"] if mode == "thresholds-in" else None,
+    ))
+    assert code == 2
+    assert err == [f"error: {bad}:3: field {key!r} must be finite"]
+
+
 @pytest.mark.parametrize("bad_id", [None, [1], {"a": 1}, True, 1.5])
 def test_record_id_must_be_a_string_or_an_integer(tmp_path, bad_id):
     path = write_records(tmp_path / "t.jsonl", [{"id": bad_id, "tags": ["a"]}])

@@ -244,6 +244,32 @@ def test_tags_profile_missing_field_skips_only_that_tag(tmp_path):
     assert all("jitter" in r["bins"] for r in records[1:])
 
 
+@pytest.mark.parametrize("mode", ["fit", "thresholds-in"])
+def test_tags_bins_columns_not_records(tmp_path, monkeypatch, mode):
+    import smoothclap.cli as cli_module
+    import smoothclap.tagging as tagging_module
+
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    labels = write_label_entries(tmp_path / "labels.jsonl")
+    thresholds = tmp_path / "thresholds.json"
+    argv = ["tags", "--profiles", str(profiles), "--labels", str(labels),
+            "--out", str(tmp_path / "tags.jsonl")]
+    assert run_cli(*argv, "--thresholds-out", str(thresholds)) == 0
+    calls = {}
+    for module, name in ((tagging_module, "assign_bin"), (tagging_module, "render_tags"),
+                         (tagging_module, "fit_bins"), (cli_module, "render_tag_table")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    extra = ["--thresholds-out", str(thresholds)] if mode == "fit" else ["--thresholds-in", str(thresholds)]
+    assert run_cli(*argv, *extra) == 0
+    # one table call for all 10 records, and in fit mode one fit per feature:
+    # the five acoustic features and arousal
+    assert calls == {"render_tag_table": 1, **({"fit_bins": 6} if mode == "fit" else {})}
+
+
 @pytest.mark.parametrize("line", ["5", '"a string that mentions _meta"', "[1, 2]", "{not json"])
 def test_tags_rejects_jsonl_line_that_is_not_an_object(tmp_path, capsys, line):
     profiles = write_profiles(tmp_path / "profiles.jsonl")

@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from smoothclap import artifacts, evaluation
 
 from helpers import random_unit_rows, write_embeddings_csv, write_labels_csv
 from smoothclap.artifacts import read_labels_csv
@@ -122,6 +126,75 @@ def test_confusion_total_equals_sample_count():
 
 
 # --- report serialization ---
+
+def dumped_report(report, meta) -> str:
+    """The report as json.dumps(indent=2, sort_keys=True) writes it."""
+    doc = {
+        "class_names": report.class_names,
+        "confusion": report.confusion,
+        "per_class_recall": report.per_class_recall,
+        "uar": report.uar,
+        "predictions": [
+            {"id": p.utterance_id, "true": p.true_label, "predicted": p.predicted_label,
+             "scores": p.scores}
+            for p in report.predictions
+        ],
+        "warnings": report.warnings,
+    }
+    if meta is not None:
+        doc["_meta"] = meta
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def small_report(names, predictions):
+    report = confusion_and_uar([0, 1], [0, 0], 3, names)  # class 2 unsupported: a warning
+    report.predictions = predictions
+    return report
+
+
+REPORT_CASES = {
+    "no predictions": ([], {"seed": 0}),
+    "no meta": ([Prediction("u", "a", "b", [0.5, -0.25, 1e-300])], None),
+    "escaped strings": (
+        [Prediction('q"uo\\te', "ä中", "a\nb", [1.0, 2.0, 3.0]),
+         Prediction("\u2028\x00\x7f", "\"predictions\": []", "é", [0.0, -0.0, 1.5e300])],
+        {"seed": 1, "tool": "é \"x\""},
+    ),
+    "non-finite scores": ([Prediction("u", "a", "a", [float("nan"), float("inf"), float("-inf")])],
+                          {"seed": 2}),
+    "empty scores": ([Prediction("u", "a", "a", []), Prediction("v", "b", "a", [0.1])], {"seed": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_bytes_are_those_of_json_dumps(tmp_path, case):
+    predictions, meta = REPORT_CASES[case]
+    report = small_report(["a", "b", "c"], predictions)
+    assert report.warnings
+    path = tmp_path / "report.json"
+    save_report(path, report, meta=meta)
+    assert path.read_text() == dumped_report(report, meta)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    names=st.lists(st.text(max_size=4), min_size=3, max_size=3),
+    predictions=st.lists(st.builds(
+        Prediction, st.text(max_size=5), st.text(max_size=3), st.text(max_size=3),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
+    ), max_size=5),
+)
+def test_fuzzed_report_bytes_are_those_of_json_dumps(tmp_path, names, predictions):
+    report = small_report(names, predictions)
+    path = tmp_path / "report.json"
+    save_report(path, report, meta={"seed": 4})
+    assert path.read_text() == dumped_report(report, {"seed": 4})
+
+
+def test_evaluation_save_report_is_the_artifacts_writer():
+    assert evaluation.save_report is artifacts.save_report
+
 
 def test_report_roundtrip(tmp_path):
     report = confusion_and_uar([0, 1, 1], [0, 1, 0], 2, ["neg", "pos"])

@@ -127,6 +127,35 @@ def test_load_accepts_the_sample_rate_bounds(tmp_path, rate):
     assert w.samples.size == math.ceil(4000 * 16000 / rate)
 
 
+@pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
+def test_load_resamples_bitwise_as_plain_resample_poly(tmp_path, monkeypatch, rate):
+    import smoothclap.paralinguistics as para
+    from scipy.signal import resample_poly
+
+    samples = synth_chirp(100.0, 900.0, 0.4, 0.5, rate=rate)
+    write_wav(tmp_path / "r.wav", samples, rate=rate)
+    pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0) / 32768.0
+    g = math.gcd(rate, 16000)
+    expected = np.clip(resample_poly(pcm, 16000 // g, rate // g), -1.0, 1.0)
+    calls = []
+
+    def recording(*args, **kwargs):  # load_wav resamples through the module global
+        calls.append(kwargs)
+        return resample_poly(*args, **kwargs)
+
+    monkeypatch.setattr(para, "resample_poly", recording)
+    for _ in range(2):  # the second load takes the cached filter
+        got = load_wav(tmp_path / "r.wav").samples
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert len(calls) == 2 and all("window" in kwargs for kwargs in calls)
+
+
+def test_resample_filter_cache_is_bounded():
+    from smoothclap.paralinguistics import _resample_filter
+
+    assert 0 < _resample_filter.cache_info().maxsize <= 8
+
+
 def test_load_rejects_empty_data(tmp_path):
     blob = b"RIFF" + struct.pack("<I", 36) + b"WAVE"
     blob += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)

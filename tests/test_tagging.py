@@ -1,24 +1,38 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothclap.errors import (
     MissingThresholds,
     NonFiniteValue,
+    SmoothClapError,
     TooFewValues,
     UnknownLabel,
 )
 from smoothclap.fixtures import synth_tone
 from smoothclap.paralinguistics import Waveform, acoustic_profile
 from smoothclap.tagging import (
+    ACOUSTIC_FEATURES,
+    BINNED_FEATURES,
+    DIMENSION_FEATURES,
+    LABEL_KINDS,
+    OPEN_TEMPLATES,
     Bin,
     BinThresholds,
     TemplateSet,
     assign_bin,
     fit_bins,
+    fit_thresholds,
     profile_feature_values,
+    render_tag_table,
     render_tags,
 )
-from smoothclap.artifacts import load_thresholds, save_thresholds
+from smoothclap.artifacts import load_thresholds, save_thresholds, write_tags
 
 
 # --- fit_bins ---
@@ -214,3 +228,184 @@ def test_thresholds_roundtrip(tmp_path):
     assert loaded["pitch"].high == 250.0
     assert templates.emotions == frozenset({"happy", "sad"})
     assert templates.genders is None
+
+
+# --- the table form against the per-record renderer --------------------------------
+
+def oracle_assign_bin(value, thresholds):
+    if not np.isfinite(value):
+        raise NonFiniteValue(f"cannot bin non-finite value {value}")
+    if value <= thresholds.low:
+        return Bin.LOW
+    if value > thresholds.high:
+        return Bin.HIGH
+    return Bin.MID
+
+
+def oracle_render_tags(utterance_id, labels, dims, acoustics, thresholds,
+                       templates=OPEN_TEMPLATES) -> dict:
+    """The renderer of earlier versions, one record and one bin call per value
+    at a time: the oracle of render_tag_table, as a tags-file record."""
+    labels = labels or {}
+    dims = dims or {}
+    acoustics = acoustics or {}
+    tags, bins = [], {}
+    for kind in LABEL_KINDS:
+        if kind in labels:
+            tags.append(templates.check_label(kind, labels[kind]))
+    for feature in DIMENSION_FEATURES:
+        if feature not in dims:
+            continue
+        if feature not in thresholds:
+            raise MissingThresholds(f"no thresholds fitted for {feature}")
+        b = oracle_assign_bin(float(dims[feature]), thresholds[feature])
+        bins[feature] = b.key
+        tags.append(f"{('low', 'mid', 'high')[int(b)]} {feature}")
+    for feature in ACOUSTIC_FEATURES:
+        if feature not in acoustics:
+            continue
+        if feature not in thresholds:
+            raise MissingThresholds(f"no thresholds fitted for {feature}")
+        b = oracle_assign_bin(float(acoustics[feature]), thresholds[feature])
+        bins[feature] = b.key
+        if feature == "duration":
+            tags.append(f"{('short', 'medium', 'long')[int(b)]} duration")
+        else:
+            tags.append(f"{('low', 'normal', 'high')[int(b)]} {feature}")
+    seen = set()
+    unique = [t for t in tags if not (t in seen or seen.add(t))]
+    return {"id": utterance_id, "tags": unique, "bins": bins}
+
+
+# labels that equal template tags exercise the dedupe
+LABEL_POOL = ["sad", "happy", "f", "high pitch", "low arousal", "mid valence",
+              "medium duration", "normal jitter", "sad"]
+CUTS = [-1.0, 0.0, 0.5, 2.0]
+
+
+@st.composite
+def tag_corpora(draw, faults=False):
+    """(rows, thresholds, templates); a row is (id, labels, dims, acoustics).
+    Values fall on the cut points often, some cut pairs are equal, and rows
+    lack features at random. With ``faults`` a feature may have no
+    thresholds, a value may be NaN or infinite, and labels may be unknown."""
+    thresholds = {}
+    for feature in BINNED_FEATURES:
+        if faults and draw(st.integers(0, 7)) == 0:
+            continue
+        low = draw(st.sampled_from(CUTS))
+        thresholds[feature] = BinThresholds(feature, low, low + draw(st.sampled_from([0.0, 0.5, 1.5])))
+    value = st.one_of(
+        st.sampled_from(CUTS + [0.25, 1.0, 2.5, 3.5, -3.0]),
+        st.floats(-5.0, 5.0, allow_nan=False),
+        *([st.sampled_from([np.nan, np.inf, -np.inf])] if faults else []),
+    )
+    label = st.sampled_from(LABEL_POOL + ([""] if faults else []))
+
+    def some(keys, values):
+        return st.dictionaries(st.sampled_from(keys), values, max_size=len(keys))
+
+    row = st.tuples(
+        st.text(min_size=1, max_size=6),  # ids with quotes, backslashes, non-ASCII
+        some(LABEL_KINDS, label),
+        some(DIMENSION_FEATURES, value),
+        some(ACOUSTIC_FEATURES, value),
+    )
+    rows = draw(st.lists(row, max_size=12))
+    templates = OPEN_TEMPLATES
+    if faults and draw(st.booleans()):
+        templates = TemplateSet(emotions=frozenset({"sad", "high pitch"}),
+                                genders=frozenset({"f"}))
+    return rows, thresholds, templates
+
+
+def outcome(fn):
+    """The result of fn(), or the type and message of the error it raised."""
+    try:
+        return fn()
+    except SmoothClapError as exc:
+        return type(exc), str(exc)
+
+
+def table_of(rows, thresholds, templates):
+    ids, labels, dims, acoustics = (list(column) for column in zip(*rows)) if rows else ([],) * 4
+    return render_tag_table(ids, labels, dims, acoustics, thresholds, templates)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(tag_corpora())
+def test_table_form_and_writer_match_the_per_record_renderer(corpus):
+    rows, thresholds, templates = corpus
+    expected = [oracle_render_tags(*row, thresholds, templates) for row in rows]
+    table = table_of(rows, thresholds, templates)
+    assert [table.record(i).to_json_dict() for i in range(len(rows))] == expected
+    assert [render_tags(*row, thresholds, templates).to_json_dict() for row in rows] == expected
+    meta = {"seed": 3, "tool": "smoothclap-tags"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tags.jsonl"
+        write_tags(path, table, meta)
+        written = path.read_bytes()
+    lines = [json.dumps({"_meta": meta}, sort_keys=True)]
+    lines += [json.dumps(record, sort_keys=True) for record in expected]
+    assert written == "".join(line + "\n" for line in lines).encode()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(tag_corpora(faults=True))
+def test_table_form_raises_the_error_the_per_record_renderer_meets_first(corpus):
+    rows, thresholds, templates = corpus
+
+    def oracle():
+        return [oracle_render_tags(*row, thresholds, templates) for row in rows]
+
+    def table():
+        t = table_of(rows, thresholds, templates)
+        return [t.record(i).to_json_dict() for i in range(len(rows))]
+
+    assert outcome(table) == outcome(oracle)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(tag_corpora())
+def test_fit_thresholds_fits_each_feature_on_all_its_values(corpus):
+    rows, _, _ = corpus
+    dims = [row[2] for row in rows]
+    acoustics = [row[3] for row in rows]
+    values = {}
+    for records in (dims, acoustics):
+        for record in records:
+            for feature, value in record.items():
+                values.setdefault(feature, []).append(value)
+
+    def expected():
+        return {f: fit_bins(values[f], f) for f in BINNED_FEATURES if f in values}
+
+    assert outcome(lambda: fit_thresholds(dims, acoustics)) == outcome(expected)
+
+
+def test_table_form_bins_at_the_cut_points_like_assign_bin():
+    t = BinThresholds("pitch", 1.0, 1.0)
+    values = [0.5, 1.0, np.nextafter(1.0, 2.0), 2.0]
+    table = render_tag_table(
+        ["a", "b", "c", "d"], [{}] * 4, [{}] * 4, [{"pitch": v} for v in values], {"pitch": t}
+    )
+    assert table.codes["pitch"].tolist() == [int(assign_bin(v, t)) for v in values] == [0, 0, 2, 2]
+    assert table.tags == [["low pitch"], ["low pitch"], ["high pitch"], ["high pitch"]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("feature", ["valence", "shimmer"])
+def test_table_form_rejects_a_present_non_finite_value(bad, feature):
+    source = 2 if feature in DIMENSION_FEATURES else 3
+    rows = []
+    for i, value in enumerate([0.1, 0.2, bad, np.nan]):
+        row = [f"u{i}", {}, {}, {}]
+        if i != 1:  # a row without the feature between finite and non-finite ones
+            row[source] = {feature: value}
+        rows.append(tuple(row))
+    thresholds = {feature: BinThresholds(feature, 0.0, 1.0)}
+    with pytest.raises(NonFiniteValue, match=f"cannot bin non-finite value {bad}"):
+        table_of(rows, thresholds, OPEN_TEMPLATES)
+    assert outcome(lambda: table_of(rows, thresholds, OPEN_TEMPLATES)) == outcome(
+        lambda: [oracle_render_tags(*row, thresholds) for row in rows]
+    )
