@@ -119,23 +119,28 @@ def _read_json(path) -> dict:
     return doc
 
 
-def _run_options(doc: dict, by_key: dict, where: str, strict: bool, prefix: str = "") -> dict:
+def _run_options(
+    doc: dict, by_key: dict, where: str, strict: bool, within: str = "", prefix: str = ""
+) -> dict:
     """Run option values of a config object, coerced to each option's type.
     Nested objects address their keys dotted; with ``strict`` an unknown key is
-    an error, otherwise it is skipped."""
+    an error, otherwise it is skipped. Messages name a key as ``within`` plus
+    its dotted key."""
     values = {}
     for key, value in doc.items():
         name = prefix + key
         if isinstance(value, dict):
-            values.update(_run_options(value, by_key, where, strict, name + "."))
+            values.update(_run_options(value, by_key, where, strict, within, name + "."))
         elif name in by_key:
             opt = by_key[name]
             try:
                 values[opt] = opt.type(value)
             except (TypeError, ValueError):
-                raise ConfigError(f"{where}: bad value for {name!r}: {value!r:.40}") from None
+                raise ConfigError(
+                    f"{where}: bad value for {within + name!r}: {value!r:.40}"
+                ) from None
         elif strict:
-            raise ConfigError(f"{where}: unknown config key {name!r}")
+            raise ConfigError(f"{where}: unknown config key {within + name!r}")
     return values
 
 
@@ -284,13 +289,14 @@ def load_model(path):
             f"{where}: text input width {text.in_dim} is not the vocabulary size "
             f"{len(vocabulary)}"
         )
-    # the echo nests options by section under their field names; keys of older
-    # versions are skipped
-    echo_keys = {".".join(filter(None, ("config", o.section, o.field))): o for o in RUN_OPTIONS}
+    # the echo holds each option at its path; older versions echo lr as
+    # lr_projection, and their other retired keys are skipped
+    by_path = {opt.path: opt for opt in RUN_OPTIONS}
+    echo_keys = {"lr_projection": by_path["lr"], **by_path}
     values = _run_options(_field(doc, "config", where, dict), echo_keys, where, False, "config.")
-    if values.get(echo_keys["config.objective"]) == "clap":
+    if values.get(by_path["objective"]) == "clap":
         # objective clap trained at 1 whatever clap_mix_lambda older versions echo
-        values.pop(echo_keys["config.clap_mix_lambda"], None)
+        values.pop(by_path["clap_mix_lambda"], None)
     try:
         config = TrainConfig.from_options(values)
     except (SmoothClapError, ValueError) as exc:

@@ -50,19 +50,13 @@ logger = logging.getLogger(__name__)
 
 
 # --- run configuration ----------------------------------------------------------
-# Every flag and config key below derives from trainer.RUN_OPTIONS. The seed is
-# taken by every subcommand and sits at the top level of a config file; the
-# other options sit under their section ("smoothing") or under "train".
+# Every flag and config key below derives from trainer.RUN_OPTIONS. A config
+# file names an option by its field or by its path in the config echo of
+# model.json ("gamma" or "smoothing.gamma"); nested objects flatten to dotted
+# paths, so that echo is itself a valid config file.
 
-_SEED = next(opt for opt in RUN_OPTIONS if opt.name == "seed")
-
-
-def _config_key(opt: RunOption) -> str:
-    return opt.name if opt is _SEED else f"{opt.section or 'train'}.{opt.name}"
-
-
-# accepted config-file keys, flat and dotted; nested objects flatten to dotted
-_OPTIONS_BY_KEY = {key: opt for opt in RUN_OPTIONS for key in (opt.name, _config_key(opt))}
+_SEED = next(opt for opt in RUN_OPTIONS if opt.path == "seed")
+_OPTIONS_BY_KEY = {key: opt for opt in RUN_OPTIONS for key in (opt.field, opt.path)}
 
 
 def _flag_spec(opt: RunOption) -> tuple[str, dict]:
@@ -70,7 +64,7 @@ def _flag_spec(opt: RunOption) -> tuple[str, dict]:
         kind = {"choices": [m.value for m in opt.type]}
     else:
         kind = {"type": opt.type}
-    return "--" + opt.name.replace("_", "-"), {"dest": opt.name, **kind}
+    return "--" + opt.field.replace("_", "-"), {"dest": opt.field, **kind}
 
 
 _SEED_FLAG = _flag_spec(_SEED)
@@ -85,7 +79,7 @@ def resolve_run_options(args: argparse.Namespace) -> dict[RunOption, object]:
     """
     values = artifacts.read_config(args.config, _OPTIONS_BY_KEY) if args.config else {}
     for opt in RUN_OPTIONS:
-        flag_value = getattr(args, opt.name, None)
+        flag_value = getattr(args, opt.field, None)
         if flag_value is not None:
             values[opt] = opt.type(flag_value)
     return values
@@ -128,7 +122,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         records.append({"id": utt_id, **asdict(profile)})
     artifacts.write_jsonl(args.out, records, meta)
     if failures:
-        print(f"warning: {failures} of {len(inputs)} files failed", file=sys.stderr)
+        level = "error" if args.strict else "warning"
+        print(f"{level}: {failures} of {len(inputs)} files failed", file=sys.stderr)
         if args.strict:
             return 1
     return 0
@@ -141,8 +136,7 @@ def cmd_tags(args: argparse.Namespace) -> int:
     profiles_by_id = artifacts.read_profiles(args.profiles)
     labels_by_id = artifacts.read_labels(args.labels) if args.labels else {}
 
-    fit_mode = args.thresholds_in is None or args.refit
-    if fit_mode:
+    if args.thresholds_in is None:
         label_records = list(labels_by_id.values())
         try:
             thresholds = fit_thresholds(
@@ -235,6 +229,9 @@ def _evaluate(
     if missing:
         raise ConfigError(f"{len(missing)} audio id(s) have no label, e.g. {missing[0]!r}")
     name_to_index = {name: i for i, name in enumerate(class_names)}
+    if len(name_to_index) < len(class_names):
+        repeated = next(name for name in class_names if class_names.count(name) > 1)
+        raise ConfigError(f"query class {repeated!r} is given more than once")
     unknown = sorted({labels[i] for i in audio_ids} - set(class_names))
     if unknown:
         raise ConfigError(
@@ -413,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tags", help="render tags from profiles and labels")
     p.add_argument("--profiles", required=True, help="profiles JSONL from extract")
     p.add_argument("--labels", help="labels JSONL (id, emotion, gender, dims)")
-    p.add_argument("--thresholds-in", dest="thresholds_in", help="reuse fitted thresholds")
-    p.add_argument("--thresholds-out", dest="thresholds_out", help="where to write fitted thresholds")
-    p.add_argument("--refit", action="store_true", help="refit thresholds even when --thresholds-in is given")
+    thresholds = p.add_mutually_exclusive_group()
+    thresholds.add_argument("--thresholds-in", dest="thresholds_in", help="reuse fitted thresholds")
+    thresholds.add_argument("--thresholds-out", dest="thresholds_out", help="where to write fitted thresholds")
     p.add_argument("--out", required=True, help="output tag records JSONL")
     _add_config_flags(p)
     p.set_defaults(func=cmd_tags)

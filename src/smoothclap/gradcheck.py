@@ -26,13 +26,13 @@ DEFAULT_SIZES = ((2, 3), (2, 16), (4, 3), (4, 16), (8, 3), (8, 16))
 GAMMA_GRID = (0.0, 0.5, 1.0)
 BETA_GRID = (0.1, 0.5, 1.0)
 TAU_PRED_CYCLE = (0.5, 1.0, 2.0)
+STEP = 1e-5  # central-difference step
 
 
 def finite_difference_grads(
     batch: EmbeddingBatch,
     cfg: SmoothingConfig,
     clap_mix_lambda: float = 0.0,
-    h: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Central differences for both embedding matrices and log(tau_pred), of
     ``loss_and_grad``'s mix at ``clap_mix_lambda``. The targets are built once,
@@ -51,7 +51,7 @@ def finite_difference_grads(
 
     def central(args_at) -> float:
         # args_at(step): the arguments of f with one coordinate moved by step
-        return (f(*args_at(h)) - f(*args_at(-h))) / (2.0 * h)
+        return (f(*args_at(STEP)) - f(*args_at(-STEP))) / (2.0 * STEP)
 
     num_audio = np.zeros_like(batch.audio)
     for index in np.ndindex(num_audio.shape):
@@ -123,7 +123,6 @@ def _case_configs() -> list[tuple[float, SmoothingConfig]]:
 def run_gradcheck_suite(
     seed: int = 0,
     sizes: tuple[tuple[int, int], ...] = DEFAULT_SIZES,
-    h: float = 1e-5,
     corrupt_gradient: bool = False,
 ) -> GradCheckReport:
     """Sweep batch sizes, dimensions, and mix and smoothing configurations.
@@ -144,7 +143,7 @@ def run_gradcheck_suite(
             out = loss_and_grad(batch, cfg, lam)
             if corrupt_gradient:
                 out.grad_audio[0, 0] += 1e-3
-            num_a, num_t, num_lt = finite_difference_grads(batch, cfg, lam, h=h)
+            num_a, num_t, num_lt = finite_difference_grads(batch, cfg, lam)
             err = max(
                 max_relative_error(out.grad_audio, num_a),
                 max_relative_error(out.grad_text, num_t),

@@ -155,8 +155,8 @@ def _resample_filter(max_rate: int) -> np.ndarray:
     return h
 
 
-def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
-    """Decode a PCM-16 or IEEE-float32 WAV file to mono at ``target_rate``.
+def load_wav(path) -> Waveform:
+    """Decode a PCM-16 or IEEE-float32 WAV file to mono at ``TARGET_RATE``.
 
     Channels are averaged, samples normalized to [-1, 1], and rate conversion
     uses polyphase windowed-sinc interpolation. Header rates outside
@@ -197,14 +197,14 @@ def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
         raise EmptyAudio(f"{path} decodes to zero samples")
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels).mean(axis=1)
-    if sample_rate != target_rate:
-        g = math.gcd(sample_rate, target_rate)
-        up, down = target_rate // g, sample_rate // g
+    if sample_rate != TARGET_RATE:
+        g = math.gcd(sample_rate, TARGET_RATE)
+        up, down = TARGET_RATE // g, sample_rate // g
         samples = resample_poly(samples, up, down, window=_resample_filter(max(up, down)))
         if samples.size == 0:
             raise EmptyAudio(f"{path} is too short to resample")
     samples = np.clip(samples, -1.0, 1.0)
-    return Waveform(samples=samples, sample_rate=target_rate)
+    return Waveform(samples=samples, sample_rate=TARGET_RATE)
 
 
 # --- framing and frame-level features ---------------------------------------
@@ -244,13 +244,13 @@ def _normalized_autocorr(frames: np.ndarray, max_lag: int) -> np.ndarray:
         nfft *= 2
     spec = np.fft.rfft(frames, nfft, axis=1)
     raw = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, : max_lag + 1]
-    sq = frames * frames
-    cum = np.cumsum(sq, axis=1)
-    total = cum[:, -1:]
+    # cum[:, k] is the energy of x[:k]
+    cum = np.zeros((frames.shape[0], n + 1))
+    np.cumsum(frames * frames, axis=1, out=cum[:, 1:])
     lags = np.arange(max_lag + 1)
-    # energy of the leading segment x[0 : n-lag] and the trailing segment x[lag : n]
-    e_head = cum[:, n - 1 - lags]
-    e_tail = np.where(lags == 0, total, total - cum[:, np.maximum(lags - 1, 0)])
+    # energy of the leading segment x[:n-lag] and the trailing segment x[lag:]
+    e_head = cum[:, n - lags]
+    e_tail = cum[:, n:] - cum[:, lags]
     denom = np.sqrt(np.maximum(e_head * e_tail, 0.0))
     return np.where(denom > 0.0, raw / np.maximum(denom, 1e-300), 0.0)
 

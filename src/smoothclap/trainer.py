@@ -151,13 +151,12 @@ class TrainConfig:
     """Everything the training loop needs besides the data.
 
     Its scalar fields, and those of its SmoothingConfig, are the run options:
-    the CLI flags, config-file keys and JSON echo all derive from them. An
-    ``option`` entry in a field's metadata renames its flag and config key.
+    the CLI flags, config-file keys and JSON echo all derive from them.
     """
 
     batch_size: int = 32
     epochs: int = 10
-    lr_projection: float = field(default=1e-3, metadata={"option": "lr"})
+    lr: float = 1e-3
     seed: int = 0
     embed_dim: int = 16
     clap_mix_lambda: float = 0.0
@@ -170,8 +169,8 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         # zero is allowed so a frozen run can serve as a no-learning baseline
-        if self.lr_projection < 0.0:
-            raise ValueError(f"lr_projection must be >= 0, got {self.lr_projection}")
+        if self.lr < 0.0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.embed_dim < 2:
             raise ValueError(f"embed_dim must be >= 2, got {self.embed_dim}")
         if not 0.0 <= self.clap_mix_lambda <= 1.0:
@@ -187,8 +186,9 @@ class TrainConfig:
         kwargs: dict[str, object] = {}
         sections: dict[str, dict[str, object]] = {}
         for opt, value in values.items():
-            target = sections.setdefault(opt.section, {}) if opt.section else kwargs
-            target[opt.field] = value
+            section, _, name = opt.path.rpartition(".")
+            target = sections.setdefault(section, {}) if section else kwargs
+            target[name] = value
         for section, section_kwargs in sections.items():
             kwargs[section] = _SECTION_TYPES[section](**section_kwargs)
         return cls(**kwargs)
@@ -206,17 +206,18 @@ class TrainConfig:
 class RunOption:
     """One run option: a scalar field of TrainConfig or of its SmoothingConfig.
 
-    ``section`` is the TrainConfig field holding the option's dataclass, or
-    None for TrainConfig's own fields. ``name`` is the flag and flat
-    config-file key. ``type`` (int, float or an Enum) coerces flag, file and
-    JSON values.
+    ``path`` is the option's dotted key in ``TrainConfig.to_json_dict()``,
+    such as ``"epochs"`` or ``"smoothing.gamma"``; its last part is the field
+    name. ``type`` (int, float or an Enum) coerces flag, file and JSON values.
     """
 
-    section: str | None
-    field: str
-    name: str
+    path: str
     type: type
     default: object
+
+    @property
+    def field(self) -> str:
+        return self.path.rpartition(".")[2]
 
 
 def _with_enum_values(items: list[tuple[str, object]]) -> dict:
@@ -227,17 +228,16 @@ def _run_options() -> tuple[tuple[RunOption, ...], dict[str, type]]:
     options: list[RunOption] = []
     sections: dict[str, type] = {}
 
-    def collect(cls: type, section: str | None) -> None:
+    def collect(cls: type, prefix: str) -> None:
         hints = get_type_hints(cls)
         for f in fields(cls):
             if is_dataclass(hints[f.name]):
                 sections[f.name] = hints[f.name]
-                collect(hints[f.name], f.name)
+                collect(hints[f.name], f.name + ".")
             else:
-                name = f.metadata.get("option", f.name)
-                options.append(RunOption(section, f.name, name, hints[f.name], f.default))
+                options.append(RunOption(prefix + f.name, hints[f.name], f.default))
 
-    collect(TrainConfig, None)
+    collect(TrainConfig, "")
     return tuple(options), sections
 
 
@@ -372,7 +372,7 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
             g_wt = xt.T @ dzt
             g_bt = dzt.sum(axis=0)
 
-            lr = config.lr_projection
+            lr = config.lr
             proj_a.weights, states["wa"] = adam_step(proj_a.weights, g_wa, states["wa"], lr)
             proj_a.bias, states["ba"] = adam_step(proj_a.bias, g_ba, states["ba"], lr)
             proj_t.weights, states["wt"] = adam_step(proj_t.weights, g_wt, states["wt"], lr)

@@ -306,7 +306,7 @@ def _train_and_score(fixture, seed, objective):
     config = TrainConfig(
         batch_size=32,
         epochs=40,
-        lr_projection=3e-2,
+        lr=3e-2,
         seed=seed,
         embed_dim=16,
         smoothing=SmoothingConfig(gamma=0.5, beta=0.1, kl_mode=KLMode.SYMMETRIC),

@@ -89,7 +89,7 @@ def corpus(tmp_path_factory):
     ) == 0
     files["config"] = root / "config.json"
     files["config"].write_text(
-        json.dumps({"seed": 3, "smoothing": {"gamma": 0.4}, "train.epochs": 2, "lr": 0.01})
+        json.dumps({"seed": 3, "smoothing": {"gamma": 0.4}, "epochs": 2, "lr": 0.01})
     )
     files["root"] = root
     return files
@@ -292,6 +292,13 @@ def test_model_reader_skips_config_keys_of_older_versions(corpus):
     assert loaded.config == load_model(corpus["model"]).config
 
 
+def test_model_reader_takes_lr_projection_of_older_versions_as_lr(corpus):
+    doc = model_doc(corpus)
+    del doc["config"]["lr"]
+    doc["config"]["lr_projection"] = 0.05
+    assert load_model(write_doc(corpus, "old_lr.json", doc)).config.lr == 0.05
+
+
 def test_model_reader_takes_clap_with_a_partial_mix_of_older_versions_as_clap(corpus):
     # older versions trained objective clap at lambda 1 whatever clap_mix_lambda
     # said, and echoed both
@@ -468,6 +475,14 @@ FUZZED_READERS = {
     "config": ("config", document_mutations,
                lambda c, p: tags_argv(c) + ["--config", p]),
 }
+
+
+@pytest.mark.parametrize("reader", sorted(FUZZED_READERS))
+def test_unmutated_fuzz_inputs_are_accepted(corpus, reader):
+    # otherwise every fuzzed example could stop at the same error
+    key, _, argv = FUZZED_READERS[reader]
+    code, err = run_main(*argv(corpus, corpus[key]))
+    assert code == 0 and not any(line.startswith("error:") for line in err), err
 
 
 @pytest.mark.parametrize("reader", sorted(FUZZED_READERS))

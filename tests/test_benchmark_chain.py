@@ -1,0 +1,44 @@
+"""The benchmark's wav_pipeline chain, traced, at a tiny size.
+
+``perfbench/chains.py`` drives every subcommand through ``cli.main`` with the
+flags it passes, and ``perfbench/spans.py`` wraps package functions by name.
+A renamed spanned function or a changed flag then fails here as well as in
+the benchmark run. The benchmark's files are imported, never written.
+"""
+import dataclasses
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SUBCOMMANDS = ["extract", "tags", "train", "eval", "gradcheck"]
+
+
+@pytest.fixture(scope="module")
+def chains():
+    # chains imports corpora and spans as top-level modules
+    sys.path.insert(0, str(BENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        yield importlib.import_module("chains")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_wav_pipeline_chain_reports_no_problems(chains, tmp_path):
+    # the sizes of the benchmark's own smoke test, each subcommand called once
+    wl = dataclasses.replace(
+        chains.WORKLOADS["wav_pipeline"], wav_clean=48, wav_durations=(0.3,),
+        malformed_per_kind=1, batch_size=8, epochs=3, repeats=(),
+    )
+    corpus = chains.build_corpus(wl, seed=5, root=tmp_path / "corpus")
+    result = chains.run_chain(wl, corpus, seed=5, out=tmp_path / "out", traced=True)
+    assert result.problems == []
+    assert result.calls == dict.fromkeys(SUBCOMMANDS, 1)
+    spans = result.tracer.spans
+    assert [s.name for s in spans if s.parent == -1] == SUBCOMMANDS
+    assert {f"cli.{c}" for c in SUBCOMMANDS} <= {s.name for s in spans}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,14 +19,16 @@ from helpers import (
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.objective import KLMode, SmoothingConfig
 from smoothclap.trainer import (
+    RUN_OPTIONS,
     ObjectiveKind,
+    RunOption,
     TrainConfig,
     embed_audio,
     embed_query_labels,
     load_model,
     train,
 )
-from smoothclap.cli import build_parser, resolve_train_config
+from smoothclap.cli import _OPTIONS_BY_KEY, build_parser, resolve_train_config
 
 
 def read_jsonl_records(path):
@@ -85,12 +88,14 @@ def test_extract_corrupt_file_policy(tmp_path, capsys):
 
     assert run_cli("extract", "--manifest", str(manifest), "--out", str(out)) == 0
     assert len(read_jsonl_records(out)) == 2
-    assert "failed" in capsys.readouterr().err
+    assert "warning: 1 of 3 files failed" in capsys.readouterr().err.splitlines()
 
     assert (
         run_cli("extract", "--manifest", str(manifest), "--out", str(out), "--strict")
         == 1
     )
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: 1 of 3 files failed"]
 
 
 def test_extract_skips_a_wav_with_an_out_of_range_sample_rate(tmp_path, monkeypatch, capsys):
@@ -268,6 +273,24 @@ def test_tags_bins_columns_not_records(tmp_path, monkeypatch, mode):
     # one table call for all 10 records, and in fit mode one fit per feature:
     # the five acoustic features and arousal
     assert calls == {"render_tag_table": 1, **({"fit_bins": 6} if mode == "fit" else {})}
+
+
+@pytest.mark.parametrize("flag", ["--refit", "--thresholds-out"])
+def test_tags_rejects_refit_and_both_threshold_flags(tmp_path, capsys, flag):
+    # --refit is gone, and --thresholds-out would be ignored with --thresholds-in
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    labels = write_label_entries(tmp_path / "labels.jsonl")
+    thresholds = tmp_path / "th.json"
+    out = tmp_path / "tags.jsonl"
+    argv = ["tags", "--profiles", str(profiles), "--labels", str(labels), "--out", str(out)]
+    assert run_cli(*argv, "--thresholds-out", str(thresholds)) == 0
+    out.unlink()
+    capsys.readouterr()
+    extra = [flag] if flag == "--refit" else [flag, str(tmp_path / "o.json")]
+    assert run_cli(*argv, "--thresholds-in", str(thresholds), *extra) == 2
+    assert not out.exists() and not (tmp_path / "o.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if "error:" in line]) == 1
 
 
 @pytest.mark.parametrize("line", ["5", '"a string that mentions _meta"', "[1, 2]", "{not json"])
@@ -652,6 +675,27 @@ def test_eval_unknown_query_label(tmp_path):
     assert code == 2
 
 
+def test_eval_rejects_a_repeated_query_label(tmp_path, capsys):
+    # argmax ties go to the first copy of a class, so a repeat would be mis-scored
+    files = cluster_files(tmp_path, seed=4)
+    model_path = tmp_path / "model.json"
+    assert run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--seed", "4", "--epochs", "2", "--batch-size", "16", "--out", str(model_path),
+    ) == 0
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run_cli(
+        "eval", "--model", str(model_path), "--features", str(files["features"]),
+        "--labels", str(files["labels"]), "--queries", "angry,angry,frustrated,happy,excited",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'angry'" in err[0]
+
+
 # --- gradcheck ---
 
 def test_gradcheck_small_sizes(capsys):
@@ -856,28 +900,24 @@ def test_flags_override_config_file(tmp_path):
     assert config_obj.epochs == 9  # file survives where no flag given
 
 
-# --- run options: every config field by flag, flat, dotted and nested key ---
+# --- run options: every config field by flag, field name, path and nested path ---
 
-# field (smoothing fields prefixed) -> (flag, flat key, dotted key, value, parsed)
+# path in the config echo -> (flag, value, parsed)
 RUN_OPTION_CASES = {
-    "batch_size": ("--batch-size", "batch_size", "train.batch_size", 16, 16),
-    "epochs": ("--epochs", "epochs", "train.epochs", 2, 2),
-    "lr_projection": ("--lr", "lr", "train.lr", 0.01, 0.01),
-    "seed": ("--seed", "seed", "seed", 3, 3),
-    "embed_dim": ("--embed-dim", "embed_dim", "train.embed_dim", 8, 8),
-    "clap_mix_lambda": (
-        "--clap-mix-lambda", "clap_mix_lambda", "train.clap_mix_lambda", 0.25, 0.25
-    ),
-    "objective": ("--objective", "objective", "train.objective", "clap", ObjectiveKind.CLAP),
-    "smoothing.gamma": ("--gamma", "gamma", "smoothing.gamma", 0.3, 0.3),
-    "smoothing.beta": ("--beta", "beta", "smoothing.beta", 0.2, 0.2),
-    "smoothing.tau_a2a": ("--tau-a2a", "tau_a2a", "smoothing.tau_a2a", 0.5, 0.5),
-    "smoothing.tau_t2t": ("--tau-t2t", "tau_t2t", "smoothing.tau_t2t", 0.6, 0.6),
-    "smoothing.tau_pred": ("--tau-pred", "tau_pred", "smoothing.tau_pred", 0.7, 0.7),
-    "smoothing.kl_mode": (
-        "--kl-mode", "kl_mode", "smoothing.kl_mode", "forward", KLMode.FORWARD
-    ),
-    "smoothing.floor": ("--floor", "floor", "smoothing.floor", 1e-9, 1e-9),
+    "batch_size": ("--batch-size", 16, 16),
+    "epochs": ("--epochs", 2, 2),
+    "lr": ("--lr", 0.01, 0.01),
+    "seed": ("--seed", 3, 3),
+    "embed_dim": ("--embed-dim", 8, 8),
+    "clap_mix_lambda": ("--clap-mix-lambda", 0.25, 0.25),
+    "objective": ("--objective", "clap", ObjectiveKind.CLAP),
+    "smoothing.gamma": ("--gamma", 0.3, 0.3),
+    "smoothing.beta": ("--beta", 0.2, 0.2),
+    "smoothing.tau_a2a": ("--tau-a2a", 0.5, 0.5),
+    "smoothing.tau_t2t": ("--tau-t2t", 0.6, 0.6),
+    "smoothing.tau_pred": ("--tau-pred", 0.7, 0.7),
+    "smoothing.kl_mode": ("--kl-mode", "forward", KLMode.FORWARD),
+    "smoothing.floor": ("--floor", 1e-9, 1e-9),
 }
 
 
@@ -925,14 +965,15 @@ def test_run_option_cases_cover_every_config_field():
 @pytest.mark.parametrize("source", ["flag", "flat", "dotted", "nested"])
 @pytest.mark.parametrize("path", sorted(RUN_OPTION_CASES))
 def test_run_option_reaches_train(tmp_path, monkeypatch, path, source):
-    flag, flat, dotted, value, parsed = RUN_OPTION_CASES[path]
+    # flat is the field name, dotted the path; they differ for smoothing fields
+    flag, value, parsed = RUN_OPTION_CASES[path]
     assert field_value(TrainConfig(), path) != parsed
     if source == "flag":
         argv = [flag, str(value)]
     else:
-        doc = {flat if source == "flat" else dotted: value}
+        doc = {path.rpartition(".")[2] if source == "flat" else path: value}
         if source == "nested":
-            for part in reversed(dotted.split(".")):
+            for part in reversed(path.split(".")):
                 value = {part: value}
             doc = value
         argv = ["--config", str(write_config(tmp_path, doc))]
@@ -941,7 +982,7 @@ def test_run_option_reaches_train(tmp_path, monkeypatch, path, source):
 
 
 def test_flag_beats_config_file_through_main(tmp_path, monkeypatch):
-    config_path = write_config(tmp_path, {"train": {"epochs": 5}, "smoothing.beta": 0.3})
+    config_path = write_config(tmp_path, {"epochs": 5, "smoothing": {"beta": 0.3}})
     config = config_received_by_train(
         tmp_path, monkeypatch, "--config", str(config_path), "--epochs", "2"
     )
@@ -956,6 +997,8 @@ def test_flag_beats_config_file_through_main(tmp_path, monkeypatch):
         {"train.lr_text": 1e-5},
         {"train": {"lr_text": 1e-5}},
         {"lr_projection": 0.01},
+        {"train.lr": 0.01},
+        {"train": {"epochs": 5}},
         {"train": {"seed": 1}},
         {"smoothing": {"lr": 0.01}},
     ],
@@ -967,7 +1010,49 @@ def test_unknown_run_option_keys_exit_2(tmp_path, doc, capsys):
         "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "m.json"),
     )
     assert code == 2
-    assert "unknown config key" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown config key" in err
+
+
+def test_model_config_echo_is_a_valid_config_file(tmp_path, monkeypatch):
+    files = cluster_files(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--seed", "4", "--epochs", "2", "--batch-size", "16", "--lr", "0.02",
+        "--embed-dim", "8", "--clap-mix-lambda", "0.25", "--gamma", "0.3", "--beta", "0.2",
+        "--tau-a2a", "0.5", "--kl-mode", "forward", "--out", str(model_path),
+    ) == 0
+    trained = load_model(model_path).config
+    echo = json.loads(model_path.read_text())["config"]
+    config = config_received_by_train(
+        tmp_path, monkeypatch, "--config", str(write_config(tmp_path, echo))
+    )
+    assert config == trained
+    assert config.lr == 0.02 and config.smoothing.kl_mode is KLMode.FORWARD
+
+
+def test_run_options_have_one_name_each():
+    # the path is the echo key and a config key; its last part is the field
+    # name, the flag and the other config key
+    assert not any(f.metadata for cls in (TrainConfig, SmoothingConfig) for f in fields(cls))
+    assert [f.name for f in fields(RunOption)] == ["path", "type", "default"]
+
+    def paths(doc, prefix=""):
+        for key, value in doc.items():
+            yield from paths(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key]
+
+    assert [opt.path for opt in RUN_OPTIONS] == list(paths(TrainConfig().to_json_dict()))
+    assert set(_OPTIONS_BY_KEY) == {k for o in RUN_OPTIONS for k in (o.path, o.field)}
+
+
+def test_train_help_lists_the_flags(capsys):
+    assert run_cli("train", "--help") == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert flags == {
+        "--help", "--features", "--tags", "--out", "--history", "--config",
+        *(flag for flag, _, _ in RUN_OPTION_CASES.values()),
+    }
 
 
 def test_lr_text_flag_is_gone(tmp_path):

@@ -1,5 +1,6 @@
 """The array-at-once F0 peak picking, shimmer walk and voiced runs against the
-per-frame and per-period loops they replaced.
+per-frame and per-period loops they replaced, and the autocorrelation's
+segment energies against their earlier form.
 
 The references below are the earlier implementations. The arithmetic is the
 same expressions in the same order, so agreement is bit for bit: ``frames_hz``
@@ -77,6 +78,23 @@ def reference_f0(frames, sample_rate, fmin=FMIN_HZ, fmax=FMAX_HZ,
         hz[fi] = sample_rate / refined
         voiced[fi] = True
     return hz, voiced, branches
+
+
+def reference_normalized_autocorr(frames, max_lag):
+    n = frames.shape[1]
+    nfft = 1
+    while nfft < 2 * n:
+        nfft *= 2
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    raw = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, : max_lag + 1]
+    sq = frames * frames
+    cum = np.cumsum(sq, axis=1)
+    total = cum[:, -1:]
+    lags = np.arange(max_lag + 1)
+    e_head = cum[:, n - 1 - lags]
+    e_tail = np.where(lags == 0, total, total - cum[:, np.maximum(lags - 1, 0)])
+    denom = np.sqrt(np.maximum(e_head * e_tail, 0.0))
+    return np.where(denom > 0.0, raw / np.maximum(denom, 1e-300), 0.0)
 
 
 def reference_voiced_runs(voiced):
@@ -279,3 +297,26 @@ def test_voiced_runs_match_the_loop(voiced):
     runs = track.voiced_runs()
     assert runs == reference_voiced_runs(voiced)
     assert all(type(i) is int for run in runs for i in run)
+
+
+def assert_same_autocorr(frames, max_lag):
+    got = _normalized_autocorr(frames, max_lag)
+    expected = reference_normalized_autocorr(frames, max_lag)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_random_frames_match_the_autocorr_energies():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(2, 500))
+        frames = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 8)), n))
+        frames *= rng.choice([1e-6, 1.0, 1e3], size=(frames.shape[0], 1))
+        frames[rng.random(frames.shape[0]) < 0.2] = 0.0
+        assert_same_autocorr(frames, int(rng.integers(0, n)))
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_fixture_signals_match_the_autocorr_energies(rate):
+    for samples in fixture_signals(rate).values():
+        frames = frame_signal(Waveform(samples, rate))
+        assert_same_autocorr(frames, frames.shape[1] - 1)

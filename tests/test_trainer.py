@@ -113,7 +113,7 @@ def test_adam_shape_mismatch():
 # --- training ---
 
 def small_config(**kw):
-    base = dict(batch_size=16, epochs=4, embed_dim=8, seed=3, lr_projection=1e-2)
+    base = dict(batch_size=16, epochs=4, embed_dim=8, seed=3, lr=1e-2)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -151,7 +151,7 @@ def test_train_insufficient_data():
 
 def test_train_zero_learning_rate_freezes_parameters():
     fx = make_cluster_fixture(seed=6, n_per_class=16)
-    frozen = train(fx.features, fx.tag_lists, small_config(lr_projection=0.0))
+    frozen = train(fx.features, fx.tag_lists, small_config(lr=0.0))
     rng = np.random.Generator(np.random.Philox(key=np.array([3, 0], dtype=np.uint64)))
     init_a = init_projection(fx.features.shape[1], 8, rng)
     np.testing.assert_array_equal(frozen.audio_projection.weights, init_a.weights)
