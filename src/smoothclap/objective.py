@@ -28,6 +28,7 @@ from .errors import (
     BetaOutOfRange,
     GammaOutOfRange,
     NonFiniteLoss,
+    NonFiniteValue,
     NonPositiveTemperature,
     NotSquare,
     ShapeMismatch,
@@ -75,10 +76,11 @@ class SmoothingConfig:
         if not 0.0 <= self.beta <= 1.0:
             raise BetaOutOfRange(f"beta must be in [0, 1], got {self.beta}")
         for name in ("tau_a2a", "tau_t2t", "tau_pred"):
-            if not getattr(self, name) > 0.0:
-                raise NonPositiveTemperature(
-                    f"{name} must be > 0, got {getattr(self, name)}"
-                )
+            tau = getattr(self, name)
+            if not tau > 0.0:
+                raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
+            if tau == np.inf:
+                raise NonFiniteValue(f"{name} must be finite, got {tau}")
         check_floor(self.floor)
         if self.kl_mode is KLMode.SYMMETRIC and not self.beta > 0.0:
             raise ZeroMassTarget(

@@ -20,6 +20,7 @@ import numpy as np
 # the model's reader and writer, next to the model they serialize
 from .artifacts import load_model, save_model  # noqa: F401
 from .errors import (
+    ConfigError,
     EmptyVocabulary,
     InsufficientData,
     LengthMismatch,
@@ -33,7 +34,7 @@ from .errors import (
     ZeroRow,
 )
 from .numeric import ZERO_ROW_TOL, as_matrix, l2_normalize_rows
-from .objective import EmbeddingBatch, SmoothingConfig, loss_and_grad, with_tau_pred
+from .objective import EmbeddingBatch, LossOutput, SmoothingConfig, loss_and_grad, with_tau_pred
 
 logger = logging.getLogger(__name__)
 
@@ -165,20 +166,20 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         # zero is allowed so a frozen run can serve as a no-learning baseline
-        if self.lr < 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.embed_dim < 2:
-            raise ValueError(f"embed_dim must be >= 2, got {self.embed_dim}")
+            raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
         if not 0.0 <= self.clap_mix_lambda <= 1.0:
-            raise ValueError("clap_mix_lambda must lie in [0, 1]")
+            raise ConfigError("clap_mix_lambda must lie in [0, 1]")
         if self.objective is ObjectiveKind.CLAP and 0.0 < self.clap_mix_lambda < 1.0:
-            raise ValueError(f"objective clap is clap_mix_lambda 1, not {self.clap_mix_lambda}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigError(f"objective clap is clap_mix_lambda 1, not {self.clap_mix_lambda}")
+        if not 0 <= self.seed < 2**64:  # a Philox key word
+            raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
 
     @classmethod
     def from_options(cls, values: dict[RunOption, object]) -> "TrainConfig":
@@ -304,6 +305,24 @@ def _tau_pred(log_tau: float) -> float:
         raise NonFiniteValue(f"tau_pred = exp({log_tau:.6g}) overflows") from None
 
 
+def train_step(
+    proj_a, proj_t, log_tau: float, audio, text, local_audio, smoothing, clap_mix_lambda=0.0
+) -> tuple[LossOutput, np.ndarray]:
+    """Loss of one batch of feature rows and one float64 vector of the gradients
+    of W_a, b_a, W_t, b_t and log_tau, each raveled, end to end in that order."""
+    za = proj_a.project(audio)
+    zt = proj_t.project(text)
+    cfg = with_tau_pred(smoothing, _tau_pred(log_tau))
+    ra = _row_norms_checked(za, "audio projection")
+    rt = _row_norms_checked(zt, "text projection")
+    out = loss_and_grad(EmbeddingBatch(za, zt, local_audio), cfg, clap_mix_lambda)
+    # undo the unit-norm evaluation point: d/dz = d/de / ||z||
+    dza = out.grad_audio / ra[:, None]
+    dzt = out.grad_text / rt[:, None]
+    grads = (audio.T @ dza, dza.sum(axis=0), text.T @ dzt, dzt.sum(axis=0), out.grad_log_tau_pred)
+    return out, np.concatenate([np.ravel(g) for g in grads])
+
+
 def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
     """Fit the two projections and log(tau_pred) on one in-memory dataset.
 
@@ -331,14 +350,13 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
     proj_a = init_projection(x.shape[1], config.embed_dim, init_rng)
     proj_t = init_projection(len(vocabulary), config.embed_dim, init_rng)
     log_tau = math.log(config.smoothing.tau_pred)
-
-    states = {
-        "wa": AdamState.zeros_like(proj_a.weights),
-        "ba": AdamState.zeros_like(proj_a.bias),
-        "wt": AdamState.zeros_like(proj_t.weights),
-        "bt": AdamState.zeros_like(proj_t.bias),
-        "lt": AdamState.zeros_like(np.zeros(())),
-    }
+    # the trained tensors become views of one vector in train_step's order
+    tensors = (proj_a.weights, proj_a.bias, proj_t.weights, proj_t.bias, log_tau)
+    flat = np.concatenate([np.ravel(t) for t in tensors])
+    parts = np.split(flat, np.cumsum([np.size(t) for t in tensors])[:-1])
+    w_a, b_a, w_t, b_t, log_tau = (p.reshape(np.shape(t)) for p, t in zip(parts, tensors))
+    proj_a, proj_t = ProjectionParams(w_a, b_a), ProjectionParams(w_t, b_t)
+    state = AdamState.zeros_like(flat)
 
     b = config.batch_size
     history: list[float] = []
@@ -348,45 +366,24 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
         losses: list[float] = []
         for start in range(0, n - b + 1, b):
             idx = perm[start : start + b]
-            xa = x[idx]
-            xt = text_feats[idx]
-            za = proj_a.project(xa)
-            zt = proj_t.project(xt)
             try:
-                cfg_step = with_tau_pred(config.smoothing, _tau_pred(log_tau))
-                ra = _row_norms_checked(za, "audio projection")
-                rt = _row_norms_checked(zt, "text projection")
-                batch = EmbeddingBatch(audio=za, text=zt, local_audio=local[idx])
-                out = loss_and_grad(batch, cfg_step, config.mix_lambda)
+                out, grad = train_step(
+                    proj_a, proj_t, float(log_tau), x[idx], text_feats[idx], local[idx],
+                    config.smoothing, config.mix_lambda,
+                )
             except (
                 ZeroRow, NonFiniteValue, NonPositiveTemperature, ZeroMassTarget, NonFiniteLoss
             ) as exc:
                 raise TrainingStepFailed(
                     f"epoch {epoch}, batch start {start}: {exc}"
                 ) from exc
-            # undo the unit-norm evaluation point: d/dz = d/de / ||z||
-            dza = out.grad_audio / ra[:, None]
-            dzt = out.grad_text / rt[:, None]
-            g_wa = xa.T @ dza
-            g_ba = dza.sum(axis=0)
-            g_wt = xt.T @ dzt
-            g_bt = dzt.sum(axis=0)
-
-            lr = config.lr
-            proj_a.weights, states["wa"] = adam_step(proj_a.weights, g_wa, states["wa"], lr)
-            proj_a.bias, states["ba"] = adam_step(proj_a.bias, g_ba, states["ba"], lr)
-            proj_t.weights, states["wt"] = adam_step(proj_t.weights, g_wt, states["wt"], lr)
-            proj_t.bias, states["bt"] = adam_step(proj_t.bias, g_bt, states["bt"], lr)
-            new_lt, states["lt"] = adam_step(
-                np.asarray(log_tau), np.asarray(out.grad_log_tau_pred), states["lt"], lr
-            )
-            log_tau = float(new_lt)
+            flat[:], state = adam_step(flat, grad, state, config.lr)
             losses.append(out.value)
         history.append(float(np.mean(losses)))
     return TrainedModel(
         audio_projection=proj_a,
         text_projection=proj_t,
-        log_tau_pred=log_tau,
+        log_tau_pred=float(log_tau),
         vocabulary=vocabulary,
         config=config,
         history=history,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import struct
@@ -886,6 +887,55 @@ def test_train_rejects_clap_objective_with_a_partial_mix(tmp_path, capsys, sourc
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "objective clap is clap_mix_lambda 1, not 0.5" in err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("seed", 2**64, "seed must lie in [0, 2**64 - 1], got 18446744073709551616"),
+        ("seed", -1, "seed must lie in [0, 2**64 - 1], got -1"),
+        ("lr", math.nan, "lr must be finite and >= 0, got nan"),
+        ("lr", math.inf, "lr must be finite and >= 0, got inf"),
+        ("lr", -1e-3, "lr must be finite and >= 0, got -0.001"),
+        ("smoothing.tau_pred", math.inf, "tau_pred must be finite, got inf"),
+        ("smoothing.tau_a2a", math.inf, "tau_a2a must be finite, got inf"),
+        ("smoothing.tau_t2t", math.nan, "tau_t2t must be > 0, got nan"),
+    ],
+    ids=[
+        "seed-2**64", "seed-neg", "lr-nan", "lr-inf", "lr-neg",
+        "tau_pred-inf", "tau_a2a-inf", "tau_t2t-nan",
+    ],
+)
+def test_out_of_range_run_option_exits_2_with_one_line(
+    tmp_path, capsys, command, source, path, value, message
+):
+    flag = RUN_OPTION_CASES[path][0]
+    if source == "flag":
+        argv = [flag, str(value)]
+    else:
+        argv = ["--config", str(write_config(tmp_path, {path: value}))]
+    files = cluster_files(tmp_path)
+    out = tmp_path / "out"
+    inputs = ["--features", str(files["features"]), "--tags", str(files["tags"])]
+    if command == "sweep":
+        inputs += ["--labels", str(files["labels"])]
+    code = run_cli(command, *inputs, "--batch-size", "16", "--out", str(out), *argv)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_largest_seed_trains(tmp_path):
+    files = cluster_files(tmp_path)
+    out = tmp_path / "m.json"
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--epochs", "1", "--seed", str(2**64 - 1), "--out", str(out),
+    )
+    assert code == 0
+    assert load_model(out).config.seed == 2**64 - 1
 
 
 def test_flags_override_config_file(tmp_path):

@@ -8,6 +8,7 @@ from helpers import random_unit_rows
 from smoothclap.errors import (
     BetaOutOfRange,
     GammaOutOfRange,
+    NonFiniteValue,
     NonPositiveTemperature,
     NotSquare,
     ShapeMismatch,
@@ -50,6 +51,10 @@ def test_config_validation():
         SmoothingConfig(beta=-0.1)
     with pytest.raises(NonPositiveTemperature):
         SmoothingConfig(tau_pred=0.0)
+    with pytest.raises(NonPositiveTemperature, match="tau_a2a must be > 0, got nan"):
+        SmoothingConfig(tau_a2a=np.nan)
+    with pytest.raises(NonFiniteValue, match="tau_t2t must be finite, got inf"):
+        SmoothingConfig(tau_t2t=np.inf)
     with pytest.raises(ValueError):
         SmoothingConfig(floor=1.0)
 

@@ -6,23 +6,28 @@ import numpy as np
 import pytest
 
 from smoothclap.errors import (
+    ConfigError,
     EmptyVocabulary,
     InsufficientData,
     ShapeMismatch,
     ZeroRow,
 )
 from smoothclap.fixtures import make_cluster_fixture
+from smoothclap.gradcheck import STEP, max_relative_error
 from smoothclap.numeric import l2_normalize_rows
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
     SmoothingConfig,
+    build_targets,
     loss_and_grad,
+    loss_with_fixed_targets,
     with_tau_pred,
 )
 from smoothclap.trainer import (
     AdamState,
     ObjectiveKind,
+    ProjectionParams,
     TrainConfig,
     adam_step,
     embed_audio,
@@ -33,6 +38,7 @@ from smoothclap.trainer import (
     load_model,
     save_model,
     train,
+    train_step,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_values.json").read_text())
@@ -200,7 +206,7 @@ def test_mix_lambda_resolves_the_objective(objective, lam, expected):
 
 
 def test_clap_objective_rejects_a_partial_mix():
-    with pytest.raises(ValueError, match="objective clap is clap_mix_lambda 1, not 0.5"):
+    with pytest.raises(ConfigError, match="objective clap is clap_mix_lambda 1, not 0.5"):
         TrainConfig(objective=ObjectiveKind.CLAP, clap_mix_lambda=0.5)
 
 
@@ -231,38 +237,118 @@ def test_descent_on_frozen_batch():
     text = np.abs(rng.standard_normal((8, 5))) + 0.1
     proj_a = init_projection(10, 6, rng)
     proj_t = init_projection(5, 6, rng)
-    smoothing = SmoothingConfig()
-    log_tau = 0.0
-    lr = 1e-4
-    states = {
-        "wa": AdamState.zeros_like(proj_a.weights),
-        "ba": AdamState.zeros_like(proj_a.bias),
-        "wt": AdamState.zeros_like(proj_t.weights),
-        "bt": AdamState.zeros_like(proj_t.bias),
-        "lt": AdamState.zeros_like(np.zeros(())),
-    }
+    flat = flatten(proj_a, proj_t, 0.0)
+    state = AdamState.zeros_like(flat)
     losses = []
     for _ in range(50):
-        za = proj_a.project(x)
-        zt = proj_t.project(text)
-        ra = np.linalg.norm(za, axis=1)
-        rt = np.linalg.norm(zt, axis=1)
-        batch = EmbeddingBatch(za, zt, x_local)
-        out = loss_and_grad(batch, with_tau_pred(smoothing, math.exp(log_tau)))
+        proj_a, proj_t, log_tau = unflatten(flat, 10, 5, 6)
+        out, grad = train_step(proj_a, proj_t, log_tau, x, text, x_local, SmoothingConfig())
         losses.append(out.value)
-        dza = out.grad_audio / ra[:, None]
-        dzt = out.grad_text / rt[:, None]
-        proj_a.weights, states["wa"] = adam_step(proj_a.weights, x.T @ dza, states["wa"], lr)
-        proj_a.bias, states["ba"] = adam_step(proj_a.bias, dza.sum(0), states["ba"], lr)
-        proj_t.weights, states["wt"] = adam_step(proj_t.weights, text.T @ dzt, states["wt"], lr)
-        proj_t.bias, states["bt"] = adam_step(proj_t.bias, dzt.sum(0), states["bt"], lr)
-        new_lt, states["lt"] = adam_step(
-            np.asarray(log_tau), np.asarray(out.grad_log_tau_pred), states["lt"], lr
-        )
-        log_tau = float(new_lt)
+        flat, state = adam_step(flat, grad, state, 1e-4)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-9)
     assert losses[-1] < losses[0]
+
+
+def flatten(proj_a, proj_t, log_tau):
+    """One vector of the trained parameters, in train_step's grad order."""
+    return np.concatenate(
+        [proj_a.weights.ravel(), proj_a.bias, proj_t.weights.ravel(), proj_t.bias, [log_tau]]
+    )
+
+
+def unflatten(flat, in_audio, in_text, dim):
+    """Projections and log_tau of a vector in train_step's grad order."""
+    sizes = np.cumsum([in_audio * dim, dim, in_text * dim, dim])
+    w_a, b_a, w_t, b_t, log_tau = np.split(flat, sizes)
+    return (
+        ProjectionParams(w_a.reshape(in_audio, dim), b_a),
+        ProjectionParams(w_t.reshape(in_text, dim), b_t),
+        float(log_tau[0]),
+    )
+
+
+@pytest.mark.parametrize("kl_mode", [KLMode.SYMMETRIC, KLMode.FORWARD])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_train_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
+    # central differences of the loss in W_a, b_a, W_t, b_t and log_tau, with
+    # the targets of the unperturbed batch held fixed (stop-gradient)
+    rng = np.random.default_rng(21)
+    b, in_audio, in_text, dim = 8, 10, 5, 6
+    x = rng.standard_normal((b, in_audio))
+    text = np.abs(rng.standard_normal((b, in_text))) + 0.1
+    local = l2_normalize_rows(x)
+    proj_a = init_projection(in_audio, dim, rng)
+    proj_t = init_projection(in_text, dim, rng)
+    smoothing = SmoothingConfig(kl_mode=kl_mode, tau_a2a=0.7, tau_t2t=1.3)
+    log_tau = math.log(0.8)
+    out, grad = train_step(proj_a, proj_t, log_tau, x, text, local, smoothing, lam)
+    flat = flatten(proj_a, proj_t, log_tau)
+    assert grad.dtype == np.float64 and grad.shape == flat.shape == (103,)
+
+    batch = EmbeddingBatch(proj_a.project(x), proj_t.project(text), local)
+    targets = build_targets(batch, with_tau_pred(smoothing, 0.8))
+
+    def loss(params):
+        pa, pt, lt = unflatten(params, in_audio, in_text, dim)
+        cfg = with_tau_pred(smoothing, math.exp(lt))
+        return loss_with_fixed_targets(pa.project(x), pt.project(text), targets, cfg, lam)
+
+    assert loss(flat) == out.value
+    numeric = np.empty_like(flat)
+    for i in range(flat.size):
+        up, down = flat.copy(), flat.copy()
+        up[i] += STEP
+        down[i] -= STEP
+        numeric[i] = (loss(up) - loss(down)) / (2.0 * STEP)
+    assert max_relative_error(grad, numeric) < 1e-5
+
+
+def test_flat_adam_equals_one_update_per_tensor():
+    # Adam is elementwise: one step on the concatenation is bitwise the five
+    # separate steps, over many steps and gradients of very different scales
+    rng = np.random.default_rng(4)
+    shapes = [(64, 16), (16,), (40, 16), (16,), ()]
+    tensors = [rng.standard_normal(shape) for shape in shapes]
+    states = [AdamState.zeros_like(t) for t in tensors]
+    flat = np.concatenate([t.ravel() for t in tensors])
+    flat_state = AdamState.zeros_like(flat)
+    for _ in range(200):
+        grads = [
+            rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 3, size=shape) for shape in shapes
+        ]
+        for k, (t, g, st) in enumerate(zip(tensors, grads, states)):
+            tensors[k], states[k] = adam_step(t, g, st, 1e-3)
+        flat_grad = np.concatenate([g.ravel() for g in grads])
+        flat, flat_state = adam_step(flat, flat_grad, flat_state, 1e-3)
+        assert flat.tobytes() == b"".join(t.tobytes() for t in tensors)
+    assert flat_state.m.tobytes() == b"".join(st.m.tobytes() for st in states)
+    assert flat_state.v.tobytes() == b"".join(st.v.tobytes() for st in states)
+    assert flat_state.step == 200
+
+
+def test_train_takes_one_adam_step_and_one_kernel_call_per_step(monkeypatch):
+    import smoothclap.trainer as trainer_module
+
+    calls = {"adam_step": 0, "loss_and_grad": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(trainer_module, "adam_step", counted(adam_step))
+    monkeypatch.setattr(trainer_module, "loss_and_grad", counted(loss_and_grad))
+    fx = make_cluster_fixture(seed=8, n_per_class=16)
+    config = small_config()
+    model = train(fx.features, fx.tag_lists, config)
+    steps = config.epochs * (len(fx.tag_lists) // config.batch_size)
+    assert calls == {"adam_step": steps, "loss_and_grad": steps}
+    # the trained tensors are views of the one vector that Adam updates
+    flat = model.audio_projection.weights.base
+    assert flat is not None and flat.ndim == 1
+    assert model.audio_projection.bias.base is flat and model.text_projection.weights.base is flat
 
 
 # --- model serialization and embedding ---
