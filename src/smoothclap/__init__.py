@@ -28,7 +28,7 @@ from .objective import (
 )
 from .paralinguistics import AcousticProfile, Waveform, acoustic_profile, load_wav
 from .tagging import BinThresholds, TagRecord, assign_bin, fit_bins, render_tags
-from .trainer import ObjectiveKind, TrainConfig, TrainedModel, adam_step, featurize_text, train
+from .trainer import TrainConfig, TrainedModel, adam_step, featurize_text, train
 
 __all__ = [
     "AcousticProfile",
@@ -37,7 +37,6 @@ __all__ = [
     "EvalReport",
     "KLMode",
     "LossOutput",
-    "ObjectiveKind",
     "SmoothClapError",
     "SmoothingConfig",
     "TagRecord",

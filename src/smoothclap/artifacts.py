@@ -293,13 +293,14 @@ def load_model(path):
     # lr_projection, and their other retired keys are skipped
     by_path = {opt.path: opt for opt in RUN_OPTIONS}
     echo_keys = {"lr_projection": by_path["lr"], **by_path}
-    values = _run_options(_field(doc, "config", where, dict), echo_keys, where, False, "config.")
-    if values.get(by_path["objective"]) == "clap":
-        # objective clap trained at 1 whatever clap_mix_lambda older versions echo
-        values.pop(by_path["clap_mix_lambda"], None)
+    echo = _field(doc, "config", where, dict)
+    values = _run_options(echo, echo_keys, where, False, "config.")
+    if echo.get("objective") == "clap":
+        # older versions trained objective clap at 1 whatever clap_mix_lambda they echo
+        values[by_path["clap_mix_lambda"]] = 1.0
     try:
         config = TrainConfig.from_options(values)
-    except (SmoothClapError, ValueError) as exc:
+    except SmoothClapError as exc:
         raise ConfigError(f"{where}: field 'config': {exc}") from None
     return TrainedModel(
         audio_projection=audio,

@@ -41,6 +41,7 @@ from .trainer import (
     RUN_OPTIONS,
     RunOption,
     TrainConfig,
+    check_seed,
     embed_audio,
     embed_query_labels,
     train,
@@ -91,7 +92,7 @@ def resolve_train_config(args: argparse.Namespace) -> TrainConfig:
 
 def resolve_seed(args: argparse.Namespace) -> int:
     """The seed of a non-training subcommand; the whole config file is still checked."""
-    return resolve_run_options(args).get(_SEED, _SEED.default)
+    return check_seed(resolve_run_options(args).get(_SEED, _SEED.default))
 
 
 # --- extract ----------------------------------------------------------------------
@@ -296,11 +297,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _parse_sizes(spec: str) -> tuple[tuple[int, int], ...]:
     sizes = []
     for part in spec.split(";"):
-        fields = dict(kv.split("=", 1) for kv in part.split(","))
+        entries = part.split(",")
+        fields = dict(kv.partition("=")[::2] for kv in entries)
         try:
-            sizes.append((int(fields["B"]), int(fields["d"])))
+            b, d = int(fields["B"]), int(fields["d"])
         except (KeyError, ValueError):
-            raise ConfigError(f"bad --sizes entry {part!r}, expected B=<int>,d=<int>") from None
+            b = d = 0
+        # the keys B and d once each, and at least the two rows the loss needs
+        if len(entries) != 2 or b < 2 or d < 1:
+            raise ConfigError(
+                f"bad --sizes entry {part!r}, expected B=<int>,d=<int> with B >= 2 and d >= 1"
+            )
+        sizes.append((b, d))
     return tuple(sizes)
 
 
@@ -337,10 +345,10 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base_config = resolve_train_config(args)
-    if base_config.mix_lambda == 1.0:
+    if base_config.clap_mix_lambda == 1.0:
         raise ConfigError(
-            "sweep needs a mix below 1: at clap_mix_lambda 1 (or objective clap) "
-            "no targets are built, so every gamma/beta cell trains the same model"
+            "sweep needs a mix below 1: at clap_mix_lambda 1 no targets are built, "
+            "so every gamma/beta cell trains the same model"
         )
     gamma_grid = _parse_grid(args.gamma_grid, "gamma")
     beta_grid = _parse_grid(args.beta_grid, "beta")
@@ -423,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--history", help="loss history CSV (default: <out>.history.csv)")
     _add_config_flags(p, training=True)
+    # read by nothing: perfbench's chain still passes it; delete with that flag there
+    p.add_argument("--objective", choices=["smooth"], help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="zero-shot classification report")

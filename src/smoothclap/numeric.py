@@ -21,7 +21,7 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 ZERO_ROW_TOL = 1e-12
-DEFAULT_KL_FLOOR = 1e-8
+KL_FLOOR = 1e-8  # bounds both logs of the loss's KL terms from below
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:

@@ -35,9 +35,8 @@ from .errors import (
     ZeroMassTarget,
 )
 from .numeric import (
-    DEFAULT_KL_FLOOR,
+    KL_FLOOR,
     as_matrix,
-    check_floor,
     check_temperature,
     gram,
     l2_normalize_rows,
@@ -68,7 +67,6 @@ class SmoothingConfig:
     tau_t2t: float = 1.0
     tau_pred: float = 1.0
     kl_mode: KLMode = KLMode.SYMMETRIC
-    floor: float = DEFAULT_KL_FLOOR
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
@@ -81,7 +79,6 @@ class SmoothingConfig:
                 raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
             if tau == np.inf:
                 raise NonFiniteValue(f"{name} must be finite, got {tau}")
-        check_floor(self.floor)
         if self.kl_mode is KLMode.SYMMETRIC and not self.beta > 0.0:
             raise ZeroMassTarget(
                 "symmetric KL requires beta > 0: hard targets put zero mass "
@@ -196,7 +193,7 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
 
     Symmetric mode sums forward and reverse KL in both retrieval directions;
     forward mode keeps only KL(y || p). Either way the total is divided by
-    2 * batch size. The floor of ``cfg`` bounds both logs from below.
+    2 * batch size. ``KL_FLOOR`` bounds both logs from below.
     """
     y = as_matrix(y, "y")
     p_a2t = as_matrix(p_a2t, "p_a2t")
@@ -297,9 +294,9 @@ def _infonce(p_a2t: np.ndarray, p_t2a: np.ndarray) -> float:
 class _KLTerms:
     """KL sums of one target matrix against predictions, one direction at a time.
 
-    For a prediction p, ``u = log max(p, floor) - log max(y, floor)`` is taken
-    once. It gives the forward term KL(y || p) = -sum(y * u), the reverse term
-    KL(p || y) = sum(p * u), and the reverse term's logit gradient
+    For a prediction p, ``u = log max(p, KL_FLOOR) - log max(y, KL_FLOOR)``
+    is taken once. It gives the forward term KL(y || p) = -sum(y * u), the
+    reverse term KL(p || y) = sum(p * u), and the reverse term's logit gradient
     ``p * (u - rowsum(p * u))``. An entry with y == 0 or p == 0 contributes
     exactly 0, because u is finite. Two scratch matrices are reused across
     directions.
@@ -307,14 +304,13 @@ class _KLTerms:
 
     def __init__(self, y: np.ndarray, cfg: SmoothingConfig) -> None:
         self.symmetric = cfg.kl_mode is KLMode.SYMMETRIC
-        if self.symmetric and float(np.min(y)) < cfg.floor:
+        if self.symmetric and float(np.min(y)) < KL_FLOOR:
             raise ZeroMassTarget(
                 "symmetric KL against targets with entries below the floor "
-                f"({cfg.floor}); increase beta or use forward mode"
+                f"({KL_FLOOR}); increase beta or use forward mode"
             )
         self.y = y
-        self.floor = cfg.floor
-        self.log_y = np.log(np.maximum(y, cfg.floor))
+        self.log_y = np.log(np.maximum(y, KL_FLOOR))
         self.u = np.empty(y.shape)
         self.prod = np.empty(y.shape)
         self.forward: list[float] = []
@@ -324,7 +320,7 @@ class _KLTerms:
         """Add the terms of one prediction. Leaves in self.u its reverse-term
         gradient when symmetric, else u itself."""
         u, prod = self.u, self.prod
-        np.maximum(p, self.floor, out=u)
+        np.maximum(p, KL_FLOOR, out=u)
         np.log(u, out=u)
         u -= self.log_y
         np.multiply(self.y, u, out=prod)

@@ -140,11 +140,11 @@ def adam_step(
     return updated, AdamState(m=m, v=v, step=step)
 
 
-class ObjectiveKind(str, Enum):
-    """The ``objective`` run option: ``clap`` is the hard/soft mix at 1."""
-
-    CLAP = "clap"
-    SMOOTH = "smooth"
+def check_seed(seed: int) -> int:
+    """The seed of every subcommand: one Philox key word, in [0, 2**64 - 1]."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,6 @@ class TrainConfig:
     embed_dim: int = 16
     clap_mix_lambda: float = 0.0
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
-    objective: ObjectiveKind = ObjectiveKind.SMOOTH
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
@@ -176,10 +175,7 @@ class TrainConfig:
             raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
         if not 0.0 <= self.clap_mix_lambda <= 1.0:
             raise ConfigError("clap_mix_lambda must lie in [0, 1]")
-        if self.objective is ObjectiveKind.CLAP and 0.0 < self.clap_mix_lambda < 1.0:
-            raise ConfigError(f"objective clap is clap_mix_lambda 1, not {self.clap_mix_lambda}")
-        if not 0 <= self.seed < 2**64:  # a Philox key word
-            raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
+        check_seed(self.seed)
 
     @classmethod
     def from_options(cls, values: dict[RunOption, object]) -> "TrainConfig":
@@ -193,11 +189,6 @@ class TrainConfig:
         for section, section_kwargs in sections.items():
             kwargs[section] = _SECTION_TYPES[section](**section_kwargs)
         return cls(**kwargs)
-
-    @property
-    def mix_lambda(self) -> float:
-        """The hard/soft mix weight the loss sees: 1 for objective clap."""
-        return 1.0 if self.objective is ObjectiveKind.CLAP else self.clap_mix_lambda
 
     def to_json_dict(self) -> dict:
         return asdict(self, dict_factory=_with_enum_values)
@@ -369,7 +360,7 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
             try:
                 out, grad = train_step(
                     proj_a, proj_t, float(log_tau), x[idx], text_feats[idx], local[idx],
-                    config.smoothing, config.mix_lambda,
+                    config.smoothing, config.clap_mix_lambda,
                 )
             except (
                 ZeroRow, NonFiniteValue, NonPositiveTemperature, ZeroMassTarget, NonFiniteLoss

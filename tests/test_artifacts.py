@@ -4,7 +4,7 @@ import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -306,10 +306,25 @@ def test_model_reader_takes_clap_with_a_partial_mix_of_older_versions_as_clap(co
     doc["config"].update(objective="clap", clap_mix_lambda=0.5)
     path = write_doc(corpus, "old_clap.json", doc)
     config = load_model(path).config
-    assert config.objective == "clap" and config.clap_mix_lambda == 0.0
-    assert config.mix_lambda == 1.0
+    assert config.clap_mix_lambda == 1.0
+    assert config == replace(load_model(corpus["model"]).config, clap_mix_lambda=1.0)
     code, lines = run_main(*eval_argv(corpus, model=path))
     assert code == 0
+
+
+def test_model_reader_takes_smooth_of_older_versions_at_its_echoed_mix(corpus):
+    doc = model_doc(corpus)
+    doc["config"].update(objective="smooth", clap_mix_lambda=0.3)
+    config = load_model(write_doc(corpus, "old_smooth.json", doc)).config
+    assert config == replace(load_model(corpus["model"]).config, clap_mix_lambda=0.3)
+
+
+def test_model_reader_skips_the_kl_floor_of_older_versions(corpus):
+    # older versions echo the KL floor as smoothing.floor; it is now a constant
+    doc = model_doc(corpus)
+    doc["config"]["smoothing"]["floor"] = 1e-9
+    loaded = load_model(write_doc(corpus, "old_floor.json", doc))
+    assert loaded.config == load_model(corpus["model"]).config
 
 
 def test_model_roundtrip_is_byte_identical(corpus, tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    random_unit_rows,
     run_cli,
     write_cluster_fixture_files,
     write_embeddings_csv,
@@ -21,7 +22,6 @@ from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.objective import KLMode, SmoothingConfig
 from smoothclap.trainer import (
     RUN_OPTIONS,
-    ObjectiveKind,
     RunOption,
     TrainConfig,
     embed_audio,
@@ -370,10 +370,9 @@ def test_train_clap_equals_smooth_beta0_forward(tmp_path):
     ]
     m_clap = tmp_path / "clap.json"
     m_soft = tmp_path / "soft.json"
-    assert run_cli("train", *common, "--objective", "clap", "--out", str(m_clap)) == 0
+    assert run_cli("train", *common, "--clap-mix-lambda", "1", "--out", str(m_clap)) == 0
     assert run_cli(
-        "train", *common, "--objective", "smooth", "--beta", "0",
-        "--kl-mode", "forward", "--out", str(m_soft),
+        "train", *common, "--beta", "0", "--kl-mode", "forward", "--out", str(m_soft),
     ) == 0
 
     def history(path):
@@ -712,6 +711,86 @@ def test_gradcheck_bad_sizes():
     assert run_cli("gradcheck", "--sizes", "nope") == 2
 
 
+@pytest.mark.parametrize(
+    "sizes, entry",
+    [
+        ("B=2,d=3,x", "B=2,d=3,x"),
+        ("B=2,d=3;", ""),
+        ("B=-1,d=3", "B=-1,d=3"),
+        ("B=1", "B=1"),
+        ("B=1,d=3", "B=1,d=3"),
+        ("B=2,d=0", "B=2,d=0"),
+        ("B=2,B=3,d=3", "B=2,B=3,d=3"),
+        ("B=2,d=3;B=4,d=x", "B=4,d=x"),
+    ],
+)
+def test_gradcheck_rejects_a_malformed_sizes_entry_with_one_line(capsys, sizes, entry):
+    assert run_cli("gradcheck", "--sizes", sizes) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad --sizes entry {entry!r}, expected B=<int>,d=<int>")
+    assert captured.err.count("\n") == 1
+
+
+def test_gradcheck_takes_sizes_in_either_order_down_to_two_rows_and_one_column(capsys):
+    assert run_cli("gradcheck", "--sizes", "d=1,B=2;B=2,d=3") == 0
+    assert "over 38 configurations" in capsys.readouterr().out
+
+
+# --- the seed of every subcommand ---
+
+def seed_argv(tmp_path, command):
+    """Valid arguments of one non-training subcommand, without a seed."""
+    out = str(tmp_path / "out")
+    if command == "extract":
+        make_wavs(tmp_path)
+        return ["extract", "--in-dir", str(tmp_path), "--out", out]
+    if command == "tags":
+        return ["tags", "--profiles", str(write_profiles(tmp_path / "p.jsonl")), "--out", out]
+    if command == "eval":
+        fx = make_cluster_fixture(6, n_per_class=4)
+        rng = np.random.default_rng(0)
+        audio = write_embeddings_csv(tmp_path / "a.csv", fx.ids, random_unit_rows(rng, len(fx.ids), 4))
+        queries = write_embeddings_csv(tmp_path / "q.csv", fx.class_names, random_unit_rows(rng, 4, 4))
+        return [
+            "eval", "--embeddings", str(audio), "--query-embeddings", str(queries),
+            "--labels", str(write_labels_csv(tmp_path / "l.csv", fx.ids, fx.labels)), "--out", out,
+        ]
+    return ["gradcheck", "--sizes", "B=2,d=3"]
+
+
+NON_TRAINING_COMMANDS = ["extract", "tags", "eval", "gradcheck"]
+
+
+@pytest.mark.parametrize("command", NON_TRAINING_COMMANDS)
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["neg", "2**64"])
+def test_out_of_range_seed_exits_2_for_every_subcommand(tmp_path, capsys, command, source, seed):
+    # train and sweep take the same bound, see test_out_of_range_run_option_exits_2_with_one_line
+    argv = seed_argv(tmp_path, command)
+    if source == "flag":
+        argv += ["--seed", str(seed)]
+    else:
+        argv += ["--config", str(write_config(tmp_path, {"seed": seed}))]
+    before = set(tmp_path.iterdir())
+    assert run_cli(*argv) == 2
+    assert set(tmp_path.iterdir()) == before
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must lie in [0, 2**64 - 1], got {seed}\n"
+
+
+@pytest.mark.parametrize("command", NON_TRAINING_COMMANDS)
+def test_largest_seed_is_taken_by_every_subcommand(tmp_path, command):
+    argv = seed_argv(tmp_path, command)
+    assert run_cli(*argv, "--seed", str(2**64 - 1)) == 0
+    out = tmp_path / "out"
+    if command == "eval":
+        assert json.loads(out.read_text())["_meta"]["seed"] == 2**64 - 1
+    elif command != "gradcheck":
+        assert read_meta(out)["seed"] == 2**64 - 1
+
+
 # --- sweep ---
 
 def test_sweep_grid_shape_and_determinism(tmp_path):
@@ -732,13 +811,15 @@ def test_sweep_grid_shape_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv", [["--clap-mix-lambda", "1"], ["--objective", "clap"]], ids=["lambda", "objective"]
-)
-def test_sweep_rejects_a_mix_of_one(tmp_path, capsys, argv):
+@pytest.mark.parametrize("source", ["lambda", "config"])
+def test_sweep_rejects_a_mix_of_one(tmp_path, capsys, source):
     # no targets are built at lambda 1, so every gamma/beta cell would train
     # the same model
     files = cluster_files(tmp_path)
+    if source == "lambda":
+        argv = ["--clap-mix-lambda", "1"]
+    else:
+        argv = ["--config", str(write_config(tmp_path, {"clap_mix_lambda": 1}))]
     out = tmp_path / "s.csv"
     code = run_cli(
         "sweep", "--features", str(files["features"]), "--tags", str(files["tags"]),
@@ -869,26 +950,6 @@ def test_nonfinite_loss_maps_to_exit_1(tmp_path, monkeypatch):
     assert code == 1
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_train_rejects_clap_objective_with_a_partial_mix(tmp_path, capsys, source):
-    # objective clap is the mix at 1, so a lambda in (0, 1) would be ignored
-    files = cluster_files(tmp_path)
-    if source == "flag":
-        argv = ["--objective", "clap", "--clap-mix-lambda", "0.5"]
-    else:
-        doc = {"objective": "clap", "clap_mix_lambda": 0.5}
-        argv = ["--config", str(write_config(tmp_path, doc))]
-    out = tmp_path / "m.json"
-    code = run_cli(
-        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
-        "--batch-size", "16", "--out", str(out), *argv,
-    )
-    assert code == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "objective clap is clap_mix_lambda 1, not 0.5" in err
-
-
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
@@ -960,14 +1021,12 @@ RUN_OPTION_CASES = {
     "seed": ("--seed", 3, 3),
     "embed_dim": ("--embed-dim", 8, 8),
     "clap_mix_lambda": ("--clap-mix-lambda", 0.25, 0.25),
-    "objective": ("--objective", "clap", ObjectiveKind.CLAP),
     "smoothing.gamma": ("--gamma", 0.3, 0.3),
     "smoothing.beta": ("--beta", 0.2, 0.2),
     "smoothing.tau_a2a": ("--tau-a2a", 0.5, 0.5),
     "smoothing.tau_t2t": ("--tau-t2t", 0.6, 0.6),
     "smoothing.tau_pred": ("--tau-pred", 0.7, 0.7),
     "smoothing.kl_mode": ("--kl-mode", "forward", KLMode.FORWARD),
-    "smoothing.floor": ("--floor", 1e-9, 1e-9),
 }
 
 
@@ -1051,6 +1110,11 @@ def test_flag_beats_config_file_through_main(tmp_path, monkeypatch):
         {"train": {"epochs": 5}},
         {"train": {"seed": 1}},
         {"smoothing": {"lr": 0.01}},
+        {"objective": "clap"},
+        {"objective": "smooth"},
+        {"floor": 1e-9},
+        {"smoothing.floor": 1e-9},
+        {"smoothing": {"floor": 1e-9}},
     ],
 )
 def test_unknown_run_option_keys_exit_2(tmp_path, doc, capsys):
@@ -1099,6 +1163,7 @@ def test_run_options_have_one_name_each():
 def test_train_help_lists_the_flags(capsys):
     assert run_cli("train", "--help") == 0
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    # the help-suppressed --objective is not among them
     assert flags == {
         "--help", "--features", "--tags", "--out", "--history", "--config",
         *(flag for flag, _, _ in RUN_OPTION_CASES.values()),
@@ -1112,6 +1177,41 @@ def test_lr_text_flag_is_gone(tmp_path):
         "--lr-text", "1e-5", "--out", str(tmp_path / "m.json"),
     )
     assert code == 2
+
+
+def test_train_objective_smooth_changes_nothing(tmp_path):
+    # the one spelling of the retired objective option that train still parses
+    files = cluster_files(tmp_path)
+    common = [
+        "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--seed", "2", "--epochs", "2", "--batch-size", "16",
+    ]
+    plain, shim = tmp_path / "plain.json", tmp_path / "shim.json"
+    assert run_cli("train", *common, "--out", str(plain)) == 0
+    assert run_cli("train", *common, "--objective", "smooth", "--out", str(shim)) == 0
+    assert shim.read_bytes() == plain.read_bytes()
+    history = tmp_path / "plain.json.history.csv"
+    assert (tmp_path / "shim.json.history.csv").read_bytes() == history.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("train", ["--objective", "clap"]),
+        ("train", ["--floor", "1e-9"]),
+        ("sweep", ["--objective", "smooth"]),
+        ("sweep", ["--objective", "clap"]),
+        ("sweep", ["--floor", "1e-9"]),
+    ],
+)
+def test_retired_option_flags_exit_2(tmp_path, command, argv):
+    files = cluster_files(tmp_path)
+    inputs = ["--features", str(files["features"]), "--tags", str(files["tags"])]
+    if command == "sweep":
+        inputs += ["--labels", str(files["labels"])]
+    out = tmp_path / "out"
+    assert run_cli(command, *inputs, "--batch-size", "16", "--out", str(out), *argv) == 2
+    assert not out.exists()
 
 
 def test_meta_headers_hold_what_each_command_reads(tmp_path):

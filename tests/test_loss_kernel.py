@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from smoothclap.errors import ZeroMassTarget
-from smoothclap.numeric import gram, kl_sum, l2_normalize_rows, row_softmax
+from smoothclap.numeric import KL_FLOOR, gram, kl_sum, l2_normalize_rows, row_softmax
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
@@ -24,10 +24,10 @@ from smoothclap.objective import (
 REL_TOL = 1e-12
 
 
-def _kl_grad_wrt_logits(p, y, cfg, symmetric):
+def _kl_grad_wrt_logits(p, y, symmetric):
     g = p - y
     if symmetric:
-        u = np.log(np.maximum(p, cfg.floor)) - np.log(np.maximum(y, cfg.floor))
+        u = np.log(np.maximum(p, KL_FLOOR)) - np.log(np.maximum(y, KL_FLOOR))
         g = g + p * (u - np.sum(p * u, axis=1, keepdims=True))
     return g
 
@@ -43,8 +43,8 @@ def reference_loss_and_grad(batch, cfg, lam):
     p_t2a = row_softmax(g.T, cfg.tau_pred)
 
     def with_grads(value, y, symmetric):
-        g_z = _kl_grad_wrt_logits(p_a2t, y, cfg, symmetric)
-        g_zt = _kl_grad_wrt_logits(p_t2a, y, cfg, symmetric)
+        g_z = _kl_grad_wrt_logits(p_a2t, y, symmetric)
+        g_zt = _kl_grad_wrt_logits(p_t2a, y, symmetric)
         scale = 1.0 / (2.0 * b)
         grad_gram = (scale / cfg.tau_pred) * (g_z + g_zt.T)
         grad_ea = grad_gram @ e_t
@@ -71,9 +71,9 @@ def reference_loss_and_grad(batch, cfg, lam):
         cfg.beta,
     )
     symmetric = cfg.kl_mode is KLMode.SYMMETRIC
-    total = kl_sum(y, p_a2t, cfg.floor) + kl_sum(y, p_t2a, cfg.floor)
+    total = kl_sum(y, p_a2t, KL_FLOOR) + kl_sum(y, p_t2a, KL_FLOOR)
     if symmetric:
-        total += kl_sum(p_a2t, y, cfg.floor) + kl_sum(p_t2a, y, cfg.floor)
+        total += kl_sum(p_a2t, y, KL_FLOOR) + kl_sum(p_t2a, y, KL_FLOOR)
     soft = with_grads(total / (2.0 * b), y, symmetric)
     if lam == 0.0:
         return soft
@@ -121,7 +121,7 @@ def test_floor_is_hit_in_the_reference_cases():
     e_a = l2_normalize_rows(batch.audio)
     e_t = l2_normalize_rows(batch.text)
     p = row_softmax(gram(e_a, e_t), 0.05)
-    assert float(np.min(p)) < SmoothingConfig().floor
+    assert float(np.min(p)) < KL_FLOOR
 
 
 def test_kernel_rejects_targets_below_the_floor_at_any_mix():

@@ -55,8 +55,6 @@ def test_config_validation():
         SmoothingConfig(tau_a2a=np.nan)
     with pytest.raises(NonFiniteValue, match="tau_t2t must be finite, got inf"):
         SmoothingConfig(tau_t2t=np.inf)
-    with pytest.raises(ValueError):
-        SmoothingConfig(floor=1.0)
 
 
 def test_symmetric_mode_requires_positive_beta():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from smoothclap.errors import (
-    ConfigError,
     EmptyVocabulary,
     InsufficientData,
     ShapeMismatch,
@@ -26,7 +25,6 @@ from smoothclap.objective import (
 )
 from smoothclap.trainer import (
     AdamState,
-    ObjectiveKind,
     ProjectionParams,
     TrainConfig,
     adam_step,
@@ -168,46 +166,15 @@ def test_train_zero_learning_rate_freezes_parameters():
 def test_clap_and_smooth_beta0_forward_trajectories_match():
     fx = make_cluster_fixture(seed=8, n_per_class=16)
     smoothing = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD)
-    m_soft = train(
-        fx.features,
-        fx.tag_lists,
-        small_config(smoothing=smoothing, objective=ObjectiveKind.SMOOTH),
-    )
+    m_soft = train(fx.features, fx.tag_lists, small_config(smoothing=smoothing))
     m_hard = train(
         fx.features,
         fx.tag_lists,
-        small_config(smoothing=smoothing, objective=ObjectiveKind.CLAP),
+        small_config(smoothing=smoothing, clap_mix_lambda=1.0),
     )
     assert len(m_soft.history) == len(m_hard.history)
     for a, b in zip(m_soft.history, m_hard.history):
         assert a == pytest.approx(b, abs=1e-9)
-
-
-def test_clap_mix_lambda_one_equals_pure_clap():
-    fx = make_cluster_fixture(seed=8, n_per_class=16)
-    m_mixed = train(
-        fx.features,
-        fx.tag_lists,
-        small_config(objective=ObjectiveKind.SMOOTH, clap_mix_lambda=1.0),
-    )
-    m_hard = train(
-        fx.features, fx.tag_lists, small_config(objective=ObjectiveKind.CLAP)
-    )
-    assert m_mixed.history == m_hard.history
-
-
-@pytest.mark.parametrize(
-    "objective,lam,expected",
-    [("smooth", 0.0, 0.0), ("smooth", 0.5, 0.5), ("smooth", 1.0, 1.0), ("clap", 0.0, 1.0), ("clap", 1.0, 1.0)],
-)
-def test_mix_lambda_resolves_the_objective(objective, lam, expected):
-    config = TrainConfig(objective=ObjectiveKind(objective), clap_mix_lambda=lam)
-    assert config.mix_lambda == expected
-
-
-def test_clap_objective_rejects_a_partial_mix():
-    with pytest.raises(ConfigError, match="objective clap is clap_mix_lambda 1, not 0.5"):
-        TrainConfig(objective=ObjectiveKind.CLAP, clap_mix_lambda=0.5)
 
 
 def test_clap_mix_takes_one_kernel_call_per_step(monkeypatch):
