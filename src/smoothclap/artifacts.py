@@ -10,7 +10,8 @@ features or embeddings (``id,c0..cN``) and truth (``id,label``).
 Readers check and coerce each field they use once, where they read it, and
 ignore unknown keys. A malformed file raises one SmoothClapError whose
 one-line message names the file, the line or row, and the field. Numbers are
-coerced with ``float()``; only values it rejects are errors.
+coerced with ``float()``; only values it rejects are errors, and in a
+features or embeddings CSV also NaN and ±Inf.
 """
 from __future__ import annotations
 
@@ -25,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DuplicateId, NonNumericCell, RaggedRows, SmoothClapError
+from .errors import (
+    ConfigError,
+    DuplicateId,
+    NonFiniteValue,
+    NonNumericCell,
+    RaggedRows,
+    SmoothClapError,
+)
 from .tagging import (
     DIMENSION_FEATURES,
     LABEL_KINDS,
@@ -442,8 +450,48 @@ def _read_id_csv(path, columns: list[str]) -> tuple[list[str], list[list[str]]]:
     return header, rows[1:]
 
 
-def read_id_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read an 'id,c0..cN' CSV into (ids, float64 matrix), order preserved."""
+# A plain id-matrix CSV has no quote character, one kind of line end (\n or
+# \r\n) and none of the ASCII separators 0x1c-0x1f, which numpy's number parser
+# skips as whitespace and float() does not.
+_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain_id_matrix(path) -> tuple[list[str], np.ndarray] | None:
+    """(ids, matrix) of a plain file that passes every check of the row-wise
+    parse, its numbers parsed by numpy's C reader; None for any other file.
+
+    ``loadtxt`` takes a subset of the cells that float() takes, with equal
+    values; a cell it rejects raises ValueError. The text is read once and
+    split into lines; no other copy of it is made."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    end = "\r\n" if "\r" in text else "\n"
+    if end == "\r\n" and not text.count("\r") == text.count("\r\n") == text.count("\n"):
+        return None
+    lines = text.split(end)
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header, body = lines[0].split(","), lines[1:]
+    commas = len(header) - 1
+    if header[0] != "id" or commas < 1 or any(line.count(",") != commas for line in body):
+        return None
+    ids = [line.partition(",")[0] for line in body]
+    if len(set(ids)) < len(ids):
+        return None
+    data = np.loadtxt(
+        body, delimiter=",", usecols=range(1, len(header)), comments=None,
+        quotechar=None, dtype=np.float64, ndmin=2,
+    )
+    return (ids, data) if np.isfinite(data).all() else None
+
+
+def _read_id_matrix_rows(path) -> tuple[list[str], np.ndarray]:
+    """The row-wise parse through the csv module: every file, every message."""
     header, rows = _read_id_csv(path, ["id"])
     data = np.empty((len(rows), len(header) - 1))
     for r, row in enumerate(rows):
@@ -459,7 +507,26 @@ def read_id_matrix_csv(path) -> tuple[list[str], np.ndarray]:
                         f"{path}: row {r + 2}, column {header[c]!r}: {cell!r} is not a number"
                     ) from None
             raise
+    nonfinite = np.flatnonzero(~np.isfinite(data))
+    if nonfinite.size:
+        r, c = divmod(int(nonfinite[0]), data.shape[1])
+        raise NonFiniteValue(
+            f"{path}: row {r + 2}, column {header[c + 1]!r}: "
+            f"{rows[r][c + 1]!r} is not a finite number"
+        )
     return [row[0] for row in rows], data
+
+
+def read_id_matrix_csv(path) -> tuple[list[str], np.ndarray]:
+    """Read an 'id,c0..cN' CSV into (ids, float64 matrix), order preserved.
+    Every cell must be a finite number. A plain file takes one C-level parse;
+    any other file, or a plain one that fails a check, takes the row-wise
+    parse, which raises the error."""
+    try:
+        parsed = _read_plain_id_matrix(path)
+    except ValueError:  # a cell loadtxt rejects, or a UnicodeDecodeError
+        parsed = None
+    return parsed if parsed is not None else _read_id_matrix_rows(path)
 
 
 def read_labels_csv(path) -> list[tuple[str, str]]:

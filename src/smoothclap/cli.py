@@ -239,17 +239,17 @@ def _evaluate(
             "true labels missing from the query classes: " + ", ".join(unknown)
         )
     y_true = [name_to_index[labels[i]] for i in audio_ids]
-    pred = zero_shot_classify(audio_emb, query_emb, class_names)
+    pred = zero_shot_classify(audio_emb, query_emb, class_names).tolist()
     scores = audio_emb @ query_emb.T
-    report = confusion_and_uar(y_true, pred.tolist(), len(class_names), class_names)
+    report = confusion_and_uar(y_true, pred, len(class_names), class_names)
     report.predictions = [
         Prediction(
             utterance_id=utt_id,
             true_label=class_names[t],
-            predicted_label=class_names[int(p)],
-            scores=[float(s) for s in row],
+            predicted_label=class_names[p],
+            scores=row,
         )
-        for utt_id, t, p, row in zip(audio_ids, y_true, pred, scores)
+        for utt_id, t, p, row in zip(audio_ids, y_true, pred, scores.tolist())
     ]
     return report
 

@@ -3,28 +3,32 @@ import base64
 import csv
 import io
 import json
+import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import run_cli, write_cluster_fixture_files
+from helpers import run_cli, write_cluster_fixture_files, write_features_csv
+from smoothclap import artifacts
 from smoothclap.artifacts import (
     load_model,
     load_thresholds,
     read_id_matrix_csv,
     read_labels,
+    read_labels_csv,
     read_profiles,
     read_tags,
     save_model,
     write_jsonl,
 )
 from smoothclap.cli import main
-from smoothclap.errors import ConfigError, NonNumericCell
+from smoothclap.errors import ConfigError, NonFiniteValue, NonNumericCell, RaggedRows
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.paralinguistics import Waveform, acoustic_profile
 
@@ -117,15 +121,15 @@ def tags_argv(corpus, profiles=None, labels=None, thresholds=None):
     return argv
 
 
-def train_argv(corpus, tags):
-    return ["train", "--features", corpus["features"], "--tags", tags, "--batch-size", "8",
-            "--epochs", "1", "--out", corpus["root"] / "m.json"]
+def train_argv(corpus, tags, features=None, out=None):
+    return ["train", "--features", features or corpus["features"], "--tags", tags,
+            "--batch-size", "8", "--epochs", "1", "--out", out or corpus["root"] / "m.json"]
 
 
-def eval_argv(corpus, model=None, features=None, labels=None):
+def eval_argv(corpus, model=None, features=None, labels=None, out=None):
     return ["eval", "--model", model or corpus["model"],
             "--features", features or corpus["features"],
-            "--labels", labels or corpus["labels"], "--out", corpus["root"] / "r.json"]
+            "--labels", labels or corpus["labels"], "--out", out or corpus["root"] / "r.json"]
 
 
 def write_doc(corpus, name, doc):
@@ -342,6 +346,60 @@ def test_eval_rejects_features_of_another_width(corpus):
     assert err == ["error: features have 13 columns, the model's audio input width is 12"]
 
 
+def with_cell(path, row, column, cell, out, extra_row=None):
+    """A copy of an id-matrix CSV with one cell of a data row replaced; rows
+    count from the header as row 1. ``extra_row`` appends one more row."""
+    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    rows += [extra_row] if extra_row else []
+    rows[row - 1][rows[0].index(column)] = cell
+    return write_csv_rows(out, rows)
+
+
+def sweep_argv(corpus, features, out):
+    return ["sweep", "--features", features, "--tags", corpus["tags"], "--labels", corpus["labels"],
+            "--batch-size", "8", "--epochs", "1", "--gamma-grid", "0.5", "--beta-grid", "0.5",
+            "--out", out]
+
+
+def embeddings_argv(corpus, embeddings, out):
+    classes = sorted({label for _, label in read_labels_csv(corpus["labels"])})
+    queries = write_features_csv(
+        corpus["root"] / "queries.csv", classes, np.eye(len(classes), 12)
+    )
+    return ["eval", "--embeddings", embeddings, "--query-embeddings", queries,
+            "--labels", corpus["labels"], "--out", out]
+
+
+# command -> (cell, argv given the features file and the output path)
+NON_FINITE_RUNS = {
+    "train": ("nan", lambda c, p, out: train_argv(c, c["tags"], features=p, out=out)),
+    "sweep": ("inf", sweep_argv),
+    "eval-features": ("1e400", lambda c, p, out: eval_argv(c, features=p, out=out)),
+    "eval-embeddings": ("-Infinity", embeddings_argv),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_RUNS))
+def test_non_finite_cell_exits_2_naming_its_row_and_column(corpus, tmp_path, command):
+    cell, argv = NON_FINITE_RUNS[command]
+    path = with_cell(corpus["features"], 4, "f2", cell, tmp_path / "f.csv")
+    out = tmp_path / "out"
+    code, err = run_main(*argv(corpus, path, out))
+    assert code == 2
+    assert err == [f"error: {path}: row 4, column 'f2': {cell!r} is not a finite number"]
+    assert not out.exists()
+
+
+def test_train_rejects_a_non_finite_cell_in_a_row_the_id_join_drops(corpus, tmp_path):
+    orphan = ["orphan"] + ["0.5"] * 12
+    path = with_cell(corpus["features"], 34, "f0", "nan", tmp_path / "f.csv", orphan)
+    out = tmp_path / "m.json"
+    code, err = run_main(*train_argv(corpus, corpus["tags"], features=path, out=out))
+    assert code == 2
+    assert err == [f"error: {path}: row 34, column 'f0': 'nan' is not a finite number"]
+    assert not out.exists()
+
+
 # --- typed records -----------------------------------------------------------------
 
 # cells that float() accepts, some of them only just, and cells it rejects
@@ -356,12 +414,16 @@ def write_csv_rows(path, rows) -> Path:
     return path
 
 
+FINITE_CELLS = [c for c in FLOAT_CELLS if math.isfinite(float(c))]
+NON_FINITE_CELLS = [c for c in FLOAT_CELLS if not math.isfinite(float(c))]
+
+
 def test_features_csv_cells_parse_as_float_does(tmp_path):
-    header = ["id"] + [f"c{i}" for i in range(len(FLOAT_CELLS))]
-    path = write_csv_rows(tmp_path / "f.csv", [header, ["u0"] + FLOAT_CELLS])
+    header = ["id"] + [f"c{i}" for i in range(len(FINITE_CELLS))]
+    path = write_csv_rows(tmp_path / "f.csv", [header, ["u0"] + FINITE_CELLS])
     ids, matrix = read_id_matrix_csv(path)
     assert ids == ["u0"]
-    expected = np.array([[float(cell) for cell in FLOAT_CELLS]])
+    expected = np.array([[float(cell) for cell in FINITE_CELLS]])
     np.testing.assert_array_equal(matrix.view(np.int64), expected.view(np.int64))
 
 
@@ -372,6 +434,128 @@ def test_features_csv_names_the_first_non_numeric_cell(tmp_path, cell):
     with pytest.raises(NonNumericCell) as err:
         read_id_matrix_csv(path)
     assert str(err.value) == f"{path}: row 3, column 'c1': {cell!r} is not a number"
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("cell", NON_FINITE_CELLS)
+def test_features_csv_names_the_first_non_finite_cell(tmp_path, cell, quoted):
+    rows = [["id", "c0", "c1", "c2"], ["u0", "1", "2", "3"], ["u1", "4", cell, "nan"]]
+    if quoted:
+        rows[1][0] = '"u0"'
+    path = write_csv_rows(tmp_path / "f.csv", rows)
+    with pytest.raises(NonFiniteValue) as err:
+        read_id_matrix_csv(path)
+    assert str(err.value) == f"{path}: row 3, column 'c1': {cell!r} is not a finite number"
+
+
+# --- the plain-file parse against the row-wise parse ----------------------------------
+
+def read_outcome(read, path):
+    """(ids, shape, bytes) of a read, or the class and message of its error."""
+    try:
+        ids, matrix = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ids, matrix.shape, matrix.tobytes()
+
+
+CORPUS_CELLS = st.sampled_from(FLOAT_CELLS + NON_FLOAT_CELLS + ["#1", "1#", "# 2", "\x1c1", "1\x1f"])
+ID_TEXT = st.text(st.sampled_from(["u", "v", '"', ",", "#", " ", "\u00e9", "\x00", "\r", "\x0c",
+                                   "\x1c", "\x85", "\u2028"]), max_size=3)
+LINE_ENDS = {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"], "mixed": ["\n", "\r\n", "\r"]}
+
+
+@st.composite
+def id_matrix_csv_texts(draw):
+    """Text of an id-matrix CSV: valid ids and floats with up to two defects
+    (a cell of the float-semantics corpus, an odd id, a ragged row, a blank
+    line, a duplicate id, another header), written by csv.writer or joined
+    with commas under one line end or several, with or without a final
+    newline."""
+    width = draw(st.integers(1, 3))
+    header = ["id"] + [draw(st.sampled_from(["c", "c#", "d"])) + str(i) for i in range(width)]
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [
+        [f"u{k}"] + draw(st.lists(floats, min_size=width, max_size=width))
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    # applied in this order, so that no defect edits a blank row
+    defects = ["cell", "id", "ragged", "duplicate", "header", "blank"]
+    for defect in sorted(draw(st.lists(st.sampled_from(defects), max_size=2)), key=defects.index):
+        r = draw(st.integers(0, len(rows) - 1))
+        if defect == "cell":
+            rows[r][draw(st.integers(1, width))] = draw(CORPUS_CELLS)
+        elif defect == "id":
+            rows[r][0] = draw(ID_TEXT)
+        elif defect == "ragged":
+            del rows[r][-1]
+        elif defect == "blank":
+            rows.insert(r, [])
+        elif defect == "duplicate":
+            rows.append(list(rows[r]))
+        else:
+            header[0] = draw(st.sampled_from(["ID", "x", '# {"seed": 0}', ""]))
+    rows.insert(0, header)
+    ends = draw(st.sampled_from(["lf", "lf", "crlf", "crlf", "cr", "mixed"]))
+    if draw(st.booleans()):
+        out = io.StringIO()
+        csv.writer(out, lineterminator=LINE_ENDS[ends][0]).writerows(rows)
+        text = out.getvalue()
+    else:
+        text = "".join(",".join(row) + draw(st.sampled_from(LINE_ENDS[ends])) for row in rows)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=id_matrix_csv_texts())
+@example(text="id,c0\nu0,1\x1c\n")  # whitespace to loadtxt, not to float()
+@example(text="id,c0\r\nu0,1\n\r\n")  # a \n end, then a blank line, in a \r\n file
+def test_plain_parse_agrees_with_the_row_wise_parse(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    oracle = read_outcome(artifacts._read_id_matrix_rows, path)
+    try:
+        plain = artifacts._read_plain_id_matrix(path)
+    except ValueError:
+        plain = None
+    event("plain" if plain is not None else "row-wise")
+    if plain is not None:
+        ids, matrix = plain
+        assert (ids, matrix.shape, matrix.tobytes()) == oracle
+    assert read_outcome(read_id_matrix_csv, path) == oracle
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_plain_features_csv_takes_the_c_parse(tmp_path, end):
+    fixture = make_cluster_fixture(2, n_per_class=3, feature_dim=5)
+    path = write_features_csv(tmp_path / "f.csv", fixture.ids, fixture.features)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", end.encode()))
+    ids, matrix = artifacts._read_plain_id_matrix(path)
+    assert ids == fixture.ids
+    np.testing.assert_array_equal(matrix.view(np.int64), fixture.features.view(np.int64))
+
+
+def test_features_csv_cell_over_the_csv_field_limit_is_an_error(tmp_path):
+    # a plain file would pass loadtxt; the csv module refuses the cell
+    path = tmp_path / "f.csv"
+    path.write_text("id,c0\n" + "u" * (csv.field_size_limit() + 1) + ",1\n")
+    with pytest.raises(RaggedRows, match="field larger than field limit"):
+        read_id_matrix_csv(path)
+
+
+def test_plain_features_csv_read_peaks_below_three_times_the_file_size(tmp_path):
+    rng = np.random.default_rng(0)
+    ids = [f"utt{i:05d}" for i in range(2048)]
+    path = write_features_csv(tmp_path / "f.csv", ids, rng.standard_normal((2048, 64)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        read_id_matrix_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 def test_profile_record_roundtrip(tmp_path):

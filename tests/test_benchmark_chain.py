@@ -1,4 +1,4 @@
-"""The benchmark's wav_pipeline chain, traced, at a tiny size.
+"""The benchmark's two chains, traced, at a tiny size.
 
 ``perfbench/chains.py`` drives every subcommand through ``cli.main`` with the
 flags it passes, and ``perfbench/spans.py`` wraps package functions by name.
@@ -42,3 +42,18 @@ def test_traced_wav_pipeline_chain_reports_no_problems(chains, tmp_path):
     spans = result.tracer.spans
     assert [s.name for s in spans if s.parent == -1] == SUBCOMMANDS
     assert {f"cli.{c}" for c in SUBCOMMANDS} <= {s.name for s in spans}
+
+
+def test_traced_large_batch_train_chain_reports_no_problems(chains, tmp_path):
+    # the cluster source: a plain features CSV with \n line ends, each subcommand once
+    wl = dataclasses.replace(
+        chains.WORKLOADS["large_batch_train"], cluster_rows=256, batch_size=64, repeats=(),
+    )
+    corpus = chains.build_corpus(wl, seed=5, root=tmp_path / "corpus")
+    result = chains.run_chain(wl, corpus, seed=5, out=tmp_path / "out", traced=True)
+    assert result.problems == []
+    assert result.calls == dict.fromkeys(SUBCOMMANDS, 1)
+    spans = result.tracer.spans
+    assert [s.name for s in spans if s.parent == -1] == SUBCOMMANDS
+    reads = [s for s in spans if s.name == "evaluation.read_id_matrix_csv"]
+    assert reads and all(s.work == 256 * wl.feature_dim for s in reads)
