@@ -216,7 +216,7 @@ def load_thresholds(path) -> tuple[dict[str, BinThresholds], TemplateSet]:
         low, high = (_field(entry, k, where, float, f"{name}.") for k in ("low", "high"))
         try:
             thresholds[name] = BinThresholds(name, low, high)
-        except (SmoothClapError, ValueError) as exc:
+        except SmoothClapError as exc:
             raise ConfigError(f"{where}: field {name!r}: {exc}") from None
     label_sets = _field(doc, "_labels", where, dict) if "_labels" in doc else {}
     return thresholds, TemplateSet.closed_to({
@@ -298,14 +298,16 @@ def load_model(path):
             f"{len(vocabulary)}"
         )
     # the echo holds each option at its path; older versions echo lr as
-    # lr_projection, and their other retired keys are skipped
+    # lr_projection and the mix at the top level, and their other retired
+    # keys are skipped
     by_path = {opt.path: opt for opt in RUN_OPTIONS}
-    echo_keys = {"lr_projection": by_path["lr"], **by_path}
+    mix = by_path["smoothing.clap_mix_lambda"]
+    echo_keys = {"lr_projection": by_path["lr"], "clap_mix_lambda": mix, **by_path}
     echo = _field(doc, "config", where, dict)
     values = _run_options(echo, echo_keys, where, False, "config.")
     if echo.get("objective") == "clap":
         # older versions trained objective clap at 1 whatever clap_mix_lambda they echo
-        values[by_path["clap_mix_lambda"]] = 1.0
+        values[mix] = 1.0
     try:
         config = TrainConfig.from_options(values)
     except SmoothClapError as exc:

@@ -345,7 +345,7 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base_config = resolve_train_config(args)
-    if base_config.clap_mix_lambda == 1.0:
+    if base_config.smoothing.clap_mix_lambda == 1.0:
         raise ConfigError(
             "sweep needs a mix below 1: at clap_mix_lambda 1 no targets are built, "
             "so every gamma/beta cell trains the same model"

@@ -30,19 +30,15 @@ STEP = 1e-5  # central-difference step
 
 
 def finite_difference_grads(
-    batch: EmbeddingBatch,
-    cfg: SmoothingConfig,
-    clap_mix_lambda: float = 0.0,
+    batch: EmbeddingBatch, cfg: SmoothingConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Central differences for both embedding matrices and log(tau_pred), of
-    ``loss_and_grad``'s mix at ``clap_mix_lambda``. The targets are built once,
-    and only when ``clap_mix_lambda < 1``."""
-    targets = build_targets(batch, cfg) if clap_mix_lambda < 1.0 else None
+    ``loss_and_grad``'s loss. The targets are built once, and only when
+    ``cfg.clap_mix_lambda < 1``."""
+    targets = build_targets(batch, cfg) if cfg.clap_mix_lambda < 1.0 else None
 
     def f(audio: np.ndarray, text: np.ndarray, tau: float = cfg.tau_pred) -> float:
-        return loss_with_fixed_targets(
-            audio, text, targets, with_tau_pred(cfg, tau), clap_mix_lambda
-        )
+        return loss_with_fixed_targets(audio, text, targets, with_tau_pred(cfg, tau))
 
     def nudged(m: np.ndarray, index: tuple[int, ...], step: float) -> np.ndarray:
         out = m.copy()
@@ -81,14 +77,13 @@ def max_relative_error(analytic, numeric) -> float:
 class GradCheckCase:
     batch_size: int
     dim: int
-    clap_mix_lambda: float
     config: SmoothingConfig
     error: float
 
     def describe(self) -> str:
         c = self.config
         return (
-            f"B={self.batch_size} d={self.dim} clap_mix_lambda={self.clap_mix_lambda} "
+            f"B={self.batch_size} d={self.dim} clap_mix_lambda={c.clap_mix_lambda} "
             f"gamma={c.gamma} beta={c.beta} kl_mode={c.kl_mode.value} "
             f"tau_pred={c.tau_pred} -> rel_err={self.error:.3e}"
         )
@@ -105,8 +100,8 @@ class GradCheckReport:
         return self.max_error < 1e-5
 
 
-def _case_configs() -> list[tuple[float, SmoothingConfig]]:
-    """(clap_mix_lambda, config) pairs: the soft loss over the grids, then CLAP."""
+def _case_configs() -> list[SmoothingConfig]:
+    """The soft loss over the grids, then CLAP."""
     grid = itertools.product(GAMMA_GRID, BETA_GRID, (KLMode.SYMMETRIC, KLMode.FORWARD))
     soft = [
         SmoothingConfig(
@@ -116,8 +111,7 @@ def _case_configs() -> list[tuple[float, SmoothingConfig]]:
         for k, (gamma, beta, mode) in enumerate(grid)
     ]
     # at 1 no targets are built, so only tau_pred of the config counts
-    clap = SmoothingConfig(kl_mode=KLMode.FORWARD, beta=0.0)
-    return [(0.0, cfg) for cfg in soft] + [(1.0, clap)]
+    return soft + [SmoothingConfig(kl_mode=KLMode.FORWARD, beta=0.0, clap_mix_lambda=1.0)]
 
 
 def run_gradcheck_suite(
@@ -134,21 +128,21 @@ def run_gradcheck_suite(
     rng = np.random.Generator(np.random.Philox(key=seed))
     cases: list[GradCheckCase] = []
     for b, d in sizes:
-        for lam, cfg in _case_configs():
+        for cfg in _case_configs():
             batch = EmbeddingBatch(
                 audio=rng.standard_normal((b, d)),
                 text=rng.standard_normal((b, d)),
                 local_audio=rng.standard_normal((b, d + 1)),
             )
-            out = loss_and_grad(batch, cfg, lam)
+            out = loss_and_grad(batch, cfg)
             if corrupt_gradient:
                 out.grad_audio[0, 0] += 1e-3
-            num_a, num_t, num_lt = finite_difference_grads(batch, cfg, lam)
+            num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
             err = max(
                 max_relative_error(out.grad_audio, num_a),
                 max_relative_error(out.grad_text, num_t),
                 max_relative_error(out.grad_log_tau_pred, num_lt),
             )
-            cases.append(GradCheckCase(b, d, lam, cfg, err))
+            cases.append(GradCheckCase(b, d, cfg, err))
     worst = max(cases, key=lambda case: case.error)  # the first of equal errors
     return GradCheckReport(max_error=worst.error, n_cases=len(cases), worst=worst)

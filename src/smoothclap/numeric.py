@@ -21,7 +21,7 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 ZERO_ROW_TOL = 1e-12
-KL_FLOOR = 1e-8  # bounds both logs of the loss's KL terms from below
+KL_FLOOR = 1e-8  # bounds both logs of every KL term from below
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -92,14 +92,8 @@ def check_temperature(temperature: float) -> None:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
 
 
-def check_floor(floor: float) -> None:
-    """The log floor of the KL terms must lie in (0, 1e-4]."""
-    if not 0.0 < floor <= 1e-4:
-        raise ValueError(f"floor must be in (0, 1e-4], got {floor}")
-
-
-def kl_sum(p, q, floor: float) -> float:
-    """Sum over rows of KL(p_i || q_i), with ``floor`` applied inside the logs.
+def kl_sum(p, q) -> float:
+    """Sum over rows of KL(p_i || q_i), with ``KL_FLOOR`` applied inside the logs.
 
     Entries with p == 0 contribute exactly 0 regardless of q.
     """
@@ -107,14 +101,13 @@ def kl_sum(p, q, floor: float) -> float:
     q = as_matrix(q, "q")
     if p.shape != q.shape:
         raise ShapeMismatch(f"p has shape {p.shape}, q has shape {q.shape}")
-    check_floor(floor)
-    log_ratio = np.log(np.maximum(p, floor)) - np.log(np.maximum(q, floor))
+    log_ratio = np.log(np.maximum(p, KL_FLOOR)) - np.log(np.maximum(q, KL_FLOOR))
     return float(np.sum(np.where(p > 0.0, p * log_ratio, 0.0)))
 
 
-def kl_rows(p, q, floor: float) -> float:
+def kl_rows(p, q) -> float:
     """Row-averaged KL divergence between two row-stochastic matrices."""
-    return kl_sum(p, q, floor) / len(p)
+    return kl_sum(p, q) / len(p)
 
 
 def gram(a, b) -> np.ndarray:

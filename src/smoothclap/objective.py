@@ -5,8 +5,10 @@ distributions built from intra-modal similarities: audio-to-audio on pooled
 local features and text-to-text on the projected text embeddings. The two
 are mixed by ``gamma``, fused with the identity by ``beta``, and the result
 supervises the cross-modal prediction distributions through a (symmetric)
-KL divergence. Targets are constants during backpropagation: no gradient
-flows through the target branch.
+KL divergence. ``clap_mix_lambda`` mixes in conventional contrastive
+supervision: the loss is ``lam * InfoNCE + (1 - lam) * soft``. Every one of
+these weights is a field of :class:`SmoothingConfig`. Targets are constants
+during backpropagation: no gradient flows through the target branch.
 
 Gradients returned by :func:`loss_and_grad` are taken with respect to the
 pre-normalization embedding matrices (the chain rule runs through the row
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import (
     BetaOutOfRange,
+    ConfigError,
     GammaOutOfRange,
     NonFiniteLoss,
     NonFiniteValue,
@@ -57,8 +60,10 @@ class SmoothingConfig:
     gamma weights text-side against audio-side intra-modal similarity,
     beta blends the soft distribution with the identity (hard) target,
     and the three temperatures scale the respective similarity softmaxes.
-    Only ``tau_pred`` is learnable downstream; the intra-modal temperatures
-    are fixed hyperparameters.
+    ``clap_mix_lambda`` weights InfoNCE against the soft loss: 0 is the soft
+    loss alone, 1 plain CLAP, where no targets are built. Only ``tau_pred``
+    is learnable downstream; the intra-modal temperatures are fixed
+    hyperparameters.
     """
 
     gamma: float = 0.5
@@ -67,12 +72,17 @@ class SmoothingConfig:
     tau_t2t: float = 1.0
     tau_pred: float = 1.0
     kl_mode: KLMode = KLMode.SYMMETRIC
+    clap_mix_lambda: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise GammaOutOfRange(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.beta <= 1.0:
             raise BetaOutOfRange(f"beta must be in [0, 1], got {self.beta}")
+        if not 0.0 <= self.clap_mix_lambda <= 1.0:
+            raise ConfigError(
+                f"clap_mix_lambda must lie in [0, 1], got {self.clap_mix_lambda}"
+            )
         for name in ("tau_a2a", "tau_t2t", "tau_pred"):
             tau = getattr(self, name)
             if not tau > 0.0:
@@ -218,18 +228,7 @@ def clap_infonce(scores, tau_pred: float) -> float:
     return _infonce(p_a2t, p_t2a)
 
 
-def _check_mix_lambda(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"clap_mix_lambda must lie in [0, 1], got {lam}")
-
-
-def loss_with_fixed_targets(
-    audio,
-    text,
-    targets,
-    cfg: SmoothingConfig,
-    clap_mix_lambda: float = 0.0,
-) -> float:
+def loss_with_fixed_targets(audio, text, targets, cfg: SmoothingConfig) -> float:
     """Forward loss with the target distribution held constant.
 
     This is the stop-gradient view of the objective: perturbing ``audio`` or
@@ -238,21 +237,21 @@ def loss_with_fixed_targets(
     this function, since the analytic gradients deliberately do not
     differentiate through the target branch.
 
-    The mix is the kernel's: InfoNCE alone at ``clap_mix_lambda = 1`` (then
-    ``targets`` is unused), the soft loss alone at 0, and ``lam * InfoNCE +
-    (1 - lam) * soft_loss`` in between, from one pair of predictions.
+    The mix is the kernel's: InfoNCE alone at ``cfg.clap_mix_lambda = 1``
+    (then ``targets`` is unused), the soft loss alone at 0, and ``lam *
+    InfoNCE + (1 - lam) * soft_loss`` in between, from one pair of predictions.
     """
-    _check_mix_lambda(clap_mix_lambda)
+    lam = cfg.clap_mix_lambda
     e_a = l2_normalize_rows(as_matrix(audio, "audio"))
     e_t = l2_normalize_rows(as_matrix(text, "text"))
     g = gram(e_a, e_t)
-    if clap_mix_lambda == 1.0:
+    if lam == 1.0:
         return clap_infonce(g, cfg.tau_pred)
     p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
     soft = soft_loss(targets, p_a2t, p_t2a, cfg)
-    if clap_mix_lambda == 0.0:
+    if lam == 0.0:
         return soft
-    return clap_mix_lambda * _infonce(p_a2t, p_t2a) + (1.0 - clap_mix_lambda) * soft
+    return lam * _infonce(p_a2t, p_t2a) + (1.0 - lam) * soft
 
 
 # --- private term code: trusted float64 arrays, no validation -------------------
@@ -355,18 +354,14 @@ class _KLTerms:
         return p
 
 
-def loss_and_grad(
-    batch: EmbeddingBatch,
-    cfg: SmoothingConfig,
-    clap_mix_lambda: float = 0.0,
-) -> LossOutput:
+def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     """Forward loss and exact analytic gradients for one batch.
 
-    The loss is ``clap_mix_lambda * clap_infonce + (1 - clap_mix_lambda) *
-    soft_loss``: plain CLAP at 1, where no targets are built, and the soft
-    objective alone at 0. InfoNCE is KL(I || p), so the mix needs one pass:
-    its logit gradient is ``p - (lam*I + (1-lam)*y)`` plus ``(1-lam)`` times
-    the reverse-KL term.
+    With ``lam = cfg.clap_mix_lambda`` the loss is ``lam * clap_infonce +
+    (1 - lam) * soft_loss``: plain CLAP at 1, where no targets are built, and
+    the soft objective alone at 0. InfoNCE is KL(I || p), so the mix needs
+    one pass: its logit gradient is ``p - (lam*I + (1-lam)*y)`` plus
+    ``(1-lam)`` times the reverse-KL term.
 
     Gradients are with respect to the pre-normalization audio/text matrices
     (evaluated at the stored unit-norm rows) and with respect to
@@ -374,8 +369,7 @@ def loss_and_grad(
     is computed by the same term code as the public forward functions, so it
     matches a manual composition bit for bit.
     """
-    _check_mix_lambda(clap_mix_lambda)
-    lam = clap_mix_lambda
+    lam = cfg.clap_mix_lambda
     e_a = unit_rows(batch.audio)
     e_t = unit_rows(batch.text)
     b = batch.size

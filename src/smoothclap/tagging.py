@@ -16,6 +16,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import (
+    ConfigError,
     MissingThresholds,
     NonFiniteValue,
     TooFewValues,
@@ -75,7 +76,7 @@ class BinThresholds:
         if not (np.isfinite(self.low) and np.isfinite(self.high)):
             raise NonFiniteValue(f"thresholds for {self.feature_name} are not finite")
         if self.low > self.high:
-            raise ValueError(
+            raise ConfigError(
                 f"low threshold {self.low} exceeds high threshold {self.high}"
             )
 

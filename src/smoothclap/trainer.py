@@ -160,7 +160,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     embed_dim: int = 16
-    clap_mix_lambda: float = 0.0
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
 
     def __post_init__(self) -> None:
@@ -173,8 +172,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.embed_dim < 2:
             raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
-        if not 0.0 <= self.clap_mix_lambda <= 1.0:
-            raise ConfigError("clap_mix_lambda must lie in [0, 1]")
         check_seed(self.seed)
 
     @classmethod
@@ -297,7 +294,7 @@ def _tau_pred(log_tau: float) -> float:
 
 
 def train_step(
-    proj_a, proj_t, log_tau: float, audio, text, local_audio, smoothing, clap_mix_lambda=0.0
+    proj_a, proj_t, log_tau: float, audio, text, local_audio, smoothing
 ) -> tuple[LossOutput, np.ndarray]:
     """Loss of one batch of feature rows and one float64 vector of the gradients
     of W_a, b_a, W_t, b_t and log_tau, each raveled, end to end in that order."""
@@ -306,7 +303,7 @@ def train_step(
     cfg = with_tau_pred(smoothing, _tau_pred(log_tau))
     ra = _row_norms_checked(za, "audio projection")
     rt = _row_norms_checked(zt, "text projection")
-    out = loss_and_grad(EmbeddingBatch(za, zt, local_audio), cfg, clap_mix_lambda)
+    out = loss_and_grad(EmbeddingBatch(za, zt, local_audio), cfg)
     # undo the unit-norm evaluation point: d/dz = d/de / ||z||
     dza = out.grad_audio / ra[:, None]
     dzt = out.grad_text / rt[:, None]
@@ -360,7 +357,7 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
             try:
                 out, grad = train_step(
                     proj_a, proj_t, float(log_tau), x[idx], text_feats[idx], local[idx],
-                    config.smoothing, config.clap_mix_lambda,
+                    config.smoothing,
                 )
             except (
                 ZeroRow, NonFiniteValue, NonPositiveTemperature, ZeroMassTarget, NonFiniteLoss

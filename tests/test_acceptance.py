@@ -167,8 +167,8 @@ def test_criterion_4_oracle_golden_values(capsys):
     ok &= close(l2_normalize_rows([[3.0, 4.0]])[0], GOLDEN["l2_normalize_3_4"])
     ok &= close(row_softmax([[np.log(2.0), 0.0]], 1.0)[0], GOLDEN["softmax_ln2_0"])
     ok &= close(row_softmax([[1000.0, 999.0]], 1.0)[0], GOLDEN["softmax_1000_999"])
-    ok &= close(kl_rows([[1.0, 0.0]], [[0.5, 0.5]], 1e-12), GOLDEN["kl_onehot_uniform"])
-    ok &= close(kl_rows([[0.9, 0.1]], [[0.1, 0.9]], 1e-12), GOLDEN["kl_09_01_vs_01_09"])
+    ok &= close(kl_rows([[1.0, 0.0]], [[0.5, 0.5]]), GOLDEN["kl_onehot_uniform"])
+    ok &= close(kl_rows([[0.9, 0.1]], [[0.1, 0.9]]), GOLDEN["kl_09_01_vs_01_09"])
     ok &= close(gram([[1.0, 2.0]], [[3.0, 4.0]])[0, 0], GOLDEN["gram_12_34"])
     ok &= close(
         percentile_nearest_rank(range(1, 11), 30), GOLDEN["percentile_1to10_p30"]
@@ -308,8 +308,9 @@ def _train_and_score(fixture, seed, clap_mix_lambda):
         lr=3e-2,
         seed=seed,
         embed_dim=16,
-        clap_mix_lambda=clap_mix_lambda,
-        smoothing=SmoothingConfig(gamma=0.5, beta=0.1, kl_mode=KLMode.SYMMETRIC),
+        smoothing=SmoothingConfig(
+            gamma=0.5, beta=0.1, kl_mode=KLMode.SYMMETRIC, clap_mix_lambda=clap_mix_lambda
+        ),
     )
     model = train(fixture.features, fixture.tag_lists, config)
     emb = embed_audio(model, fixture.features)

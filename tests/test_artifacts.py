@@ -303,24 +303,43 @@ def test_model_reader_takes_lr_projection_of_older_versions_as_lr(corpus):
     assert load_model(write_doc(corpus, "old_lr.json", doc)).config.lr == 0.05
 
 
+def older_echo(corpus, **top_level):
+    """The model document with the config echo of older versions: the mix at
+    the top level, not under smoothing."""
+    doc = model_doc(corpus)
+    del doc["config"]["smoothing"]["clap_mix_lambda"]
+    doc["config"].update(top_level)
+    return doc
+
+
+def with_mix(config, lam):
+    return replace(config, smoothing=replace(config.smoothing, clap_mix_lambda=lam))
+
+
+def test_model_reader_takes_the_top_level_mix_of_older_versions(corpus):
+    nested = model_doc(corpus)
+    nested["config"]["smoothing"]["clap_mix_lambda"] = 0.4
+    config = load_model(write_doc(corpus, "new_mix.json", nested)).config
+    old = load_model(write_doc(corpus, "old_mix.json", older_echo(corpus, clap_mix_lambda=0.4)))
+    assert old.config == config == with_mix(load_model(corpus["model"]).config, 0.4)
+
+
 def test_model_reader_takes_clap_with_a_partial_mix_of_older_versions_as_clap(corpus):
     # older versions trained objective clap at lambda 1 whatever clap_mix_lambda
     # said, and echoed both
-    doc = model_doc(corpus)
-    doc["config"].update(objective="clap", clap_mix_lambda=0.5)
+    doc = older_echo(corpus, objective="clap", clap_mix_lambda=0.5)
     path = write_doc(corpus, "old_clap.json", doc)
     config = load_model(path).config
-    assert config.clap_mix_lambda == 1.0
-    assert config == replace(load_model(corpus["model"]).config, clap_mix_lambda=1.0)
+    assert config.smoothing.clap_mix_lambda == 1.0
+    assert config == with_mix(load_model(corpus["model"]).config, 1.0)
     code, lines = run_main(*eval_argv(corpus, model=path))
     assert code == 0
 
 
 def test_model_reader_takes_smooth_of_older_versions_at_its_echoed_mix(corpus):
-    doc = model_doc(corpus)
-    doc["config"].update(objective="smooth", clap_mix_lambda=0.3)
+    doc = older_echo(corpus, objective="smooth", clap_mix_lambda=0.3)
     config = load_model(write_doc(corpus, "old_smooth.json", doc)).config
-    assert config == replace(load_model(corpus["model"]).config, clap_mix_lambda=0.3)
+    assert config == with_mix(load_model(corpus["model"]).config, 0.3)
 
 
 def test_model_reader_skips_the_kl_floor_of_older_versions(corpus):

@@ -951,7 +951,8 @@ def test_nonfinite_loss_maps_to_exit_1(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
-@pytest.mark.parametrize("source", ["flag", "config"])
+# config files name the option by its path, or by its field name ("flat")
+@pytest.mark.parametrize("source", ["flag", "config", "flat"])
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -963,10 +964,11 @@ def test_nonfinite_loss_maps_to_exit_1(tmp_path, monkeypatch):
         ("smoothing.tau_pred", math.inf, "tau_pred must be finite, got inf"),
         ("smoothing.tau_a2a", math.inf, "tau_a2a must be finite, got inf"),
         ("smoothing.tau_t2t", math.nan, "tau_t2t must be > 0, got nan"),
+        ("smoothing.clap_mix_lambda", 1.5, "clap_mix_lambda must lie in [0, 1], got 1.5"),
     ],
     ids=[
         "seed-2**64", "seed-neg", "lr-nan", "lr-inf", "lr-neg",
-        "tau_pred-inf", "tau_a2a-inf", "tau_t2t-nan",
+        "tau_pred-inf", "tau_a2a-inf", "tau_t2t-nan", "clap_mix_lambda-1.5",
     ],
 )
 def test_out_of_range_run_option_exits_2_with_one_line(
@@ -976,7 +978,8 @@ def test_out_of_range_run_option_exits_2_with_one_line(
     if source == "flag":
         argv = [flag, str(value)]
     else:
-        argv = ["--config", str(write_config(tmp_path, {path: value}))]
+        key = path.rpartition(".")[2] if source == "flat" else path
+        argv = ["--config", str(write_config(tmp_path, {key: value}))]
     files = cluster_files(tmp_path)
     out = tmp_path / "out"
     inputs = ["--features", str(files["features"]), "--tags", str(files["tags"])]
@@ -1020,13 +1023,13 @@ RUN_OPTION_CASES = {
     "lr": ("--lr", 0.01, 0.01),
     "seed": ("--seed", 3, 3),
     "embed_dim": ("--embed-dim", 8, 8),
-    "clap_mix_lambda": ("--clap-mix-lambda", 0.25, 0.25),
     "smoothing.gamma": ("--gamma", 0.3, 0.3),
     "smoothing.beta": ("--beta", 0.2, 0.2),
     "smoothing.tau_a2a": ("--tau-a2a", 0.5, 0.5),
     "smoothing.tau_t2t": ("--tau-t2t", 0.6, 0.6),
     "smoothing.tau_pred": ("--tau-pred", 0.7, 0.7),
     "smoothing.kl_mode": ("--kl-mode", "forward", KLMode.FORWARD),
+    "smoothing.clap_mix_lambda": ("--clap-mix-lambda", 0.25, 0.25),
 }
 
 

@@ -67,9 +67,9 @@ def test_aligned_batch_has_smaller_gradient_than_shuffled():
     aligned = EmbeddingBatch(rows, rows.copy(), rows.copy())
     perm = np.roll(np.arange(6), 1)
     shuffled = EmbeddingBatch(rows, rows[perm], rows.copy())
-    cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=0.1)
-    g_aligned = loss_and_grad(aligned, cfg, 1.0)
-    g_shuffled = loss_and_grad(shuffled, cfg, 1.0)
+    cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=0.1, clap_mix_lambda=1.0)
+    g_aligned = loss_and_grad(aligned, cfg)
+    g_shuffled = loss_and_grad(shuffled, cfg)
 
     def norm(out):
         return np.sqrt(
@@ -81,7 +81,7 @@ def test_aligned_batch_has_smaller_gradient_than_shuffled():
     assert norm(g_aligned) < norm(g_shuffled)
     # and the finite-difference oracle agrees on both
     for batch, out in ((aligned, g_aligned), (shuffled, g_shuffled)):
-        num_a, num_t, num_lt = finite_difference_grads(batch, cfg, 1.0)
+        num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
         assert max_relative_error(out.grad_audio, num_a) < 1e-5
         assert max_relative_error(out.grad_text, num_t) < 1e-5
         assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
@@ -127,9 +127,9 @@ def test_relative_error_metric():
 def test_clap_mix_matches_finite_differences(kl_mode):
     rng = np.random.default_rng(47)
     batch = make_batch(rng, 6, 5)
-    cfg = SmoothingConfig(gamma=0.4, beta=0.3, tau_pred=0.7, kl_mode=kl_mode)
-    out = loss_and_grad(batch, cfg, 0.5)
-    num_a, num_t, num_lt = finite_difference_grads(batch, cfg, 0.5)
+    cfg = SmoothingConfig(gamma=0.4, beta=0.3, tau_pred=0.7, kl_mode=kl_mode, clap_mix_lambda=0.5)
+    out = loss_and_grad(batch, cfg)
+    num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
     assert max_relative_error(out.grad_audio, num_a) < 1e-5
     assert max_relative_error(out.grad_text, num_t) < 1e-5
     assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5

@@ -9,7 +9,7 @@ relative, not bit for bit.
 import numpy as np
 import pytest
 
-from smoothclap.errors import ZeroMassTarget
+from smoothclap.errors import ConfigError, ZeroMassTarget
 from smoothclap.numeric import KL_FLOOR, gram, kl_sum, l2_normalize_rows, row_softmax
 from smoothclap.objective import (
     EmbeddingBatch,
@@ -32,8 +32,9 @@ def _kl_grad_wrt_logits(p, y, symmetric):
     return g
 
 
-def reference_loss_and_grad(batch, cfg, lam):
+def reference_loss_and_grad(batch, cfg):
     """(value, grad_audio, grad_text, grad_log_tau_pred) the old way."""
+    lam = cfg.clap_mix_lambda
     e_a = l2_normalize_rows(batch.audio)
     e_t = l2_normalize_rows(batch.text)
     b = batch.size
@@ -71,9 +72,9 @@ def reference_loss_and_grad(batch, cfg, lam):
         cfg.beta,
     )
     symmetric = cfg.kl_mode is KLMode.SYMMETRIC
-    total = kl_sum(y, p_a2t, KL_FLOOR) + kl_sum(y, p_t2a, KL_FLOOR)
+    total = kl_sum(y, p_a2t) + kl_sum(y, p_t2a)
     if symmetric:
-        total += kl_sum(p_a2t, y, KL_FLOOR) + kl_sum(p_t2a, y, KL_FLOOR)
+        total += kl_sum(p_a2t, y) + kl_sum(p_t2a, y)
     soft = with_grads(total / (2.0 * b), y, symmetric)
     if lam == 0.0:
         return soft
@@ -106,10 +107,11 @@ def assert_close(actual, expected):
 def test_kernel_matches_reference(b, tau_pred, kl_mode, lam):
     batch = make_batch(b, seed=b)
     cfg = SmoothingConfig(
-        gamma=0.3, beta=0.4, tau_a2a=0.8, tau_t2t=1.2, tau_pred=tau_pred, kl_mode=kl_mode
+        gamma=0.3, beta=0.4, tau_a2a=0.8, tau_t2t=1.2, tau_pred=tau_pred, kl_mode=kl_mode,
+        clap_mix_lambda=lam,
     )
-    out = loss_and_grad(batch, cfg, lam)
-    value, grad_audio, grad_text, grad_log_tau = reference_loss_and_grad(batch, cfg, lam)
+    out = loss_and_grad(batch, cfg)
+    value, grad_audio, grad_text, grad_log_tau = reference_loss_and_grad(batch, cfg)
     assert_close(out.value, value)
     assert_close(out.grad_audio, grad_audio)
     assert_close(out.grad_text, grad_text)
@@ -126,13 +128,14 @@ def test_floor_is_hit_in_the_reference_cases():
 
 def test_kernel_rejects_targets_below_the_floor_at_any_mix():
     batch = make_batch(4, seed=5)
-    cfg = SmoothingConfig(beta=1e-12, kl_mode=KLMode.SYMMETRIC)
     for lam in (0.0, 0.5):
+        cfg = SmoothingConfig(beta=1e-12, kl_mode=KLMode.SYMMETRIC, clap_mix_lambda=lam)
         with pytest.raises(ZeroMassTarget):
-            loss_and_grad(batch, cfg, lam)
+            loss_and_grad(batch, cfg)
 
 
-@pytest.mark.parametrize("lam", [-0.1, 1.5])
+@pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
 def test_kernel_rejects_mix_weight_outside_unit_interval(lam):
-    with pytest.raises(ValueError):
-        loss_and_grad(make_batch(4, seed=6), SmoothingConfig(), lam)
+    # the mix is a field of the kernel's config, checked where it is built
+    with pytest.raises(ConfigError, match=f"clap_mix_lambda must lie in \\[0, 1\\], got {lam}"):
+        SmoothingConfig(clap_mix_lambda=lam)

@@ -111,29 +111,22 @@ def test_softmax_shift_invariance():
 
 def test_kl_identical_is_zero():
     p = row_softmax(np.random.default_rng(1).standard_normal((3, 4)), 1.0)
-    assert kl_rows(p, p, 1e-12) == 0.0
+    assert kl_rows(p, p) == 0.0
 
 
 def test_kl_onehot_vs_uniform():
-    got = kl_rows([[1.0, 0.0]], [[0.5, 0.5]], 1e-12)
+    got = kl_rows([[1.0, 0.0]], [[0.5, 0.5]])
     assert got == pytest.approx(GOLDEN["kl_onehot_uniform"], abs=1e-9)
 
 
 def test_kl_asymmetric_example():
-    got = kl_rows([[0.9, 0.1]], [[0.1, 0.9]], 1e-12)
+    got = kl_rows([[0.9, 0.1]], [[0.1, 0.9]])
     assert got == pytest.approx(GOLDEN["kl_09_01_vs_01_09"], abs=1e-9)
 
 
 def test_kl_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        kl_rows([[1.0, 0.0]], [[1.0, 0.0, 0.0]], 1e-12)
-
-
-def test_kl_floor_validation():
-    with pytest.raises(ValueError):
-        kl_rows([[1.0]], [[1.0]], floor=0.0)
-    with pytest.raises(ValueError):
-        kl_rows([[1.0]], [[1.0]], floor=1e-3)
+        kl_rows([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
 
 
 def test_kl_nonnegative_and_zero_iff_equal():
@@ -142,9 +135,9 @@ def test_kl_nonnegative_and_zero_iff_equal():
         b = int(rng.integers(2, 6))
         p = row_softmax(rng.standard_normal((b, b)), 1.0)
         q = row_softmax(rng.standard_normal((b, b)), 1.0)
-        floor = 1e-12  # below any softmax entry at this scale
-        assert kl_rows(p, q, floor) >= 0.0
-        assert kl_rows(p, p, floor) == 0.0
+        # KL_FLOOR lies below any softmax entry at this scale
+        assert kl_rows(p, q) >= 0.0
+        assert kl_rows(p, p) == 0.0
 
 
 # --- gram ---

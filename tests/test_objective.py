@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,12 +294,14 @@ def test_loss_value_matches_manual_composition_bitwise():
     p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
     y = build_targets(batch, cfg)
     assert loss_and_grad(batch, cfg).value == soft_loss(y, p_a2t, p_t2a, cfg)
-    assert loss_and_grad(batch, cfg, 1.0).value == clap_infonce(g, cfg.tau_pred)
+    clap = replace(cfg, clap_mix_lambda=1.0)
+    assert loss_and_grad(batch, clap).value == clap_infonce(g, cfg.tau_pred)
     # the fixed-target forward evaluates the kernel's mix from the same terms;
     # 0.3 tells the weight of InfoNCE from that of the soft loss
     for lam in (0.0, 0.3, 0.5, 1.0):
-        fixed = loss_with_fixed_targets(batch.audio, batch.text, y, cfg, lam)
-        assert fixed == loss_and_grad(batch, cfg, lam).value
+        mixed = replace(cfg, clap_mix_lambda=lam)
+        fixed = loss_with_fixed_targets(batch.audio, batch.text, y, mixed)
+        assert fixed == loss_and_grad(batch, mixed).value
 
 
 def test_permutation_equivariance():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothclap.errors import (
+    ConfigError,
     MissingThresholds,
     NonFiniteValue,
     SmoothClapError,
@@ -76,6 +77,11 @@ def test_assign_bin_degenerate_thresholds():
     assert assign_bin(5.0, t) is Bin.LOW
     assert assign_bin(5.1, t) is Bin.HIGH
     assert assign_bin(4.9, t) is Bin.LOW
+
+
+def test_inverted_thresholds_are_a_config_error():
+    with pytest.raises(ConfigError, match="low threshold 2.0 exceeds high threshold 1.0"):
+        BinThresholds("x", 2.0, 1.0)
 
 
 def test_assign_bin_rejects_nan():

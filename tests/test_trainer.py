@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +171,7 @@ def test_clap_and_smooth_beta0_forward_trajectories_match():
     m_hard = train(
         fx.features,
         fx.tag_lists,
-        small_config(smoothing=smoothing, clap_mix_lambda=1.0),
+        small_config(smoothing=replace(smoothing, clap_mix_lambda=1.0)),
     )
     assert len(m_soft.history) == len(m_hard.history)
     for a, b in zip(m_soft.history, m_hard.history):
@@ -188,11 +189,11 @@ def test_clap_mix_takes_one_kernel_call_per_step(monkeypatch):
 
     monkeypatch.setattr(trainer_module, "loss_and_grad", counting)
     fx = make_cluster_fixture(seed=8, n_per_class=16)
-    config = small_config(clap_mix_lambda=0.5)
+    config = small_config(smoothing=SmoothingConfig(clap_mix_lambda=0.5))
     train(fx.features, fx.tag_lists, config)
     steps_per_epoch = len(fx.tag_lists) // config.batch_size
     assert len(calls) == config.epochs * steps_per_epoch
-    assert all(args[2] == 0.5 for args in calls)
+    assert all(args[1].clap_mix_lambda == 0.5 for args in calls)
 
 
 def test_descent_on_frozen_batch():
@@ -247,9 +248,9 @@ def test_train_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
     local = l2_normalize_rows(x)
     proj_a = init_projection(in_audio, dim, rng)
     proj_t = init_projection(in_text, dim, rng)
-    smoothing = SmoothingConfig(kl_mode=kl_mode, tau_a2a=0.7, tau_t2t=1.3)
+    smoothing = SmoothingConfig(kl_mode=kl_mode, tau_a2a=0.7, tau_t2t=1.3, clap_mix_lambda=lam)
     log_tau = math.log(0.8)
-    out, grad = train_step(proj_a, proj_t, log_tau, x, text, local, smoothing, lam)
+    out, grad = train_step(proj_a, proj_t, log_tau, x, text, local, smoothing)
     flat = flatten(proj_a, proj_t, log_tau)
     assert grad.dtype == np.float64 and grad.shape == flat.shape == (103,)
 
@@ -259,7 +260,7 @@ def test_train_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
     def loss(params):
         pa, pt, lt = unflatten(params, in_audio, in_text, dim)
         cfg = with_tau_pred(smoothing, math.exp(lt))
-        return loss_with_fixed_targets(pa.project(x), pt.project(text), targets, cfg, lam)
+        return loss_with_fixed_targets(pa.project(x), pt.project(text), targets, cfg)
 
     assert loss(flat) == out.value
     numeric = np.empty_like(flat)
