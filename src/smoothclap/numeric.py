@@ -55,11 +55,19 @@ def l2_normalize_rows(m) -> np.ndarray:
 def unit_rows(m: np.ndarray) -> np.ndarray:
     """:func:`l2_normalize_rows` of a trusted 2-D float64 array: no coercion
     or finiteness pass, the same arithmetic."""
+    return m / row_norms(m)[:, None]
+
+
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a trusted 2-D float64 array.
+
+    Raises ZeroRow, naming the row, if any norm falls below ``ZERO_ROW_TOL``.
+    """
     norms = np.sqrt(np.sum(m * m, axis=1))
     if np.any(norms < ZERO_ROW_TOL):
         bad = int(np.argmin(norms))
         raise ZeroRow(f"row {bad} has norm {norms[bad]:.3e}, cannot normalize")
-    return m / norms[:, None]
+    return norms
 
 
 def row_softmax(m, temperature: float) -> np.ndarray:

@@ -14,10 +14,14 @@ Gradients returned by :func:`loss_and_grad` are taken with respect to the
 pre-normalization embedding matrices (the chain rule runs through the row
 L2-normalization) and with respect to ``log(tau_pred)``.
 
+Every B x B quantity (the targets, both prediction distributions, their KL
+terms and logit gradients) is formed one block of ``_BLOCK_ROWS`` rows at a
+time, and its sums are added up in block order, so no B x B array exists.
 The public forward functions validate their arguments and then run the same
-private term code as :func:`loss_and_grad`, whose arrays come from a
-validated :class:`EmbeddingBatch` and are trusted. So a manual composition of
-the public pieces reproduces the kernel's loss bit for bit.
+private block code, in the same block order, as :func:`loss_and_grad`, whose
+arrays come from a validated :class:`EmbeddingBatch` and are trusted. So a
+manual composition of the public pieces reproduces the kernel's loss bit for
+bit, given the whole-matrix products the bits of the kernel's row blocks.
 """
 from __future__ import annotations
 
@@ -61,9 +65,9 @@ class SmoothingConfig:
     beta blends the soft distribution with the identity (hard) target,
     and the three temperatures scale the respective similarity softmaxes.
     ``clap_mix_lambda`` weights InfoNCE against the soft loss: 0 is the soft
-    loss alone, 1 plain CLAP, where no targets are built. Only ``tau_pred``
-    is learnable downstream; the intra-modal temperatures are fixed
-    hyperparameters.
+    loss alone, 1 plain CLAP, where no targets are built, so that symmetric
+    KL needs ``beta > 0`` only below 1. Only ``tau_pred`` is learnable
+    downstream; the intra-modal temperatures are fixed hyperparameters.
     """
 
     gamma: float = 0.5
@@ -89,7 +93,12 @@ class SmoothingConfig:
                 raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
             if tau == np.inf:
                 raise NonFiniteValue(f"{name} must be finite, got {tau}")
-        if self.kl_mode is KLMode.SYMMETRIC and not self.beta > 0.0:
+        # at clap_mix_lambda = 1 no target and no KL term is built
+        if (
+            self.kl_mode is KLMode.SYMMETRIC
+            and not self.beta > 0.0
+            and self.clap_mix_lambda < 1.0
+        ):
             raise ZeroMassTarget(
                 "symmetric KL requires beta > 0: hard targets put zero mass "
                 "off the diagonal and the reverse KL term is undefined"
@@ -151,7 +160,7 @@ def intra_modal_targets(features, tau: float) -> np.ndarray:
     """Row-softmax of the self-similarity matrix of unit-norm feature rows."""
     features = as_matrix(features, "features")
     check_temperature(tau)
-    return _intra_modal(features, tau)
+    return _softmax_rows(features, features, tau)
 
 
 def mix_targets(q_a2a, q_t2t, gamma: float) -> np.ndarray:
@@ -186,16 +195,24 @@ def predicted_distributions(scores, tau_pred: float) -> tuple[np.ndarray, np.nda
     if s.shape[0] != s.shape[1]:
         raise NotSquare(f"scores must be square, got {s.shape}")
     check_temperature(tau_pred)
-    return _predictions(s.copy(), tau_pred)
+    return (
+        row_softmax_inplace(s.copy(), tau_pred),
+        row_softmax_inplace(np.ascontiguousarray(s.T), tau_pred),
+    )
 
 
 def build_targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
     """Softened target distribution for one batch (constant under backprop).
 
-    Equal, bit for bit, to ``smooth_targets(mix_targets(q_a2a, q_t2t, gamma),
+    Built row block by row block, each block as the kernel builds it, with
+    the arithmetic of ``smooth_targets(mix_targets(q_a2a, q_t2t, gamma),
     beta)`` of the two ``intra_modal_targets``.
     """
-    return _targets(batch, cfg)
+    b = batch.size
+    y = np.empty((b, b))
+    for rows in _row_blocks(b):
+        y[rows] = _target_rows(batch.local_audio, batch.text, rows, cfg)
+    return y
 
 
 def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
@@ -203,7 +220,8 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
 
     Symmetric mode sums forward and reverse KL in both retrieval directions;
     forward mode keeps only KL(y || p). Either way the total is divided by
-    2 * batch size. ``KL_FLOOR`` bounds both logs from below.
+    2 * batch size. ``KL_FLOOR`` bounds both logs from below. The sums run
+    over the kernel's row blocks in its order.
     """
     y = as_matrix(y, "y")
     p_a2t = as_matrix(p_a2t, "p_a2t")
@@ -214,10 +232,12 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
         )
     if y.shape[0] != y.shape[1]:
         raise NotSquare(f"distributions must be square, got {y.shape}")
-    kl = _KLTerms(y, cfg)
-    kl.add(p_a2t)
-    kl.add(p_t2a)
-    return kl.value()
+    kl = _KLTerms(cfg)
+    for rows in _row_blocks(y.shape[0]):
+        kl.set_targets(y[rows])
+        kl.add(_A2T, p_a2t[rows])
+        kl.add(_T2A, p_t2a[rows])
+    return kl.value(y.shape[0])
 
 
 def clap_infonce(scores, tau_pred: float) -> float:
@@ -225,7 +245,7 @@ def clap_infonce(scores, tau_pred: float) -> float:
     p_a2t, p_t2a = predicted_distributions(scores, tau_pred)
     if p_a2t.shape[0] < 2:
         raise ShapeMismatch("InfoNCE needs a batch of at least 2")
-    return _infonce(p_a2t, p_t2a)
+    return _infonce(np.diag(p_a2t), np.diag(p_t2a))
 
 
 def loss_with_fixed_targets(audio, text, targets, cfg: SmoothingConfig) -> float:
@@ -237,72 +257,92 @@ def loss_with_fixed_targets(audio, text, targets, cfg: SmoothingConfig) -> float
     this function, since the analytic gradients deliberately do not
     differentiate through the target branch.
 
-    The mix is the kernel's: InfoNCE alone at ``cfg.clap_mix_lambda = 1``
-    (then ``targets`` is unused), the soft loss alone at 0, and ``lam *
-    InfoNCE + (1 - lam) * soft_loss`` in between, from one pair of predictions.
+    The mix is the kernel's, from the kernel's own row-block pass: InfoNCE
+    alone at ``cfg.clap_mix_lambda = 1`` (then ``targets`` is unused), the
+    soft loss alone at 0, and ``lam * InfoNCE + (1 - lam) * soft_loss`` in
+    between.
     """
-    lam = cfg.clap_mix_lambda
     e_a = l2_normalize_rows(as_matrix(audio, "audio"))
     e_t = l2_normalize_rows(as_matrix(text, "text"))
-    g = gram(e_a, e_t)
-    if lam == 1.0:
-        return clap_infonce(g, cfg.tau_pred)
-    p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
-    soft = soft_loss(targets, p_a2t, p_t2a, cfg)
-    if lam == 0.0:
-        return soft
-    return lam * _infonce(p_a2t, p_t2a) + (1.0 - lam) * soft
+    if e_a.shape != e_t.shape:
+        raise ShapeMismatch(f"audio {e_a.shape} and text {e_t.shape} must match")
+    b = e_a.shape[0]
+    if b < 2:
+        raise ShapeMismatch("batch size must be at least 2")
+    if cfg.clap_mix_lambda < 1.0:
+        targets = as_matrix(targets, "targets")
+        if targets.shape != (b, b):
+            raise ShapeMismatch(f"targets {targets.shape} must be {(b, b)}")
+    value, _ = _blocked_pass(e_a, e_t, lambda rows: targets[rows], cfg, with_grads=False)
+    return value
 
 
 # --- private term code: trusted float64 arrays, no validation -------------------
 
-def _add_to_diagonal(m: np.ndarray, value: float) -> None:
-    m.flat[:: m.shape[0] + 1] += value
+# Every B x B quantity is made and used one block of rows at a time, so a
+# step holds a few (_BLOCK_ROWS, B) arrays instead of B x B ones.
+_BLOCK_ROWS = 64
+_A2T, _T2A = 0, 1  # the two retrieval directions, as indices of the KL sums
 
 
-def _predictions(s: np.ndarray, tau_pred: float) -> tuple[np.ndarray, np.ndarray]:
-    # the t2a softmax runs on a C-contiguous copy of the transpose, so both
-    # directions reduce along contiguous rows; s itself becomes p_a2t
-    p_t2a = row_softmax_inplace(np.ascontiguousarray(s.T), tau_pred)
-    return row_softmax_inplace(s, tau_pred), p_t2a
+def _row_blocks(b: int) -> list[slice]:
+    """The row blocks of a batch of b rows, in the one order every sum follows."""
+    return [slice(lo, min(lo + _BLOCK_ROWS, b)) for lo in range(0, b, _BLOCK_ROWS)]
 
 
-def _intra_modal(features: np.ndarray, tau: float) -> np.ndarray:
-    return row_softmax_inplace(features @ features.T, tau)
+def _diagonal(block: np.ndarray, start: int) -> np.ndarray:
+    """View of the batch diagonal of a C-contiguous block of rows that starts
+    at batch row ``start``: its entries (i, start + i)."""
+    return block.reshape(-1)[start :: block.shape[1] + 1]
 
 
-def _targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
-    # in place, the arithmetic of smooth_targets(mix_targets(...))
-    y = _intra_modal(batch.local_audio, cfg.tau_a2a)
+def _softmax_rows(src: np.ndarray, dst: np.ndarray, tau: float) -> np.ndarray:
+    """Row softmax of the similarities of the rows of src to every row of dst."""
+    return row_softmax_inplace(src @ dst.T, tau)
+
+
+def _target_rows(
+    local: np.ndarray, text: np.ndarray, rows: slice, cfg: SmoothingConfig
+) -> np.ndarray:
+    # in place, the arithmetic of smooth_targets(mix_targets(...)) on the rows
+    y = _softmax_rows(local[rows], local, cfg.tau_a2a)
     y *= 1.0 - cfg.gamma
-    q_t2t = _intra_modal(batch.text, cfg.tau_t2t)
+    q_t2t = _softmax_rows(text[rows], text, cfg.tau_t2t)
     q_t2t *= cfg.gamma
     y += q_t2t
     y *= cfg.beta
-    _add_to_diagonal(y, 1.0 - cfg.beta)
+    diagonal = _diagonal(y, rows.start)
+    diagonal += 1.0 - cfg.beta
     return y
 
 
-def _infonce(p_a2t: np.ndarray, p_t2a: np.ndarray) -> float:
+def _infonce(diag_a2t: np.ndarray, diag_t2a: np.ndarray) -> float:
     tiny = np.finfo(np.float64).tiny
-    nll_a = -np.log(np.maximum(np.diag(p_a2t), tiny))
-    nll_t = -np.log(np.maximum(np.diag(p_t2a), tiny))
+    nll_a = -np.log(np.maximum(diag_a2t, tiny))
+    nll_t = -np.log(np.maximum(diag_t2a, tiny))
     return 0.5 * (float(np.mean(nll_a)) + float(np.mean(nll_t)))
 
 
 class _KLTerms:
-    """KL sums of one target matrix against predictions, one direction at a time.
+    """KL sums of target rows against prediction rows, per direction.
 
-    For a prediction p, ``u = log max(p, KL_FLOOR) - log max(y, KL_FLOOR)``
-    is taken once. It gives the forward term KL(y || p) = -sum(y * u), the
-    reverse term KL(p || y) = sum(p * u), and the reverse term's logit gradient
-    ``p * (u - rowsum(p * u))``. An entry with y == 0 or p == 0 contributes
-    exactly 0, because u is finite. Two scratch matrices are reused across
-    directions.
+    For the prediction rows p of one block and its target rows y, ``u = log
+    max(p, KL_FLOOR) - log max(y, KL_FLOOR)`` is taken once. It gives the
+    forward term KL(y || p) = -sum(y * u), the reverse term KL(p || y) =
+    sum(p * u), and the reverse term's logit gradient ``p * (u - rowsum(p *
+    u))``. An entry with y == 0 or p == 0 contributes exactly 0, because u is
+    finite. ``forward`` and ``reverse`` hold the sums of each direction
+    (``_A2T``, ``_T2A``), added up block by block in block order. The two
+    directions of a block share its target rows and two scratch arrays.
     """
 
-    def __init__(self, y: np.ndarray, cfg: SmoothingConfig) -> None:
+    def __init__(self, cfg: SmoothingConfig) -> None:
         self.symmetric = cfg.kl_mode is KLMode.SYMMETRIC
+        self.forward = [0.0, 0.0]
+        self.reverse = [0.0, 0.0]
+
+    def set_targets(self, y: np.ndarray) -> None:
+        """Start a block: the target rows that its two directions share."""
         if self.symmetric and float(np.min(y)) < KL_FLOOR:
             raise ZeroMassTarget(
                 "symmetric KL against targets with entries below the floor "
@@ -312,34 +352,33 @@ class _KLTerms:
         self.log_y = np.log(np.maximum(y, KL_FLOOR))
         self.u = np.empty(y.shape)
         self.prod = np.empty(y.shape)
-        self.forward: list[float] = []
-        self.reverse: list[float] = []
 
-    def add(self, p: np.ndarray) -> None:
-        """Add the terms of one prediction. Leaves in self.u its reverse-term
-        gradient when symmetric, else u itself."""
+    def add(self, direction: int, p: np.ndarray) -> None:
+        """Add the terms of the block's prediction rows in one direction.
+        Leaves in self.u its reverse-term gradient when symmetric, else u."""
         u, prod = self.u, self.prod
         np.maximum(p, KL_FLOOR, out=u)
         np.log(u, out=u)
         u -= self.log_y
         np.multiply(self.y, u, out=prod)
-        self.forward.append(-float(np.sum(prod)))
+        self.forward[direction] -= float(np.sum(prod))
         if self.symmetric:
             np.multiply(p, u, out=prod)
             rows = np.sum(prod, axis=1, keepdims=True)
-            self.reverse.append(float(np.sum(rows)))
+            self.reverse[direction] += float(np.sum(rows))
             u -= rows
             u *= p
 
-    def value(self) -> float:
-        total = self.forward[0] + self.forward[1]
+    def value(self, b: int) -> float:
+        total = self.forward[_A2T] + self.forward[_T2A]
         if self.symmetric:
-            total += self.reverse[0] + self.reverse[1]
-        return total / (2.0 * self.y.shape[0])
+            total += self.reverse[_A2T] + self.reverse[_T2A]
+        return total / (2.0 * b)
 
-    def logit_grad(self, p: np.ndarray, lam: float) -> np.ndarray:
-        """Overwrite p, the prediction last added, with the logit gradient of
-        lam * InfoNCE + (1 - lam) * KL terms for that direction."""
+    def logit_grad(self, p: np.ndarray, start: int, lam: float) -> np.ndarray:
+        """Overwrite p, the prediction rows last added, starting at batch row
+        ``start``, with the logit gradient of lam * InfoNCE + (1 - lam) * KL
+        terms for that direction."""
         if lam == 0.0:
             p -= self.y
             if self.symmetric:
@@ -347,11 +386,56 @@ class _KLTerms:
             return p
         np.multiply(self.y, 1.0 - lam, out=self.prod)
         p -= self.prod
-        _add_to_diagonal(p, -lam)
+        diagonal = _diagonal(p, start)
+        diagonal -= lam
         if self.symmetric:
             self.u *= 1.0 - lam
             p += self.u
         return p
+
+
+def _blocked_pass(e_a, e_t, target_rows, cfg: SmoothingConfig, with_grads: bool):
+    """The loss of unit rows e_a and e_t, one block of rows at a time.
+
+    ``target_rows(rows)`` gives the target rows of a block; it is not called
+    at ``cfg.clap_mix_lambda = 1``. Returns the loss and a pair of (B, d)
+    arrays: when ``with_grads``, ``2 B tau_pred`` times the gradients with
+    respect to e_a and e_t taken as free rows (the row normalization not yet
+    undone), else zeros. Blocks are summed in block order, so the value does
+    not depend on whether the gradients are taken.
+    """
+    lam = cfg.clap_mix_lambda
+    b = e_a.shape[0]
+    kl = _KLTerms(cfg) if lam < 1.0 else None
+    diags = (np.empty(b), np.empty(b))
+    grads = (np.zeros(e_a.shape), np.zeros(e_t.shape))
+    # per direction: query rows, key rows and their gradients
+    directions = ((_A2T, e_a, e_t, grads[0], grads[1]), (_T2A, e_t, e_a, grads[1], grads[0]))
+    for rows in _row_blocks(b):
+        if kl is not None:
+            kl.set_targets(target_rows(rows))
+        for direction, src, dst, grad_src, grad_dst in directions:
+            p = _softmax_rows(src[rows], dst, cfg.tau_pred)
+            diags[direction][rows] = _diagonal(p, rows.start)
+            if kl is not None:
+                kl.add(direction, p)
+            if not with_grads:
+                continue
+            if kl is not None:
+                g = kl.logit_grad(p, rows.start, lam)
+            else:
+                g = p
+                diagonal = _diagonal(g, rows.start)
+                diagonal -= 1.0
+            # g is 2 B dL/dlogits of these rows, and the logits are src[rows] . dst / tau
+            grad_src[rows] += g @ dst
+            grad_dst += g.T @ src[rows]
+    if lam == 1.0:
+        value = _infonce(*diags)
+    else:
+        soft = kl.value(b)
+        value = soft if lam == 0.0 else lam * _infonce(*diags) + (1.0 - lam) * soft
+    return value, grads
 
 
 def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
@@ -363,41 +447,35 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     one pass: its logit gradient is ``p - (lam*I + (1-lam)*y)`` plus
     ``(1-lam)`` times the reverse-KL term.
 
+    The pass runs over blocks of ``_BLOCK_ROWS`` rows. Each block builds its
+    target rows and its rows of both prediction directions, adds their KL
+    and InfoNCE terms, and adds its logit gradients into the embedding
+    gradients, so no B x B array is formed and the memory of a call grows
+    with B times the block size. The batch rows are used as
+    :class:`EmbeddingBatch` made them: unit rows.
+
     Gradients are with respect to the pre-normalization audio/text matrices
     (evaluated at the stored unit-norm rows) and with respect to
     ``log(tau_pred)``. Target distributions are constants. The returned value
-    is computed by the same term code as the public forward functions, so it
-    matches a manual composition bit for bit.
+    is computed by the same block code, in the same block order, as the
+    public forward functions, so it matches a manual composition bit for bit
+    (see the module docstring).
     """
-    lam = cfg.clap_mix_lambda
-    e_a = unit_rows(batch.audio)
-    e_t = unit_rows(batch.text)
-    b = batch.size
-    p_a2t, p_t2a = _predictions(e_a @ e_t.T, cfg.tau_pred)
-
-    hard = _infonce(p_a2t, p_t2a) if lam > 0.0 else 0.0
-    if lam == 1.0:
-        value = hard
-        _add_to_diagonal(p_a2t, -1.0)
-        _add_to_diagonal(p_t2a, -1.0)
-        g_a2t, g_t2a = p_a2t, p_t2a
-    else:
-        kl = _KLTerms(_targets(batch, cfg), cfg)
-        kl.add(p_a2t)
-        g_a2t = kl.logit_grad(p_a2t, lam)
-        kl.add(p_t2a)
-        g_t2a = kl.logit_grad(p_t2a, lam)
-        soft = kl.value()
-        value = soft if lam == 0.0 else lam * hard + (1.0 - lam) * soft
-
+    e_a, e_t = batch.audio, batch.text
+    value, (grad_ea, grad_et) = _blocked_pass(
+        e_a,
+        e_t,
+        lambda rows: _target_rows(batch.local_audio, e_t, rows, cfg),
+        cfg,
+        with_grads=True,
+    )
     if not np.isfinite(value):
         raise NonFiniteLoss(f"forward loss is {value}")
 
-    # d loss / d gram = (g_a2t + g_t2a.T) / (2 b tau); the t2a half enters
-    # the matrix products transposed, so no B x B sum or transpose is formed
-    c = 1.0 / (2.0 * b * cfg.tau_pred)
-    grad_ea = c * (g_a2t @ e_t + g_t2a.T @ e_t)
-    grad_et = c * (g_a2t.T @ e_a + g_t2a @ e_a)
+    # d loss / d gram = (g_a2t + g_t2a.T) / (2 b tau)
+    c = 1.0 / (2.0 * batch.size * cfg.tau_pred)
+    grad_ea *= c
+    grad_et *= c
     # chain rule through row normalization: project out the radial component
     radial_a = np.sum(grad_ea * e_a, axis=1, keepdims=True)
     grad_audio = grad_ea - radial_a * e_a

@@ -33,7 +33,7 @@ from .errors import (
     ZeroMassTarget,
     ZeroRow,
 )
-from .numeric import ZERO_ROW_TOL, as_matrix, l2_normalize_rows
+from .numeric import ZERO_ROW_TOL, as_matrix, l2_normalize_rows, row_norms
 from .objective import EmbeddingBatch, LossOutput, SmoothingConfig, loss_and_grad, with_tau_pred
 
 logger = logging.getLogger(__name__)
@@ -332,7 +332,9 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
     if not vocabulary:
         raise EmptyVocabulary("no tags present in the training data")
     text_feats = featurize_tag_lists(tag_lists, vocabulary)
-    local = l2_normalize_rows(x)
+    # the feature rows are also the local audio features, which EmbeddingBatch
+    # normalizes batch by batch; a zero row fails here, before any step
+    row_norms(x)
 
     init_rng = _stream_rng(config.seed, _INIT_STREAM)
     proj_a = init_projection(x.shape[1], config.embed_dim, init_rng)
@@ -354,9 +356,10 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
         losses: list[float] = []
         for start in range(0, n - b + 1, b):
             idx = perm[start : start + b]
+            feats = x[idx]
             try:
                 out, grad = train_step(
-                    proj_a, proj_t, float(log_tau), x[idx], text_feats[idx], local[idx],
+                    proj_a, proj_t, float(log_tau), feats, text_feats[idx], feats,
                     config.smoothing,
                 )
             except (

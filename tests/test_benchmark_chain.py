@@ -45,9 +45,11 @@ def test_traced_wav_pipeline_chain_reports_no_problems(chains, tmp_path):
 
 
 def test_traced_large_batch_train_chain_reports_no_problems(chains, tmp_path):
-    # the cluster source: a plain features CSV with \n line ends, each subcommand once
+    # the cluster source: a plain features CSV with \n line ends, each subcommand
+    # once; 4 steps of B = 128, so every step crosses a seam of the loss kernel's
+    # row blocks
     wl = dataclasses.replace(
-        chains.WORKLOADS["large_batch_train"], cluster_rows=256, batch_size=64, repeats=(),
+        chains.WORKLOADS["large_batch_train"], cluster_rows=512, batch_size=128, repeats=(),
     )
     corpus = chains.build_corpus(wl, seed=5, root=tmp_path / "corpus")
     result = chains.run_chain(wl, corpus, seed=5, out=tmp_path / "out", traced=True)
@@ -56,4 +58,4 @@ def test_traced_large_batch_train_chain_reports_no_problems(chains, tmp_path):
     spans = result.tracer.spans
     assert [s.name for s in spans if s.parent == -1] == SUBCOMMANDS
     reads = [s for s in spans if s.name == "evaluation.read_id_matrix_csv"]
-    assert reads and all(s.work == 256 * wl.feature_dim for s in reads)
+    assert reads and all(s.work == 512 * wl.feature_dim for s in reads)

@@ -397,6 +397,30 @@ def test_train_rejects_beta0_symmetric(tmp_path):
     assert not model_path.exists()
 
 
+def test_train_clap_accepts_beta0_at_the_default_kl_mode(tmp_path):
+    # plain CLAP builds no target, so beta changes nothing there, not even 0
+    files = cluster_files(tmp_path)
+    common = [
+        "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--seed", "2", "--epochs", "3", "--batch-size", "16", "--clap-mix-lambda", "1",
+    ]
+    models = {}
+    for beta in ("0", "0.1"):
+        path = tmp_path / f"beta{beta}.json"
+        assert run_cli("train", *common, "--beta", beta, "--out", str(path)) == 0
+        model = load_model(path)
+        assert model.config.smoothing.beta == float(beta)
+        history = (tmp_path / f"beta{beta}.json.history.csv").read_text().splitlines()
+        tensors = (
+            model.audio_projection.weights, model.audio_projection.bias,
+            model.text_projection.weights, model.text_projection.bias,
+            np.array([model.log_tau_pred]),
+        )
+        # the history's first line echoes the config, beta with it
+        models[beta] = ([t.tobytes() for t in tensors], history[1:])
+    assert models["0"] == models["0.1"]
+
+
 def test_train_rejects_duplicate_tag_ids(tmp_path, capsys):
     files = cluster_files(tmp_path)
     dup_id, dup_line = _append_duplicate_line(files["tags"], 5)

@@ -59,10 +59,20 @@ def test_config_validation():
 
 
 def test_symmetric_mode_requires_positive_beta():
-    with pytest.raises(ZeroMassTarget):
-        SmoothingConfig(beta=0.0, kl_mode=KLMode.SYMMETRIC)
+    for lam in (0.0, 0.5, 0.999):
+        with pytest.raises(ZeroMassTarget, match="symmetric KL requires beta > 0"):
+            SmoothingConfig(beta=0.0, kl_mode=KLMode.SYMMETRIC, clap_mix_lambda=lam)
     # forward mode is fine with hard targets
     SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD)
+    # plain CLAP builds no target, so beta is unused there, even at 0
+    clap = SmoothingConfig(beta=0.0, kl_mode=KLMode.SYMMETRIC, clap_mix_lambda=1.0)
+    batch = make_batch(np.random.default_rng(4), b=6)
+    out = loss_and_grad(batch, clap)
+    ref = loss_and_grad(batch, replace(clap, beta=0.1))
+    assert out.value == ref.value
+    assert out.grad_audio.tobytes() == ref.grad_audio.tobytes()
+    assert out.grad_text.tobytes() == ref.grad_text.tobytes()
+    assert out.grad_log_tau_pred == ref.grad_log_tau_pred
 
 
 def test_batch_normalizes_on_construction():
@@ -285,23 +295,26 @@ def test_hard_target_recovery_matches_infonce():
 
 
 def test_loss_value_matches_manual_composition_bitwise():
-    rng = np.random.default_rng(13)
-    batch = make_batch(rng, b=5, d=7)
-    cfg = SmoothingConfig(gamma=0.3, beta=0.4, tau_pred=0.9)
-    e_a = l2_normalize_rows(batch.audio)
-    e_t = l2_normalize_rows(batch.text)
-    g = gram(e_a, e_t)
-    p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
-    y = build_targets(batch, cfg)
-    assert loss_and_grad(batch, cfg).value == soft_loss(y, p_a2t, p_t2a, cfg)
-    clap = replace(cfg, clap_mix_lambda=1.0)
-    assert loss_and_grad(batch, clap).value == clap_infonce(g, cfg.tau_pred)
-    # the fixed-target forward evaluates the kernel's mix from the same terms;
-    # 0.3 tells the weight of InfoNCE from that of the soft loss
-    for lam in (0.0, 0.3, 0.5, 1.0):
-        mixed = replace(cfg, clap_mix_lambda=lam)
-        fixed = loss_with_fixed_targets(batch.audio, batch.text, y, mixed)
-        assert fixed == loss_and_grad(batch, mixed).value
+    # B = 130 is two full row blocks of the kernel and a block of two rows
+    for b in (5, 130):
+        rng = np.random.default_rng(13)
+        audio, text = rng.standard_normal((b, 7)), rng.standard_normal((b, 7))
+        batch = EmbeddingBatch(audio, text, rng.standard_normal((b, 9)))
+        cfg = SmoothingConfig(gamma=0.3, beta=0.4, tau_pred=0.9)
+        # the kernel takes the batch's unit rows as they are
+        g = gram(batch.audio, batch.text)
+        p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
+        y = build_targets(batch, cfg)
+        assert loss_and_grad(batch, cfg).value == soft_loss(y, p_a2t, p_t2a, cfg)
+        clap = replace(cfg, clap_mix_lambda=1.0)
+        assert loss_and_grad(batch, clap).value == clap_infonce(g, cfg.tau_pred)
+        # the fixed-target forward evaluates the kernel's mix from the same
+        # terms; 0.3 tells the weight of InfoNCE from that of the soft loss.
+        # It gets the rows the batch was made from, to normalize them once.
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            mixed = replace(cfg, clap_mix_lambda=lam)
+            fixed = loss_with_fixed_targets(audio, text, y, mixed)
+            assert fixed == loss_and_grad(batch, mixed).value
 
 
 def test_permutation_equivariance():
