@@ -1,14 +1,15 @@
 """Central finite-difference verification of the analytic gradients.
 
-The numeric side perturbs the stored embedding matrices entry by entry and
-re-evaluates the forward loss with the target distribution held fixed,
-matching the stop-gradient contract of the analytic path.
+The numeric side perturbs the rows a batch is built from, not its unit rows,
+entry by entry, and re-evaluates the forward loss with the target
+distribution held fixed, matching the stop-gradient contract of the analytic
+path, whose chain rule runs through the row normalization.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .objective import (
     build_targets,
     loss_and_grad,
     loss_with_fixed_targets,
-    with_tau_pred,
 )
 
 DEFAULT_SIZES = ((2, 3), (2, 16), (4, 3), (4, 16), (8, 3), (8, 16))
@@ -30,15 +30,16 @@ STEP = 1e-5  # central-difference step
 
 
 def finite_difference_grads(
-    batch: EmbeddingBatch, cfg: SmoothingConfig
+    audio: np.ndarray, text: np.ndarray, local_audio: np.ndarray, cfg: SmoothingConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Central differences for both embedding matrices and log(tau_pred), of
-    ``loss_and_grad``'s loss. The targets are built once, and only when
-    ``cfg.clap_mix_lambda < 1``."""
+    """Central differences of ``loss_and_grad``'s loss on ``EmbeddingBatch(audio,
+    text, local_audio)`` in the float64 rows ``audio`` and ``text`` and in
+    log(tau_pred). Its targets are built once, and only when ``cfg.clap_mix_lambda < 1``."""
+    batch = EmbeddingBatch(audio, text, local_audio)
     targets = build_targets(batch, cfg) if cfg.clap_mix_lambda < 1.0 else None
 
     def f(audio: np.ndarray, text: np.ndarray, tau: float = cfg.tau_pred) -> float:
-        return loss_with_fixed_targets(audio, text, targets, with_tau_pred(cfg, tau))
+        return loss_with_fixed_targets(audio, text, targets, replace(cfg, tau_pred=tau))
 
     def nudged(m: np.ndarray, index: tuple[int, ...], step: float) -> np.ndarray:
         out = m.copy()
@@ -49,14 +50,14 @@ def finite_difference_grads(
         # args_at(step): the arguments of f with one coordinate moved by step
         return (f(*args_at(STEP)) - f(*args_at(-STEP))) / (2.0 * STEP)
 
-    num_audio = np.zeros_like(batch.audio)
+    num_audio = np.zeros_like(audio)
     for index in np.ndindex(num_audio.shape):
-        num_audio[index] = central(lambda step: (nudged(batch.audio, index, step), batch.text))
-    num_text = np.zeros_like(batch.text)
+        num_audio[index] = central(lambda step: (nudged(audio, index, step), text))
+    num_text = np.zeros_like(text)
     for index in np.ndindex(num_text.shape):
-        num_text[index] = central(lambda step: (batch.audio, nudged(batch.text, index, step)))
+        num_text[index] = central(lambda step: (audio, nudged(text, index, step)))
     log_tau = math.log(cfg.tau_pred)
-    num_log_tau = central(lambda step: (batch.audio, batch.text, math.exp(log_tau + step)))
+    num_log_tau = central(lambda step: (audio, text, math.exp(log_tau + step)))
     return num_audio, num_text, num_log_tau
 
 
@@ -129,15 +130,13 @@ def run_gradcheck_suite(
     cases: list[GradCheckCase] = []
     for b, d in sizes:
         for cfg in _case_configs():
-            batch = EmbeddingBatch(
-                audio=rng.standard_normal((b, d)),
-                text=rng.standard_normal((b, d)),
-                local_audio=rng.standard_normal((b, d + 1)),
-            )
-            out = loss_and_grad(batch, cfg)
+            audio = rng.standard_normal((b, d))
+            text = rng.standard_normal((b, d))
+            local_audio = rng.standard_normal((b, d + 1))
+            out = loss_and_grad(EmbeddingBatch(audio, text, local_audio), cfg)
             if corrupt_gradient:
                 out.grad_audio[0, 0] += 1e-3
-            num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
+            num_a, num_t, num_lt = finite_difference_grads(audio, text, local_audio, cfg)
             err = max(
                 max_relative_error(out.grad_audio, num_a),
                 max_relative_error(out.grad_text, num_t),

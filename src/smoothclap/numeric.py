@@ -52,21 +52,22 @@ def l2_normalize_rows(m) -> np.ndarray:
     return unit_rows(as_matrix(m))
 
 
-def unit_rows(m: np.ndarray) -> np.ndarray:
+def unit_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """:func:`l2_normalize_rows` of a trusted 2-D float64 array: no coercion
     or finiteness pass, the same arithmetic."""
-    return m / row_norms(m)[:, None]
+    return m / row_norms(m, name)[:, None]
 
 
-def row_norms(m: np.ndarray) -> np.ndarray:
+def row_norms(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Euclidean norm of each row of a trusted 2-D float64 array.
 
-    Raises ZeroRow, naming the row, if any norm falls below ``ZERO_ROW_TOL``.
+    Raises ZeroRow, naming the matrix and the row, if any norm falls below
+    ``ZERO_ROW_TOL``.
     """
     norms = np.sqrt(np.sum(m * m, axis=1))
     if np.any(norms < ZERO_ROW_TOL):
         bad = int(np.argmin(norms))
-        raise ZeroRow(f"row {bad} has norm {norms[bad]:.3e}, cannot normalize")
+        raise ZeroRow(f"{name} row {bad} has norm {norms[bad]:.3e}, cannot normalize")
     return norms
 
 

@@ -11,8 +11,8 @@ these weights is a field of :class:`SmoothingConfig`. Targets are constants
 during backpropagation: no gradient flows through the target branch.
 
 Gradients returned by :func:`loss_and_grad` are taken with respect to the
-pre-normalization embedding matrices (the chain rule runs through the row
-L2-normalization) and with respect to ``log(tau_pred)``.
+rows an :class:`EmbeddingBatch` was built from (the chain rule runs through
+the row L2-normalization) and with respect to ``log(tau_pred)``.
 
 Every B x B quantity (the targets, both prediction distributions, their KL
 terms and logit gradients) is formed one block of ``_BLOCK_ROWS`` rows at a
@@ -25,7 +25,7 @@ bit, given the whole-matrix products the bits of the kernel's row blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -47,6 +47,7 @@ from .numeric import (
     check_temperature,
     gram,
     l2_normalize_rows,
+    row_norms,
     row_softmax_inplace,
     unit_rows,
 )
@@ -111,16 +112,22 @@ class EmbeddingBatch:
 
     Rows are L2-normalized on construction. ``audio`` and ``text`` must share
     the same (B, d) shape; ``local_audio`` may have a different width.
+    ``audio_norms`` and ``text_norms`` keep the norms of the rows the batch
+    was built from, which :func:`loss_and_grad` divides its gradients by.
     """
 
     audio: np.ndarray
     text: np.ndarray
     local_audio: np.ndarray
+    audio_norms: np.ndarray = field(init=False, repr=False)
+    text_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        audio = unit_rows(as_matrix(self.audio, "audio"))
-        text = unit_rows(as_matrix(self.text, "text"))
-        local = unit_rows(as_matrix(self.local_audio, "local_audio"))
+        audio = as_matrix(self.audio, "audio")
+        text = as_matrix(self.text, "text")
+        self.audio_norms = row_norms(audio, "audio")
+        self.text_norms = row_norms(text, "text")
+        local = unit_rows(as_matrix(self.local_audio, "local_audio"), "local_audio")
         if audio.shape != text.shape:
             raise ShapeMismatch(
                 f"audio {audio.shape} and text {text.shape} must match"
@@ -131,8 +138,8 @@ class EmbeddingBatch:
             )
         if audio.shape[0] < 2:
             raise ShapeMismatch("batch size must be at least 2")
-        self.audio = audio
-        self.text = text
+        self.audio = audio / self.audio_norms[:, None]
+        self.text = text / self.text_norms[:, None]
         self.local_audio = local
 
     @property
@@ -142,7 +149,7 @@ class EmbeddingBatch:
 
 @dataclass
 class LossOutput:
-    """Scalar loss plus gradients for both embedding matrices and log(tau_pred)."""
+    """Scalar loss plus gradients for the batch's input rows and log(tau_pred)."""
 
     value: float
     grad_audio: np.ndarray
@@ -254,8 +261,8 @@ def loss_with_fixed_targets(audio, text, targets, cfg: SmoothingConfig) -> float
     This is the stop-gradient view of the objective: perturbing ``audio`` or
     ``text`` re-normalizes rows and recomputes predictions, but ``targets``
     stays fixed. Finite-difference checks of :func:`loss_and_grad` must use
-    this function, since the analytic gradients deliberately do not
-    differentiate through the target branch.
+    this function, at the rows the batch is built from, since the analytic
+    gradients deliberately do not differentiate through the target branch.
 
     The mix is the kernel's, from the kernel's own row-block pass: InfoNCE
     alone at ``cfg.clap_mix_lambda = 1`` (then ``targets`` is unused), the
@@ -454,12 +461,12 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     with B times the block size. The batch rows are used as
     :class:`EmbeddingBatch` made them: unit rows.
 
-    Gradients are with respect to the pre-normalization audio/text matrices
-    (evaluated at the stored unit-norm rows) and with respect to
-    ``log(tau_pred)``. Target distributions are constants. The returned value
-    is computed by the same block code, in the same block order, as the
-    public forward functions, so it matches a manual composition bit for bit
-    (see the module docstring).
+    Gradients are with respect to the audio/text rows the batch was built
+    from (the last step divides by their norms, so scaling a row by s divides
+    its gradient by s) and with respect to ``log(tau_pred)``. Target
+    distributions are constants. The returned value is computed by the same
+    block code, in the same block order, as the public forward functions, so
+    it matches a manual composition bit for bit (see the module docstring).
     """
     e_a, e_t = batch.audio, batch.text
     value, (grad_ea, grad_et) = _blocked_pass(
@@ -476,10 +483,12 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     c = 1.0 / (2.0 * batch.size * cfg.tau_pred)
     grad_ea *= c
     grad_et *= c
-    # chain rule through row normalization: project out the radial component
+    # chain rule through row normalization z / ||z||: project out the radial
+    # component, then divide by the norm of the input row
     radial_a = np.sum(grad_ea * e_a, axis=1, keepdims=True)
-    grad_audio = grad_ea - radial_a * e_a
-    grad_text = grad_et - np.sum(grad_et * e_t, axis=1, keepdims=True) * e_t
+    grad_audio = (grad_ea - radial_a * e_a) / batch.audio_norms[:, None]
+    radial_t = np.sum(grad_et * e_t, axis=1, keepdims=True)
+    grad_text = (grad_et - radial_t * e_t) / batch.text_norms[:, None]
     # the logits are gram / tau, so d/dlog(tau) = -sum(dL/dgram * gram), and
     # sum_ij (dL/dgram)_ij e_a[i].e_t[j] is the sum of the radial components
     grad_log_tau = -float(np.sum(radial_a))
@@ -490,8 +499,3 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
         grad_text=grad_text,
         grad_log_tau_pred=grad_log_tau,
     )
-
-
-def with_tau_pred(cfg: SmoothingConfig, tau_pred: float) -> SmoothingConfig:
-    """Copy of ``cfg`` with a different prediction temperature."""
-    return replace(cfg, tau_pred=tau_pred)

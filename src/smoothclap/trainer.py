@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import get_type_hints
 
@@ -33,8 +33,8 @@ from .errors import (
     ZeroMassTarget,
     ZeroRow,
 )
-from .numeric import ZERO_ROW_TOL, as_matrix, l2_normalize_rows, row_norms
-from .objective import EmbeddingBatch, LossOutput, SmoothingConfig, loss_and_grad, with_tau_pred
+from .numeric import as_matrix, l2_normalize_rows, row_norms
+from .objective import EmbeddingBatch, LossOutput, SmoothingConfig, loss_and_grad
 
 logger = logging.getLogger(__name__)
 
@@ -277,13 +277,6 @@ def embed_query_labels(model: TrainedModel, labels) -> np.ndarray:
     return embed_tag_lists(model, [[lab] for lab in labels])
 
 
-def _row_norms_checked(m: np.ndarray, what: str) -> np.ndarray:
-    norms = np.sqrt(np.sum(m * m, axis=1))
-    if np.any(norms < ZERO_ROW_TOL):
-        raise ZeroRow(f"{what} produced a zero row")
-    return norms
-
-
 def _tau_pred(log_tau: float) -> float:
     """exp(log_tau); an overflow is a NonFiniteValue. An underflow to 0 is a
     NonPositiveTemperature from the SmoothingConfig built with it."""
@@ -294,19 +287,17 @@ def _tau_pred(log_tau: float) -> float:
 
 
 def train_step(
-    proj_a, proj_t, log_tau: float, audio, text, local_audio, smoothing
+    proj_a, proj_t, log_tau: float, audio, text, smoothing
 ) -> tuple[LossOutput, np.ndarray]:
     """Loss of one batch of feature rows and one float64 vector of the gradients
-    of W_a, b_a, W_t, b_t and log_tau, each raveled, end to end in that order."""
+    of W_a, b_a, W_t, b_t and log_tau, each raveled, end to end in that order.
+    The audio feature rows are also the local features."""
     za = proj_a.project(audio)
     zt = proj_t.project(text)
-    cfg = with_tau_pred(smoothing, _tau_pred(log_tau))
-    ra = _row_norms_checked(za, "audio projection")
-    rt = _row_norms_checked(zt, "text projection")
-    out = loss_and_grad(EmbeddingBatch(za, zt, local_audio), cfg)
-    # undo the unit-norm evaluation point: d/dz = d/de / ||z||
-    dza = out.grad_audio / ra[:, None]
-    dzt = out.grad_text / rt[:, None]
+    cfg = replace(smoothing, tau_pred=_tau_pred(log_tau))
+    # the gradients are with respect to the projected rows za and zt
+    out = loss_and_grad(EmbeddingBatch(za, zt, audio), cfg)
+    dza, dzt = out.grad_audio, out.grad_text
     grads = (audio.T @ dza, dza.sum(axis=0), text.T @ dzt, dzt.sum(axis=0), out.grad_log_tau_pred)
     return out, np.concatenate([np.ravel(g) for g in grads])
 
@@ -334,7 +325,7 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
     text_feats = featurize_tag_lists(tag_lists, vocabulary)
     # the feature rows are also the local audio features, which EmbeddingBatch
     # normalizes batch by batch; a zero row fails here, before any step
-    row_norms(x)
+    row_norms(x, "audio_features")
 
     init_rng = _stream_rng(config.seed, _INIT_STREAM)
     proj_a = init_projection(x.shape[1], config.embed_dim, init_rng)
@@ -356,11 +347,9 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
         losses: list[float] = []
         for start in range(0, n - b + 1, b):
             idx = perm[start : start + b]
-            feats = x[idx]
             try:
                 out, grad = train_step(
-                    proj_a, proj_t, float(log_tau), feats, text_feats[idx], feats,
-                    config.smoothing,
+                    proj_a, proj_t, float(log_tau), x[idx], text_feats[idx], config.smoothing
                 )
             except (
                 ZeroRow, NonFiniteValue, NonPositiveTemperature, ZeroMassTarget, NonFiniteLoss

@@ -465,19 +465,31 @@ def test_zero_mass_target_while_building_config_exits_2(tmp_path, capsys):
 
 def test_zero_row_in_training_loop_exits_1(tmp_path, monkeypatch, capsys):
     import smoothclap.trainer as trainer_module
-    from smoothclap.errors import ZeroRow
 
-    def degenerate(*args, **kwargs):
-        raise ZeroRow("row 3 has norm 0.000e+00, cannot normalize")
+    real_init = trainer_module.init_projection
+    made = []
 
-    monkeypatch.setattr(trainer_module, "loss_and_grad", degenerate)
+    def zero_audio_init(*args, **kwargs):
+        # train makes the audio projection first; a zero map projects every
+        # feature row to a zero row
+        params = real_init(*args, **kwargs)
+        if not made:
+            params.weights[:] = 0.0
+            params.bias[:] = 0.0
+        made.append(params)
+        return params
+
+    monkeypatch.setattr(trainer_module, "init_projection", zero_audio_init)
     files = cluster_files(tmp_path)
     code = run_cli(
         "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
         "--batch-size", "16", "--out", str(tmp_path / "m.json"),
     )
     assert code == 1
-    assert "row 3 has norm" in capsys.readouterr().err
+    assert len(made) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "epoch 0, batch start 0: audio row 0 has norm 0.000e+00, cannot normalize" in err
 
 
 def test_nonfinite_loss_in_training_loop_names_the_step(tmp_path, monkeypatch, capsys):

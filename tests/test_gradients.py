@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothclap.gradcheck import (
+    STEP,
     finite_difference_grads,
     max_relative_error,
     run_gradcheck_suite,
@@ -13,24 +18,24 @@ from smoothclap.objective import (
     loss_and_grad,
     loss_with_fixed_targets,
     build_targets,
-    with_tau_pred,
 )
 
 
-def make_batch(rng, b, d):
-    return EmbeddingBatch(
-        audio=rng.standard_normal((b, d)),
-        text=rng.standard_normal((b, d)),
-        local_audio=rng.standard_normal((b, d + 1)),
+def make_rows(rng, b, d):
+    """(audio, text, local_audio): the rows a batch is built from."""
+    return (
+        rng.standard_normal((b, d)),
+        rng.standard_normal((b, d)),
+        rng.standard_normal((b, d + 1)),
     )
 
 
 def test_single_config_matches_finite_differences():
     rng = np.random.default_rng(42)
-    batch = make_batch(rng, 8, 16)
+    rows = make_rows(rng, 8, 16)
     cfg = SmoothingConfig(gamma=0.5, beta=0.1, tau_pred=1.0)
-    out = loss_and_grad(batch, cfg)
-    num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
+    out = loss_and_grad(EmbeddingBatch(*rows), cfg)
+    num_a, num_t, num_lt = finite_difference_grads(*rows, cfg)
     assert max_relative_error(out.grad_audio, num_a) < 1e-5
     assert max_relative_error(out.grad_text, num_t) < 1e-5
     assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
@@ -38,10 +43,10 @@ def test_single_config_matches_finite_differences():
 
 def test_forward_mode_with_hard_targets():
     rng = np.random.default_rng(43)
-    batch = make_batch(rng, 4, 6)
+    rows = make_rows(rng, 4, 6)
     cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=0.8)
-    out = loss_and_grad(batch, cfg)
-    num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
+    out = loss_and_grad(EmbeddingBatch(*rows), cfg)
+    num_a, num_t, num_lt = finite_difference_grads(*rows, cfg)
     assert max_relative_error(out.grad_audio, num_a) < 1e-5
     assert max_relative_error(out.grad_text, num_t) < 1e-5
     assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
@@ -64,12 +69,12 @@ def test_aligned_batch_has_smaller_gradient_than_shuffled():
     # hard objective, so its gradient norm is below a mismatched batch's
     rng = np.random.default_rng(44)
     rows = rng.standard_normal((6, 10))
-    aligned = EmbeddingBatch(rows, rows.copy(), rows.copy())
+    aligned = (rows, rows.copy(), rows.copy())
     perm = np.roll(np.arange(6), 1)
-    shuffled = EmbeddingBatch(rows, rows[perm], rows.copy())
+    shuffled = (rows, rows[perm], rows.copy())
     cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=0.1, clap_mix_lambda=1.0)
-    g_aligned = loss_and_grad(aligned, cfg)
-    g_shuffled = loss_and_grad(shuffled, cfg)
+    g_aligned = loss_and_grad(EmbeddingBatch(*aligned), cfg)
+    g_shuffled = loss_and_grad(EmbeddingBatch(*shuffled), cfg)
 
     def norm(out):
         return np.sqrt(
@@ -80,8 +85,8 @@ def test_aligned_batch_has_smaller_gradient_than_shuffled():
 
     assert norm(g_aligned) < norm(g_shuffled)
     # and the finite-difference oracle agrees on both
-    for batch, out in ((aligned, g_aligned), (shuffled, g_shuffled)):
-        num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
+    for inputs, out in ((aligned, g_aligned), (shuffled, g_shuffled)):
+        num_a, num_t, num_lt = finite_difference_grads(*inputs, cfg)
         assert max_relative_error(out.grad_audio, num_a) < 1e-5
         assert max_relative_error(out.grad_text, num_t) < 1e-5
         assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
@@ -92,14 +97,15 @@ def test_target_branch_is_stop_gradient():
     # targets move) but the analytic gradients never differentiate through
     # the target branch: they match finite differences with frozen targets
     rng = np.random.default_rng(45)
-    batch = make_batch(rng, 5, 7)
+    rows = make_rows(rng, 5, 7)
+    batch = EmbeddingBatch(*rows)
     cfg_a = SmoothingConfig(tau_a2a=0.5, tau_t2t=1.5)
     cfg_b = SmoothingConfig(tau_a2a=1.5, tau_t2t=0.5)
     out_a = loss_and_grad(batch, cfg_a)
     out_b = loss_and_grad(batch, cfg_b)
     assert out_a.value != out_b.value
     for cfg, out in ((cfg_a, out_a), (cfg_b, out_b)):
-        num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
+        num_a, num_t, num_lt = finite_difference_grads(*rows, cfg)
         assert max_relative_error(out.grad_audio, num_a) < 1e-5
         assert max_relative_error(out.grad_text, num_t) < 1e-5
 
@@ -108,11 +114,11 @@ def test_fixed_target_forward_ignores_target_branch_inputs():
     # with frozen targets, perturbing text inputs changes only the
     # prediction path; the target matrix passed in stays authoritative
     rng = np.random.default_rng(46)
-    batch = make_batch(rng, 4, 5)
+    batch = EmbeddingBatch(*make_rows(rng, 4, 5))
     cfg = SmoothingConfig()
     y = build_targets(batch, cfg)
     v1 = loss_with_fixed_targets(batch.audio, batch.text, y, cfg)
-    v2 = loss_with_fixed_targets(batch.audio, batch.text, y, with_tau_pred(cfg, cfg.tau_pred))
+    v2 = loss_with_fixed_targets(batch.audio, batch.text, y, replace(cfg, tau_pred=cfg.tau_pred))
     assert v1 == v2
 
 
@@ -126,10 +132,63 @@ def test_relative_error_metric():
 @pytest.mark.parametrize("kl_mode", list(KLMode))
 def test_clap_mix_matches_finite_differences(kl_mode):
     rng = np.random.default_rng(47)
-    batch = make_batch(rng, 6, 5)
+    rows = make_rows(rng, 6, 5)
     cfg = SmoothingConfig(gamma=0.4, beta=0.3, tau_pred=0.7, kl_mode=kl_mode, clap_mix_lambda=0.5)
-    out = loss_and_grad(batch, cfg)
-    num_a, num_t, num_lt = finite_difference_grads(batch, cfg)
+    out = loss_and_grad(EmbeddingBatch(*rows), cfg)
+    num_a, num_t, num_lt = finite_difference_grads(*rows, cfg)
     assert max_relative_error(out.grad_audio, num_a) < 1e-5
     assert max_relative_error(out.grad_text, num_t) < 1e-5
     assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
+
+
+def test_gradients_match_finite_differences_at_rows_of_norm_1e_3_to_1e3():
+    # each gradient row carries 1 / ||row||; a step in proportion to the
+    # row's norm keeps the central differences as accurate at norm 1e-3 as
+    # at 1e3, where the fixed STEP of the suite would move a 1e-3 row by 1%
+    rng = np.random.default_rng(49)
+    b, d = 6, 5
+    norms = np.logspace(-3.0, 3.0, b)
+    audio, text, local = make_rows(rng, b, d)
+    audio *= (norms / np.linalg.norm(audio, axis=1))[:, None]
+    text *= (norms[::-1] / np.linalg.norm(text, axis=1))[:, None]
+    batch = EmbeddingBatch(audio, text, local)
+    for lam in (0.0, 0.5, 1.0):
+        cfg = SmoothingConfig(gamma=0.4, beta=0.3, tau_pred=0.7, clap_mix_lambda=lam)
+        out = loss_and_grad(batch, cfg)
+        targets = build_targets(batch, cfg)
+
+        def f(a, t):
+            return loss_with_fixed_targets(a, t, targets, cfg)
+
+        num_a, num_t = np.empty_like(audio), np.empty_like(text)
+        for i, j in np.ndindex(audio.shape):
+            h = np.zeros_like(audio)
+            h[i, j] = STEP * np.linalg.norm(audio[i])
+            num_a[i, j] = (f(audio + h, text) - f(audio - h, text)) / (2.0 * h[i, j])
+            h = np.zeros_like(text)
+            h[i, j] = STEP * np.linalg.norm(text[i])
+            num_t[i, j] = (f(audio, text + h) - f(audio, text - h)) / (2.0 * h[i, j])
+        assert max_relative_error(out.grad_audio, num_a) < 1e-5
+        assert max_relative_error(out.grad_text, num_t) < 1e-5
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_scaling_an_input_row_divides_its_gradient_row(data):
+    # power-of-two scales leave the unit rows, and so the loss and the
+    # log(tau_pred) gradient, bit for bit as they were; the gradient of a row
+    # scaled by s is the unscaled one divided by s, also bit for bit
+    b = data.draw(st.sampled_from([2, 16, 65, 130]), label="b")
+    lam = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="lam")
+    kl_mode = data.draw(st.sampled_from(list(KLMode)), label="kl_mode")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    exponents = st.lists(st.integers(-20, 20), min_size=b, max_size=b)
+    scales = [np.ldexp(1.0, data.draw(exponents, label=name)) for name in ("audio", "text", "local")]
+    rows = make_rows(np.random.default_rng(seed), b, 8)
+    cfg = SmoothingConfig(gamma=0.3, beta=0.4, tau_pred=0.7, kl_mode=kl_mode, clap_mix_lambda=lam)
+    base = loss_and_grad(EmbeddingBatch(*rows), cfg)
+    out = loss_and_grad(EmbeddingBatch(*(m * s[:, None] for m, s in zip(rows, scales))), cfg)
+    assert out.value == base.value
+    assert out.grad_log_tau_pred == base.grad_log_tau_pred
+    assert out.grad_audio.tobytes() == (base.grad_audio / scales[0][:, None]).tobytes()
+    assert out.grad_text.tobytes() == (base.grad_text / scales[1][:, None]).tobytes()

@@ -6,7 +6,9 @@ gradient ``_kl_grad_wrt_logits`` and, for the CLAP mix, two separate calls
 combined with weights lambda and 1 - lambda. ``whole_matrix_loss_and_grad``
 is the single-pass kernel that the row-blocked one replaced, kept verbatim:
 it forms every B x B array at once. The blocked kernel reorders the
-arithmetic, so agreement is to 1e-12 relative, not bit for bit.
+arithmetic, so agreement is to 1e-12 relative, not bit for bit. Both oracles
+differentiate at the batch's unit rows; the tests carry their gradient rows
+back to the input rows by dividing by input norms of their own.
 """
 import tracemalloc
 
@@ -195,7 +197,8 @@ class _KLTerms:
 
 
 def whole_matrix_loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
-    """The loss and gradients of ``loss_and_grad``, over whole B x B arrays."""
+    """The loss and gradients of ``loss_and_grad`` at the batch's unit rows,
+    over whole B x B arrays."""
     lam = cfg.clap_mix_lambda
     e_a = unit_rows(batch.audio)
     e_t = unit_rows(batch.text)
@@ -243,13 +246,19 @@ def whole_matrix_loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> L
 
 # ---------------------------------------------------------------------------------
 
-def make_batch(b, seed):
+def make_rows(b, seed):
+    """(audio, text, local_audio): the rows a batch is built from."""
     rng = np.random.default_rng(seed)
-    return EmbeddingBatch(
-        audio=rng.standard_normal((b, 16)),
-        text=rng.standard_normal((b, 16)),
-        local_audio=rng.standard_normal((b, 24)),
-    )
+    return rng.standard_normal((b, 16)), rng.standard_normal((b, 16)), rng.standard_normal((b, 24))
+
+
+def make_batch(b, seed):
+    return EmbeddingBatch(*make_rows(b, seed))
+
+
+def at_input_rows(grad, rows):
+    """A gradient at the unit rows of ``rows``, carried back to ``rows``."""
+    return grad / np.linalg.norm(rows, axis=1)[:, None]
 
 
 def assert_close(actual, expected):
@@ -267,7 +276,8 @@ def assert_close(actual, expected):
 # objective
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0], ids=["0.0-smooth", "0.5-smooth", "1.0-smooth"])
 def test_kernel_matches_reference(b, tau_pred, kl_mode, lam):
-    batch = make_batch(b, seed=b)
+    audio, text, local = make_rows(b, seed=b)
+    batch = EmbeddingBatch(audio, text, local)
     cfg = SmoothingConfig(
         gamma=0.3, beta=0.4, tau_a2a=0.8, tau_t2t=1.2, tau_pred=tau_pred, kl_mode=kl_mode,
         clap_mix_lambda=lam,
@@ -275,8 +285,8 @@ def test_kernel_matches_reference(b, tau_pred, kl_mode, lam):
     out = loss_and_grad(batch, cfg)
     value, grad_audio, grad_text, grad_log_tau = reference_loss_and_grad(batch, cfg)
     assert_close(out.value, value)
-    assert_close(out.grad_audio, grad_audio)
-    assert_close(out.grad_text, grad_text)
+    assert_close(out.grad_audio, at_input_rows(grad_audio, audio))
+    assert_close(out.grad_text, at_input_rows(grad_text, text))
     assert_close(out.grad_log_tau_pred, grad_log_tau)
 
 
@@ -289,7 +299,8 @@ def test_kernel_matches_reference(b, tau_pred, kl_mode, lam):
 @pytest.mark.parametrize("kl_mode", list(KLMode))
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_kernel_matches_the_whole_matrix_kernel(b, tau_pred, kl_mode, lam):
-    batch = make_batch(b, seed=b)
+    audio, text, local = make_rows(b, seed=b)
+    batch = EmbeddingBatch(audio, text, local)
     cfg = SmoothingConfig(
         gamma=0.3, beta=0.4, tau_a2a=0.8, tau_t2t=1.2, tau_pred=tau_pred, kl_mode=kl_mode,
         clap_mix_lambda=lam,
@@ -297,8 +308,8 @@ def test_kernel_matches_the_whole_matrix_kernel(b, tau_pred, kl_mode, lam):
     out = loss_and_grad(batch, cfg)
     expected = whole_matrix_loss_and_grad(batch, cfg)
     assert_close(out.value, expected.value)
-    assert_close(out.grad_audio, expected.grad_audio)
-    assert_close(out.grad_text, expected.grad_text)
+    assert_close(out.grad_audio, at_input_rows(expected.grad_audio, audio))
+    assert_close(out.grad_text, at_input_rows(expected.grad_text, text))
     assert_close(out.grad_log_tau_pred, expected.grad_log_tau_pred)
 
 

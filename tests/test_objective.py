@@ -319,13 +319,11 @@ def test_loss_value_matches_manual_composition_bitwise():
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(14)
-    batch = make_batch(rng, b=6, d=8)
+    audio, text, local = (rng.standard_normal((6, d)) for d in (8, 8, 10))
     cfg = SmoothingConfig()
-    out = loss_and_grad(batch, cfg)
+    out = loss_and_grad(EmbeddingBatch(audio, text, local), cfg)
     perm = rng.permutation(6)
-    permuted = EmbeddingBatch(
-        batch.audio[perm], batch.text[perm], batch.local_audio[perm]
-    )
+    permuted = EmbeddingBatch(audio[perm], text[perm], local[perm])
     out_p = loss_and_grad(permuted, cfg)
     assert out_p.value == pytest.approx(out.value, abs=1e-12)
     np.testing.assert_allclose(out_p.grad_audio, out.grad_audio[perm], atol=1e-12)

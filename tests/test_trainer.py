@@ -14,7 +14,6 @@ from smoothclap.errors import (
 )
 from smoothclap.fixtures import make_cluster_fixture
 from smoothclap.gradcheck import STEP, max_relative_error
-from smoothclap.numeric import l2_normalize_rows
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
@@ -22,7 +21,6 @@ from smoothclap.objective import (
     build_targets,
     loss_and_grad,
     loss_with_fixed_targets,
-    with_tau_pred,
 )
 from smoothclap.trainer import (
     AdamState,
@@ -196,12 +194,43 @@ def test_clap_mix_takes_one_kernel_call_per_step(monkeypatch):
     assert all(args[1].clap_mix_lambda == 0.5 for args in calls)
 
 
+def test_each_projected_matrix_has_its_row_norms_taken_once_per_step(monkeypatch):
+    # a row-norm pass over projected rows z sums z * z along the rows: count
+    # the row sums whose argument is the square of a matrix a projection made
+    projected = []
+    real_project = ProjectionParams.project
+
+    def recording_project(self, x):
+        z = real_project(self, x)
+        projected.append(z)
+        return z
+
+    passes = []
+    real_sum = np.sum
+
+    def counting_sum(a, *args, **kwargs):
+        if kwargs.get("axis") == 1 and any(
+            np.shape(a) == z.shape and np.array_equal(a, z * z) for z in projected
+        ):
+            passes.append(np.shape(a))
+        return real_sum(a, *args, **kwargs)
+
+    monkeypatch.setattr(ProjectionParams, "project", recording_project)
+    monkeypatch.setattr(np, "sum", counting_sum)
+    fx = make_cluster_fixture(seed=3, n_per_class=16)
+    config = small_config(epochs=1, embed_dim=16)
+    train(fx.features, fx.tag_lists, config)
+    steps = len(fx.tag_lists) // config.batch_size
+    assert steps == 4
+    assert len(projected) == 2 * steps
+    assert passes == [(16, 16)] * (2 * steps)
+
+
 def test_descent_on_frozen_batch():
     # repeated Adam steps on one fixed batch must monotonically lower the
     # loss for a small learning rate
     rng = np.random.default_rng(15)
     x = rng.standard_normal((8, 10))
-    x_local = l2_normalize_rows(x)
     text = np.abs(rng.standard_normal((8, 5))) + 0.1
     proj_a = init_projection(10, 6, rng)
     proj_t = init_projection(5, 6, rng)
@@ -210,7 +239,7 @@ def test_descent_on_frozen_batch():
     losses = []
     for _ in range(50):
         proj_a, proj_t, log_tau = unflatten(flat, 10, 5, 6)
-        out, grad = train_step(proj_a, proj_t, log_tau, x, text, x_local, SmoothingConfig())
+        out, grad = train_step(proj_a, proj_t, log_tau, x, text, SmoothingConfig())
         losses.append(out.value)
         flat, state = adam_step(flat, grad, state, 1e-4)
     diffs = np.diff(losses)
@@ -245,21 +274,21 @@ def test_train_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
     b, in_audio, in_text, dim = 8, 10, 5, 6
     x = rng.standard_normal((b, in_audio))
     text = np.abs(rng.standard_normal((b, in_text))) + 0.1
-    local = l2_normalize_rows(x)
     proj_a = init_projection(in_audio, dim, rng)
     proj_t = init_projection(in_text, dim, rng)
     smoothing = SmoothingConfig(kl_mode=kl_mode, tau_a2a=0.7, tau_t2t=1.3, clap_mix_lambda=lam)
     log_tau = math.log(0.8)
-    out, grad = train_step(proj_a, proj_t, log_tau, x, text, local, smoothing)
+    out, grad = train_step(proj_a, proj_t, log_tau, x, text, smoothing)
     flat = flatten(proj_a, proj_t, log_tau)
     assert grad.dtype == np.float64 and grad.shape == flat.shape == (103,)
 
-    batch = EmbeddingBatch(proj_a.project(x), proj_t.project(text), local)
-    targets = build_targets(batch, with_tau_pred(smoothing, 0.8))
+    # the feature rows are also the local audio features
+    batch = EmbeddingBatch(proj_a.project(x), proj_t.project(text), x)
+    targets = build_targets(batch, replace(smoothing, tau_pred=0.8))
 
     def loss(params):
         pa, pt, lt = unflatten(params, in_audio, in_text, dim)
-        cfg = with_tau_pred(smoothing, math.exp(lt))
+        cfg = replace(smoothing, tau_pred=math.exp(lt))
         return loss_with_fixed_targets(pa.project(x), pt.project(text), targets, cfg)
 
     assert loss(flat) == out.value
