@@ -114,6 +114,7 @@ def format_confusion(report: EvalReport) -> str:
 # --- external embeddings -------------------------------------------------------
 
 def ingest_external_embeddings(path) -> tuple[np.ndarray, list[str]]:
-    """Load externally produced embeddings and L2-normalize their rows."""
+    """Load externally produced embeddings and L2-normalize their rows. A zero
+    row is named by file and CSV row, the header being row 1."""
     ids, data = read_id_matrix_csv(path)
-    return l2_normalize_rows(data), ids
+    return l2_normalize_rows(data, f"{path}:", first_row=2), ids

@@ -1,9 +1,12 @@
 """Central finite-difference verification of the analytic gradients.
 
 The numeric side perturbs the rows a batch is built from, not its unit rows,
-entry by entry, and re-evaluates the forward loss with the target
-distribution held fixed, matching the stop-gradient contract of the analytic
-path, whose chain rule runs through the row normalization.
+entry by entry, and re-evaluates the forward loss of a batch built from the
+perturbed rows with the target distribution held fixed, matching the
+stop-gradient contract of the analytic path, whose chain rule runs through
+the row normalization. Each entry moves by ``STEP`` times the norm of its
+row, so rows far from unit norm are checked as closely as unit rows, and
+log(tau_pred) moves by ``STEP``.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ DEFAULT_SIZES = ((2, 3), (2, 16), (4, 3), (4, 16), (8, 3), (8, 16))
 GAMMA_GRID = (0.0, 0.5, 1.0)
 BETA_GRID = (0.1, 0.5, 1.0)
 TAU_PRED_CYCLE = (0.5, 1.0, 2.0)
-STEP = 1e-5  # central-difference step
+STEP = 1e-5  # central-difference step, relative to the row norm for row entries
 
 
 def finite_difference_grads(
@@ -34,30 +37,37 @@ def finite_difference_grads(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Central differences of ``loss_and_grad``'s loss on ``EmbeddingBatch(audio,
     text, local_audio)`` in the float64 rows ``audio`` and ``text`` and in
-    log(tau_pred). Its targets are built once, and only when ``cfg.clap_mix_lambda < 1``."""
+    log(tau_pred). An entry of row i moves by ``STEP`` times the norm of row
+    i, log(tau_pred) by ``STEP``. The targets are built once, and only when
+    ``cfg.clap_mix_lambda < 1``."""
     batch = EmbeddingBatch(audio, text, local_audio)
     targets = build_targets(batch, cfg) if cfg.clap_mix_lambda < 1.0 else None
 
-    def f(audio: np.ndarray, text: np.ndarray, tau: float = cfg.tau_pred) -> float:
-        return loss_with_fixed_targets(audio, text, targets, replace(cfg, tau_pred=tau))
+    def f(audio: np.ndarray, text: np.ndarray, config: SmoothingConfig = cfg) -> float:
+        perturbed = EmbeddingBatch(audio, text, batch.local_audio)
+        return loss_with_fixed_targets(perturbed, targets, config)
 
     def nudged(m: np.ndarray, index: tuple[int, ...], step: float) -> np.ndarray:
         out = m.copy()
         out[index] += step
         return out
 
-    def central(args_at) -> float:
-        # args_at(step): the arguments of f with one coordinate moved by step
-        return (f(*args_at(STEP)) - f(*args_at(-STEP))) / (2.0 * STEP)
+    def central(args_at, step: float) -> float:
+        # args_at(h): the arguments of f with one coordinate moved by h
+        return (f(*args_at(step)) - f(*args_at(-step))) / (2.0 * step)
 
     num_audio = np.zeros_like(audio)
     for index in np.ndindex(num_audio.shape):
-        num_audio[index] = central(lambda step: (nudged(audio, index, step), text))
+        step = STEP * batch.audio_norms[index[0]]
+        num_audio[index] = central(lambda h: (nudged(audio, index, h), text), step)
     num_text = np.zeros_like(text)
     for index in np.ndindex(num_text.shape):
-        num_text[index] = central(lambda step: (audio, nudged(text, index, step)))
+        step = STEP * batch.text_norms[index[0]]
+        num_text[index] = central(lambda h: (audio, nudged(text, index, h)), step)
     log_tau = math.log(cfg.tau_pred)
-    num_log_tau = central(lambda step: (audio, text, math.exp(log_tau + step)))
+    num_log_tau = central(
+        lambda h: (audio, text, replace(cfg, tau_pred=math.exp(log_tau + h))), STEP
+    )
     return num_audio, num_text, num_log_tau
 
 

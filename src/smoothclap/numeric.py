@@ -44,30 +44,26 @@ def is_row_stochastic(m, tol: float = ROW_SUM_TOL) -> bool:
     return bool(np.all(np.abs(m.sum(axis=1) - 1.0) <= tol))
 
 
-def l2_normalize_rows(m) -> np.ndarray:
+def l2_normalize_rows(m, name: str = "matrix", first_row: int = 0) -> np.ndarray:
     """Scale each row to unit Euclidean norm.
 
-    Raises ZeroRow if any row norm falls below ``ZERO_ROW_TOL``.
+    Raises ZeroRow as :func:`row_norms` does if any row norm falls below
+    ``ZERO_ROW_TOL``.
     """
-    return unit_rows(as_matrix(m))
+    m = as_matrix(m, name)
+    return m / row_norms(m, name, first_row)[:, None]
 
 
-def unit_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """:func:`l2_normalize_rows` of a trusted 2-D float64 array: no coercion
-    or finiteness pass, the same arithmetic."""
-    return m / row_norms(m, name)[:, None]
-
-
-def row_norms(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def row_norms(m: np.ndarray, name: str = "matrix", first_row: int = 0) -> np.ndarray:
     """Euclidean norm of each row of a trusted 2-D float64 array.
 
     Raises ZeroRow, naming the matrix and the row, if any norm falls below
-    ``ZERO_ROW_TOL``.
+    ``ZERO_ROW_TOL``. The message numbers the rows from ``first_row``.
     """
     norms = np.sqrt(np.sum(m * m, axis=1))
     if np.any(norms < ZERO_ROW_TOL):
         bad = int(np.argmin(norms))
-        raise ZeroRow(f"{name} row {bad} has norm {norms[bad]:.3e}, cannot normalize")
+        raise ZeroRow(f"{name} row {bad + first_row} has norm {norms[bad]:.3e}, cannot normalize")
     return norms
 
 

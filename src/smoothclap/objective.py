@@ -7,8 +7,11 @@ are mixed by ``gamma``, fused with the identity by ``beta``, and the result
 supervises the cross-modal prediction distributions through a (symmetric)
 KL divergence. ``clap_mix_lambda`` mixes in conventional contrastive
 supervision: the loss is ``lam * InfoNCE + (1 - lam) * soft``. Every one of
-these weights is a field of :class:`SmoothingConfig`. Targets are constants
-during backpropagation: no gradient flows through the target branch.
+these weights is a field of :class:`SmoothingConfig`, which checks them
+once: every public piece that uses a weight takes the config, and only
+:func:`intra_modal_targets`, which serves both intra-modal temperatures,
+takes its temperature as an argument. Targets are constants during
+backpropagation: no gradient flows through the target branch.
 
 Gradients returned by :func:`loss_and_grad` are taken with respect to the
 rows an :class:`EmbeddingBatch` was built from (the chain rule runs through
@@ -17,9 +20,9 @@ the row L2-normalization) and with respect to ``log(tau_pred)``.
 Every B x B quantity (the targets, both prediction distributions, their KL
 terms and logit gradients) is formed one block of ``_BLOCK_ROWS`` rows at a
 time, and its sums are added up in block order, so no B x B array exists.
-The public forward functions validate their arguments and then run the same
-private block code, in the same block order, as :func:`loss_and_grad`, whose
-arrays come from a validated :class:`EmbeddingBatch` and are trusted. So a
+The public forward functions validate their matrix arguments and then run the
+same private block code, in the same block order, as :func:`loss_and_grad`.
+Rows come from a validated :class:`EmbeddingBatch` and are trusted. So a
 manual composition of the public pieces reproduces the kernel's loss bit for
 bit, given the whole-matrix products the bits of the kernel's row blocks.
 """
@@ -49,7 +52,6 @@ from .numeric import (
     l2_normalize_rows,
     row_norms,
     row_softmax_inplace,
-    unit_rows,
 )
 
 
@@ -127,7 +129,7 @@ class EmbeddingBatch:
         text = as_matrix(self.text, "text")
         self.audio_norms = row_norms(audio, "audio")
         self.text_norms = row_norms(text, "text")
-        local = unit_rows(as_matrix(self.local_audio, "local_audio"), "local_audio")
+        local = l2_normalize_rows(self.local_audio, "local_audio")
         if audio.shape != text.shape:
             raise ShapeMismatch(
                 f"audio {audio.shape} and text {text.shape} must match"
@@ -157,10 +159,9 @@ class LossOutput:
     grad_log_tau_pred: float
 
 
-def cross_modal_scores(batch: EmbeddingBatch, tau_pred: float) -> np.ndarray:
-    """Temperature-scaled audio-text similarity: dot(e_a[i], e_t[j]) / tau_pred."""
-    check_temperature(tau_pred)
-    return gram(batch.audio, batch.text) / tau_pred
+def cross_modal_scores(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
+    """Temperature-scaled audio-text similarity: dot(e_a[i], e_t[j]) / cfg.tau_pred."""
+    return gram(batch.audio, batch.text) / cfg.tau_pred
 
 
 def intra_modal_targets(features, tau: float) -> np.ndarray:
@@ -170,41 +171,37 @@ def intra_modal_targets(features, tau: float) -> np.ndarray:
     return _softmax_rows(features, features, tau)
 
 
-def mix_targets(q_a2a, q_t2t, gamma: float) -> np.ndarray:
-    """Convex combination (1 - gamma) * q_a2a + gamma * q_t2t."""
+def mix_targets(q_a2a, q_t2t, cfg: SmoothingConfig) -> np.ndarray:
+    """Convex combination (1 - cfg.gamma) * q_a2a + cfg.gamma * q_t2t."""
     q_a2a = as_matrix(q_a2a, "q_a2a")
     q_t2t = as_matrix(q_t2t, "q_t2t")
     if q_a2a.shape != q_t2t.shape:
         raise ShapeMismatch(f"shapes differ: {q_a2a.shape} vs {q_t2t.shape}")
-    if not 0.0 <= gamma <= 1.0:
-        raise GammaOutOfRange(f"gamma must be in [0, 1], got {gamma}")
-    return (1.0 - gamma) * q_a2a + gamma * q_t2t
+    return (1.0 - cfg.gamma) * q_a2a + cfg.gamma * q_t2t
 
 
-def smooth_targets(q, beta: float) -> np.ndarray:
-    """Fuse the identity (hard) target with a soft distribution: (1-b)*I + b*q."""
+def smooth_targets(q, cfg: SmoothingConfig) -> np.ndarray:
+    """Fuse the identity (hard) target with a soft distribution: (1-b)*I + b*q,
+    with b = cfg.beta."""
     q = as_matrix(q, "q")
     if q.shape[0] != q.shape[1]:
         raise NotSquare(f"q must be square, got {q.shape}")
-    if not 0.0 <= beta <= 1.0:
-        raise BetaOutOfRange(f"beta must be in [0, 1], got {beta}")
-    return (1.0 - beta) * np.eye(q.shape[0]) + beta * q
+    return (1.0 - cfg.beta) * np.eye(q.shape[0]) + cfg.beta * q
 
 
-def predicted_distributions(scores, tau_pred: float) -> tuple[np.ndarray, np.ndarray]:
+def predicted_distributions(scores, cfg: SmoothingConfig) -> tuple[np.ndarray, np.ndarray]:
     """Audio-to-text and text-to-audio prediction distributions.
 
-    ``scores`` is the raw (unscaled) similarity matrix; tau_pred is applied
-    here exactly once. The second output is the row-softmax of the transpose.
-    Both are C-contiguous.
+    ``scores`` is the raw (unscaled) similarity matrix; ``cfg.tau_pred`` is
+    applied here exactly once. The second output is the row-softmax of the
+    transpose. Both are C-contiguous.
     """
     s = as_matrix(scores, "scores")
     if s.shape[0] != s.shape[1]:
         raise NotSquare(f"scores must be square, got {s.shape}")
-    check_temperature(tau_pred)
     return (
-        row_softmax_inplace(s.copy(), tau_pred),
-        row_softmax_inplace(np.ascontiguousarray(s.T), tau_pred),
+        row_softmax_inplace(s.copy(), cfg.tau_pred),
+        row_softmax_inplace(np.ascontiguousarray(s.T), cfg.tau_pred),
     )
 
 
@@ -212,8 +209,8 @@ def build_targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
     """Softened target distribution for one batch (constant under backprop).
 
     Built row block by row block, each block as the kernel builds it, with
-    the arithmetic of ``smooth_targets(mix_targets(q_a2a, q_t2t, gamma),
-    beta)`` of the two ``intra_modal_targets``.
+    the arithmetic of ``smooth_targets(mix_targets(q_a2a, q_t2t, cfg), cfg)``
+    of the two ``intra_modal_targets``.
     """
     b = batch.size
     y = np.empty((b, b))
@@ -247,21 +244,22 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
     return kl.value(y.shape[0])
 
 
-def clap_infonce(scores, tau_pred: float) -> float:
-    """Symmetric InfoNCE: mean negative log-likelihood of the diagonal pairs."""
-    p_a2t, p_t2a = predicted_distributions(scores, tau_pred)
+def clap_infonce(scores, cfg: SmoothingConfig) -> float:
+    """Symmetric InfoNCE at ``cfg.tau_pred``: mean negative log-likelihood of
+    the diagonal pairs."""
+    p_a2t, p_t2a = predicted_distributions(scores, cfg)
     if p_a2t.shape[0] < 2:
         raise ShapeMismatch("InfoNCE needs a batch of at least 2")
     return _infonce(np.diag(p_a2t), np.diag(p_t2a))
 
 
-def loss_with_fixed_targets(audio, text, targets, cfg: SmoothingConfig) -> float:
-    """Forward loss with the target distribution held constant.
+def loss_with_fixed_targets(batch: EmbeddingBatch, targets, cfg: SmoothingConfig) -> float:
+    """Forward loss of the batch's rows with the target distribution held constant.
 
-    This is the stop-gradient view of the objective: perturbing ``audio`` or
-    ``text`` re-normalizes rows and recomputes predictions, but ``targets``
-    stays fixed. Finite-difference checks of :func:`loss_and_grad` must use
-    this function, at the rows the batch is built from, since the analytic
+    This is the stop-gradient view of the objective: a batch built from
+    perturbed audio or text rows changes the predictions, but ``targets``
+    stays fixed and ``batch.local_audio`` is unused. Finite-difference checks
+    of :func:`loss_and_grad` must use this function, since the analytic
     gradients deliberately do not differentiate through the target branch.
 
     The mix is the kernel's, from the kernel's own row-block pass: InfoNCE
@@ -269,18 +267,14 @@ def loss_with_fixed_targets(audio, text, targets, cfg: SmoothingConfig) -> float
     soft loss alone at 0, and ``lam * InfoNCE + (1 - lam) * soft_loss`` in
     between.
     """
-    e_a = l2_normalize_rows(as_matrix(audio, "audio"))
-    e_t = l2_normalize_rows(as_matrix(text, "text"))
-    if e_a.shape != e_t.shape:
-        raise ShapeMismatch(f"audio {e_a.shape} and text {e_t.shape} must match")
-    b = e_a.shape[0]
-    if b < 2:
-        raise ShapeMismatch("batch size must be at least 2")
+    b = batch.size
     if cfg.clap_mix_lambda < 1.0:
         targets = as_matrix(targets, "targets")
         if targets.shape != (b, b):
             raise ShapeMismatch(f"targets {targets.shape} must be {(b, b)}")
-    value, _ = _blocked_pass(e_a, e_t, lambda rows: targets[rows], cfg, with_grads=False)
+    value, _ = _blocked_pass(
+        batch.audio, batch.text, lambda rows: targets[rows], cfg, with_grads=False
+    )
     return value
 
 

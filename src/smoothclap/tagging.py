@@ -8,7 +8,6 @@ outputs are byte-reproducible.
 """
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -42,6 +41,11 @@ ACOUSTIC_FEATURES = tuple(PROFILE_FIELDS)
 # every binned feature, in tag order
 BINNED_FEATURES = DIMENSION_FEATURES + ACOUSTIC_FEATURES
 
+# the word of each bin in the tags of ratings, of acoustic features and of duration
+_DIM_WORDS = ("low", "mid", "high")
+_ACOUSTIC_WORDS = ("low", "normal", "high")
+_DURATION_WORDS = ("short", "medium", "long")
+
 
 class Bin(IntEnum):
     LOW = 0
@@ -50,18 +54,7 @@ class Bin(IntEnum):
 
     @property
     def key(self) -> str:
-        return ("low", "mid", "high")[int(self)]
-
-
-_DIM_WORDS = ("low", "mid", "high")
-_ACOUSTIC_WORDS = ("low", "normal", "high")
-_DURATION_WORDS = ("short", "medium", "long")
-
-TEMPLATE_TAG_PATTERN = re.compile(
-    r"^(?:(low|mid|high) (arousal|valence|dominance)"
-    r"|(low|normal|high) (pitch|intensity|jitter|shimmer)"
-    r"|(short|medium|long) duration)$"
-)
+        return _DIM_WORDS[int(self)]
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ class TemplateSet:
 
     def contains_tag(self, tag: str) -> bool:
         """True iff the tag belongs to the closed vocabulary of this set."""
-        if TEMPLATE_TAG_PATTERN.match(tag):
+        if any(tag in tags for tags in _TAGS_BY_CODE.values()):
             return True
         return tag in (self.emotions or ()) or tag in (self.genders or ())
 

@@ -113,10 +113,10 @@ def test_criterion_2_distribution_invariants(capsys):
         )
         q_a2a = intra_modal_targets(batch.local_audio, cfg.tau_a2a)
         q_t2t = intra_modal_targets(batch.text, cfg.tau_t2t)
-        q = mix_targets(q_a2a, q_t2t, cfg.gamma)
-        y = smooth_targets(q, cfg.beta)
+        q = mix_targets(q_a2a, q_t2t, cfg)
+        y = smooth_targets(q, cfg)
         scores = gram(batch.audio, batch.text)
-        p_a2t, p_t2a = predicted_distributions(scores, cfg.tau_pred)
+        p_a2t, p_t2a = predicted_distributions(scores, cfg)
         for m in (q_a2a, q_t2t, q, y, p_a2t, p_t2a):
             ok = ok and is_row_stochastic(m, tol=1e-9)
         ok = ok and bool(np.all(y > 0.0))
@@ -144,9 +144,9 @@ def test_criterion_3_hard_target_recovery(capsys):
         tau = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
         cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=tau)
         scores = gram(batch.audio, batch.text)
-        y = smooth_targets(intra_modal_targets(batch.local_audio, 1.0), 0.0)
-        p_a2t, p_t2a = predicted_distributions(scores, tau)
-        gap = abs(soft_loss(y, p_a2t, p_t2a, cfg) - clap_infonce(scores, tau))
+        y = smooth_targets(intra_modal_targets(batch.local_audio, 1.0), cfg)
+        p_a2t, p_t2a = predicted_distributions(scores, cfg)
+        gap = abs(soft_loss(y, p_a2t, p_t2a, cfg) - clap_infonce(scores, cfg))
         worst = max(worst, gap)
     with capsys.disabled():
         report(3, f"hard-target recovery (worst gap {worst:.2e})", worst < 1e-9)
@@ -177,24 +177,27 @@ def test_criterion_4_oracle_golden_values(capsys):
         percentile_nearest_rank(range(1, 11), 70), GOLDEN["percentile_1to10_p70"]
     )
     ok &= close(intra_modal_targets(np.eye(2), 1.0)[0], GOLDEN["intra_two_orthogonal"])
+    unit_tau = SmoothingConfig(tau_pred=1.0)
     ok &= close(
-        predicted_distributions(np.diag([2.0, 2.0]), 1.0)[0][0],
+        predicted_distributions(np.diag([2.0, 2.0]), unit_tau)[0][0],
         GOLDEN["predicted_diag2"],
     )
     ok &= close(
-        mix_targets([[0.6, 0.4]], [[0.2, 0.8]], 0.5)[0], GOLDEN["mix_half"]
+        mix_targets([[0.6, 0.4]], [[0.2, 0.8]], SmoothingConfig(gamma=0.5))[0],
+        GOLDEN["mix_half"],
     )
     ok &= close(
-        smooth_targets([[0.6, 0.4], [0.4, 0.6]], 0.5), GOLDEN["smooth_half"]
+        smooth_targets([[0.6, 0.4], [0.4, 0.6]], SmoothingConfig(beta=0.5)),
+        GOLDEN["smooth_half"],
     )
     audio = np.array([[0.6, 0.8], [0.8, -0.6]])
     text = np.array([[0.8, 0.6], [0.6, -0.8]])
     ok &= close(
-        cross_modal_scores(EmbeddingBatch(audio, text, audio), 1.0)[0, 0],
+        cross_modal_scores(EmbeddingBatch(audio, text, audio), unit_tau)[0, 0],
         GOLDEN["score_cross"],
     )
-    ok &= close(clap_infonce(np.zeros((2, 2)), 1.0), GOLDEN["infonce_zero_b2"])
-    ok &= close(clap_infonce(np.eye(2), 1.0), GOLDEN["infonce_identity_b2"])
+    ok &= close(clap_infonce(np.zeros((2, 2)), unit_tau), GOLDEN["infonce_zero_b2"])
+    ok &= close(clap_infonce(np.eye(2), unit_tau), GOLDEN["infonce_identity_b2"])
     y = np.array([[0.9, 0.1], [0.1, 0.9]])
     uniform = np.full((2, 2), 0.5)
     ok &= close(

@@ -613,6 +613,25 @@ def test_eval_perfect_fixture(tmp_path, capsys):
     assert json.loads(report_path.read_text())["uar"] == 1.0
 
 
+@pytest.mark.parametrize("flag", ["--embeddings", "--query-embeddings"])
+def test_eval_zero_embedding_row_names_file_and_csv_row(tmp_path, capsys, flag):
+    zero_second = np.array([[1.0, 0.0], [0.0, 0.0]])
+    audio, queries = (zero_second, np.eye(2))[:: 1 if flag == "--embeddings" else -1]
+    emb_path = write_embeddings_csv(tmp_path / "emb.csv", ["s0", "s1"], audio)
+    q_path = write_embeddings_csv(tmp_path / "q.csv", ["a", "b"], queries)
+    labels_path = write_labels_csv(tmp_path / "labels.csv", ["s0", "s1"], ["a", "b"])
+    code = run_cli(
+        "eval", "--embeddings", str(emb_path), "--query-embeddings", str(q_path),
+        "--labels", str(labels_path), "--out", str(tmp_path / "report.json"),
+    )
+    assert code == 2
+    bad = emb_path if flag == "--embeddings" else q_path
+    # the header is row 1, so the second data row is row 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: row 3 has norm 0.000e+00, cannot normalize\n"
+    )
+
+
 def test_eval_confusion_8246_fixture(tmp_path, capsys):
     queries = np.eye(2)
     rows = []

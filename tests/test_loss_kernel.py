@@ -4,7 +4,7 @@
 ``loss_and_grad``: the public forward pieces, the per-direction logit
 gradient ``_kl_grad_wrt_logits`` and, for the CLAP mix, two separate calls
 combined with weights lambda and 1 - lambda. ``whole_matrix_loss_and_grad``
-is the single-pass kernel that the row-blocked one replaced, kept verbatim:
+is the single-pass kernel that the row-blocked one replaced, kept as it was:
 it forms every B x B array at once. The blocked kernel reorders the
 arithmetic, so agreement is to 1e-12 relative, not bit for bit. Both oracles
 differentiate at the batch's unit rows; the tests carry their gradient rows
@@ -23,7 +23,6 @@ from smoothclap.numeric import (
     l2_normalize_rows,
     row_softmax,
     row_softmax_inplace,
-    unit_rows,
 )
 from smoothclap.objective import (
     EmbeddingBatch,
@@ -82,9 +81,9 @@ def reference_loss_and_grad(batch, cfg):
         mix_targets(
             intra_modal_targets(batch.local_audio, cfg.tau_a2a),
             intra_modal_targets(batch.text, cfg.tau_t2t),
-            cfg.gamma,
+            cfg,
         ),
-        cfg.beta,
+        cfg,
     )
     symmetric = cfg.kl_mode is KLMode.SYMMETRIC
     total = kl_sum(y, p_a2t) + kl_sum(y, p_t2a)
@@ -200,8 +199,8 @@ def whole_matrix_loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> L
     """The loss and gradients of ``loss_and_grad`` at the batch's unit rows,
     over whole B x B arrays."""
     lam = cfg.clap_mix_lambda
-    e_a = unit_rows(batch.audio)
-    e_t = unit_rows(batch.text)
+    e_a = l2_normalize_rows(batch.audio)
+    e_t = l2_normalize_rows(batch.text)
     b = batch.size
     p_a2t, p_t2a = _predictions(e_a @ e_t.T, cfg.tau_pred)
 

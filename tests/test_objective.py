@@ -1,10 +1,13 @@
+import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothclap.gradcheck
+import smoothclap.objective
 from helpers import random_unit_rows
 from smoothclap.errors import (
     BetaOutOfRange,
@@ -58,6 +61,23 @@ def test_config_validation():
         SmoothingConfig(tau_t2t=np.inf)
 
 
+@pytest.mark.parametrize("module", [smoothclap.objective, smoothclap.gradcheck])
+def test_weights_enter_public_functions_only_through_the_config(module):
+    # each weight is declared and checked once, in SmoothingConfig
+    names = {f.name for f in fields(SmoothingConfig)}
+    assert names == {
+        "gamma", "beta", "tau_a2a", "tau_t2t", "tau_pred", "kl_mode", "clap_mix_lambda"
+    }
+    public = [
+        fn for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if not name.startswith("_") and fn.__module__ == module.__name__
+    ]
+    assert public
+    for fn in public:
+        loose = names & set(inspect.signature(fn).parameters)
+        assert not loose, f"{fn.__name__} takes {sorted(loose)}"
+
+
 def test_symmetric_mode_requires_positive_beta():
     for lam in (0.0, 0.5, 0.999):
         with pytest.raises(ZeroMassTarget, match="symmetric KL requires beta > 0"):
@@ -99,15 +119,17 @@ def test_batch_shape_validation():
 def test_scores_identity_basis():
     eye = np.eye(3)
     batch = EmbeddingBatch(eye, eye, eye)
-    np.testing.assert_allclose(cross_modal_scores(batch, 1.0), np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(cross_modal_scores(batch, 0.5), 2 * np.eye(3), atol=1e-12)
+    scores = cross_modal_scores(batch, SmoothingConfig(tau_pred=1.0))
+    np.testing.assert_allclose(scores, np.eye(3), atol=1e-12)
+    scores = cross_modal_scores(batch, SmoothingConfig(tau_pred=0.5))
+    np.testing.assert_allclose(scores, 2 * np.eye(3), atol=1e-12)
 
 
 def test_scores_hand_example():
     audio = np.array([[0.6, 0.8], [0.8, -0.6]])
     text = np.array([[0.8, 0.6], [0.6, -0.8]])
     batch = EmbeddingBatch(audio, text, audio)
-    s = cross_modal_scores(batch, 1.0)
+    s = cross_modal_scores(batch, SmoothingConfig(tau_pred=1.0))
     assert s[0, 0] == pytest.approx(GOLDEN["score_cross"], abs=1e-12)
 
 
@@ -145,30 +167,29 @@ def test_intra_diagonal_argmax_for_distinct_unit_rows():
 def test_mix_endpoints_and_example():
     qa = np.array([[0.6, 0.4]])
     qt = np.array([[0.2, 0.8]])
-    np.testing.assert_array_equal(mix_targets(qa, qt, 0.0), qa)
-    np.testing.assert_array_equal(mix_targets(qa, qt, 1.0), qt)
-    np.testing.assert_allclose(mix_targets(qa, qt, 0.5), [GOLDEN["mix_half"]], atol=1e-12)
-    with pytest.raises(GammaOutOfRange):
-        mix_targets(qa, qt, 1.2)
+    np.testing.assert_array_equal(mix_targets(qa, qt, SmoothingConfig(gamma=0.0)), qa)
+    np.testing.assert_array_equal(mix_targets(qa, qt, SmoothingConfig(gamma=1.0)), qt)
+    half = SmoothingConfig(gamma=0.5)
+    np.testing.assert_allclose(mix_targets(qa, qt, half), [GOLDEN["mix_half"]], atol=1e-12)
     with pytest.raises(ShapeMismatch):
-        mix_targets(qa, np.array([[0.2, 0.3, 0.5]]), 0.5)
+        mix_targets(qa, np.array([[0.2, 0.3, 0.5]]), half)
 
 
 def test_smooth_endpoints_and_example():
     q = np.array([[0.6, 0.4], [0.4, 0.6]])
-    np.testing.assert_array_equal(smooth_targets(q, 0.0), np.eye(2))
-    np.testing.assert_array_equal(smooth_targets(q, 1.0), q)
-    np.testing.assert_allclose(smooth_targets(q, 0.5), GOLDEN["smooth_half"], atol=1e-12)
+    hard = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD)
+    np.testing.assert_array_equal(smooth_targets(q, hard), np.eye(2))
+    np.testing.assert_array_equal(smooth_targets(q, SmoothingConfig(beta=1.0)), q)
+    half = SmoothingConfig(beta=0.5)
+    np.testing.assert_allclose(smooth_targets(q, half), GOLDEN["smooth_half"], atol=1e-12)
     with pytest.raises(NotSquare):
-        smooth_targets(np.array([[0.5, 0.25, 0.25]]), 0.5)
-    with pytest.raises(BetaOutOfRange):
-        smooth_targets(q, 2.0)
+        smooth_targets(np.array([[0.5, 0.25, 0.25]]), half)
 
 
 # --- predicted_distributions ---
 
 def test_predicted_zero_scores_uniform():
-    p_a2t, p_t2a = predicted_distributions(np.zeros((2, 2)), 1.0)
+    p_a2t, p_t2a = predicted_distributions(np.zeros((2, 2)), SmoothingConfig(tau_pred=1.0))
     np.testing.assert_allclose(p_a2t, np.full((2, 2), 0.5), atol=1e-15)
     np.testing.assert_allclose(p_t2a, np.full((2, 2), 0.5), atol=1e-15)
 
@@ -177,18 +198,19 @@ def test_predicted_symmetric_scores_match():
     rng = np.random.default_rng(6)
     s = rng.standard_normal((4, 4))
     s = s + s.T
-    p_a2t, p_t2a = predicted_distributions(s, 0.8)
+    p_a2t, p_t2a = predicted_distributions(s, SmoothingConfig(tau_pred=0.8))
     np.testing.assert_allclose(p_a2t, p_t2a, atol=1e-12)
 
 
 def test_predicted_diagonal_example():
-    p_a2t, _ = predicted_distributions(np.array([[2.0, 0.0], [0.0, 2.0]]), 1.0)
+    scores = np.array([[2.0, 0.0], [0.0, 2.0]])
+    p_a2t, _ = predicted_distributions(scores, SmoothingConfig(tau_pred=1.0))
     np.testing.assert_allclose(p_a2t[0], GOLDEN["predicted_diag2"], atol=1e-9)
 
 
 def test_predicted_requires_square():
     with pytest.raises(NotSquare):
-        predicted_distributions(np.zeros((2, 3)), 1.0)
+        predicted_distributions(np.zeros((2, 3)), SmoothingConfig())
 
 
 # --- soft_loss ---
@@ -220,9 +242,9 @@ def test_soft_loss_forward_near_hard_targets_approaches_infonce():
     g = gram(batch.audio, batch.text)
     cfg = SmoothingConfig(beta=1e-6, kl_mode=KLMode.FORWARD, tau_pred=1.0)
     y = build_targets(batch, cfg)
-    p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
+    p_a2t, p_t2a = predicted_distributions(g, cfg)
     soft = soft_loss(y, p_a2t, p_t2a, cfg)
-    hard = clap_infonce(g, cfg.tau_pred)
+    hard = clap_infonce(g, cfg)
     assert abs(soft - hard) < 1e-4
 
 
@@ -238,33 +260,34 @@ def test_soft_loss_nonnegative():
         )
         g = gram(batch.audio, batch.text)
         y = build_targets(batch, cfg)
-        p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
+        p_a2t, p_t2a = predicted_distributions(g, cfg)
         assert soft_loss(y, p_a2t, p_t2a, cfg) >= 0.0
 
 
 # --- clap_infonce ---
 
 def test_infonce_zero_scores():
-    assert clap_infonce(np.zeros((2, 2)), 1.0) == pytest.approx(
+    assert clap_infonce(np.zeros((2, 2)), SmoothingConfig(tau_pred=1.0)) == pytest.approx(
         GOLDEN["infonce_zero_b2"], abs=1e-9
     )
 
 
 def test_infonce_identity_example():
-    assert clap_infonce(np.eye(2), 1.0) == pytest.approx(
+    assert clap_infonce(np.eye(2), SmoothingConfig(tau_pred=1.0)) == pytest.approx(
         GOLDEN["infonce_identity_b2"], abs=1e-9
     )
 
 
 def test_infonce_decreases_with_alignment_strength():
-    losses = [clap_infonce(c * np.eye(3), 1.0) for c in (1.0, 2.0, 5.0, 20.0, 80.0)]
+    cfg = SmoothingConfig(tau_pred=1.0)
+    losses = [clap_infonce(c * np.eye(3), cfg) for c in (1.0, 2.0, 5.0, 20.0, 80.0)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 1e-9
 
 
 def test_infonce_requires_square():
     with pytest.raises(NotSquare):
-        clap_infonce(np.zeros((2, 3)), 1.0)
+        clap_infonce(np.zeros((2, 3)), SmoothingConfig())
 
 
 # --- target distribution invariants ---
@@ -287,10 +310,10 @@ def test_hard_target_recovery_matches_infonce():
     for _ in range(25):
         batch = make_batch(rng, b=5, d=9)
         g = gram(batch.audio, batch.text)
-        y = smooth_targets(intra_modal_targets(batch.local_audio, 1.0), 0.0)
-        p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
+        y = smooth_targets(intra_modal_targets(batch.local_audio, 1.0), cfg)
+        p_a2t, p_t2a = predicted_distributions(g, cfg)
         assert soft_loss(y, p_a2t, p_t2a, cfg) == pytest.approx(
-            clap_infonce(g, cfg.tau_pred), abs=1e-9
+            clap_infonce(g, cfg), abs=1e-9
         )
 
 
@@ -303,17 +326,16 @@ def test_loss_value_matches_manual_composition_bitwise():
         cfg = SmoothingConfig(gamma=0.3, beta=0.4, tau_pred=0.9)
         # the kernel takes the batch's unit rows as they are
         g = gram(batch.audio, batch.text)
-        p_a2t, p_t2a = predicted_distributions(g, cfg.tau_pred)
+        p_a2t, p_t2a = predicted_distributions(g, cfg)
         y = build_targets(batch, cfg)
         assert loss_and_grad(batch, cfg).value == soft_loss(y, p_a2t, p_t2a, cfg)
         clap = replace(cfg, clap_mix_lambda=1.0)
-        assert loss_and_grad(batch, clap).value == clap_infonce(g, cfg.tau_pred)
+        assert loss_and_grad(batch, clap).value == clap_infonce(g, cfg)
         # the fixed-target forward evaluates the kernel's mix from the same
-        # terms; 0.3 tells the weight of InfoNCE from that of the soft loss.
-        # It gets the rows the batch was made from, to normalize them once.
+        # terms; 0.3 tells the weight of InfoNCE from that of the soft loss
         for lam in (0.0, 0.3, 0.5, 1.0):
             mixed = replace(cfg, clap_mix_lambda=lam)
-            fixed = loss_with_fixed_targets(audio, text, y, mixed)
+            fixed = loss_with_fixed_targets(batch, y, mixed)
             assert fixed == loss_and_grad(batch, mixed).value
 
 

@@ -212,6 +212,27 @@ def test_tags_stay_inside_closed_vocabulary():
             assert templates.contains_tag(tag), tag
 
 
+def test_contains_tag_accepts_the_vocabulary_and_rejects_near_misses():
+    templates = TemplateSet(emotions=frozenset({"happy"}), genders=frozenset({"female"}))
+    vocabulary = [
+        f"{word} {feature}"
+        for words, features in (
+            (("low", "mid", "high"), ("arousal", "valence", "dominance")),
+            (("low", "normal", "high"), ("pitch", "intensity", "jitter", "shimmer")),
+            (("short", "medium", "long"), ("duration",)),
+        )
+        for word in words
+        for feature in features
+    ]
+    for tag in vocabulary + ["happy", "female"]:
+        assert templates.contains_tag(tag), tag
+    for tag in (
+        "mid pitch", "normal arousal", "high duration", "short pitch", "low  pitch",
+        "Low pitch", " low pitch", "low pitch ", "pitch", "low", "", "sad", "male",
+    ):
+        assert not templates.contains_tag(tag), tag
+
+
 def test_profile_feature_values_keys():
     profile = acoustic_profile(Waveform(synth_tone(220.0, 1.0, 0.5), 16000))
     values = profile_feature_values(profile)

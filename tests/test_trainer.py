@@ -289,7 +289,8 @@ def test_train_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
     def loss(params):
         pa, pt, lt = unflatten(params, in_audio, in_text, dim)
         cfg = replace(smoothing, tau_pred=math.exp(lt))
-        return loss_with_fixed_targets(pa.project(x), pt.project(text), targets, cfg)
+        projected = EmbeddingBatch(pa.project(x), pt.project(text), x)
+        return loss_with_fixed_targets(projected, targets, cfg)
 
     assert loss(flat) == out.value
     numeric = np.empty_like(flat)
