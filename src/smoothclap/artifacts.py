@@ -107,13 +107,12 @@ def _strings(value, where: str, name: str) -> list[str]:
 
 # --- JSON documents ------------------------------------------------------------------
 
-def _json_text(doc: dict, meta: dict | None) -> str:
-    if meta is not None:
-        doc["_meta"] = meta
+def _json_text(doc: dict, meta: dict) -> str:
+    doc["_meta"] = meta
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _write_json(path, doc: dict, meta: dict | None) -> None:
+def _write_json(path, doc: dict, meta: dict) -> None:
     Path(path).write_text(_json_text(doc, meta) + "\n")
 
 
@@ -174,7 +173,7 @@ def _prediction_json(p) -> str:
     )
 
 
-def save_report(path, report, meta: dict | None = None) -> None:
+def save_report(path, report, meta: dict) -> None:
     """An EvalReport, with one {id, true, predicted, scores} object per prediction.
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``. That
@@ -198,7 +197,7 @@ def save_report(path, report, meta: dict | None = None) -> None:
     Path(path).write_text(text + "\n")
 
 
-def save_thresholds(path, thresholds: dict[str, BinThresholds], labels=None, meta=None) -> None:
+def save_thresholds(path, thresholds: dict[str, BinThresholds], labels: dict, meta: dict) -> None:
     """The sidecar: feature -> {low, high}, observed label sets under ``_labels``."""
     doc: dict = {name: {"low": t.low, "high": t.high} for name, t in thresholds.items()}
     if labels:
@@ -252,7 +251,7 @@ def _decode_tensor(projection: dict, key: str, where: str, side: str, ndim: int)
         ) from None
 
 
-def save_model(path, model, extra_meta: dict | None = None) -> None:
+def save_model(path, model, meta: dict) -> None:
     doc = {
         "kind": MODEL_KIND,
         "format_version": MODEL_FORMAT_VERSION,
@@ -263,7 +262,7 @@ def save_model(path, model, extra_meta: dict | None = None) -> None:
     for side in _PROJECTIONS:
         p = getattr(model, side)
         doc[side] = {"weights": _encode_tensor(p.weights), "bias": _encode_tensor(p.bias)}
-    _write_json(path, doc, extra_meta)
+    _write_json(path, doc, meta)
 
 
 def load_model(path):

@@ -35,6 +35,7 @@ from .evaluation import (
     zero_shot_classify,
 )
 from .gradcheck import DEFAULT_SIZES, run_gradcheck_suite
+from .numeric import row_norms
 from .paralinguistics import acoustic_profile, load_wav
 from .tagging import LABEL_KINDS, TemplateSet, fit_thresholds, render_tag_table
 from .trainer import (
@@ -185,7 +186,8 @@ def cmd_tags(args: argparse.Namespace) -> int:
 def _load_training_data(features_path, tags_path, min_rows: int):
     feature_ids, features = artifacts.read_id_matrix_csv(features_path)
     tags_by_id = artifacts.read_tags(tags_path)
-    keep = [i for i, fid in enumerate(feature_ids) if fid in tags_by_id]
+    joined = np.array([fid in tags_by_id for fid in feature_ids], dtype=bool)
+    keep = np.flatnonzero(joined)
     dropped_features = len(feature_ids) - len(keep)
     dropped_tags = len(tags_by_id) - len(keep)
     if dropped_features or dropped_tags:
@@ -198,6 +200,9 @@ def _load_training_data(features_path, tags_path, min_rows: int):
         raise ConfigError(
             f"only {len(keep)} joined rows, need at least {min_rows}"
         )
+    # training normalizes the joined rows; a zero one is named by its CSV row
+    # (the header is row 1), and a row the join dropped stands in as ones
+    row_norms(np.where(joined[:, None], features, 1.0), f"{features_path}:", first_row=2)
     ids = [feature_ids[i] for i in keep]
     return ids, features[keep], [tags_by_id[i] for i in ids]
 
@@ -209,7 +214,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     model = train(features, tag_lists, config)
     meta = artifacts.meta_header("train", config.to_json_dict())
-    artifacts.save_model(args.out, model, extra_meta=meta)
+    artifacts.save_model(args.out, model, meta)
     history_path = args.history or f"{args.out}.history.csv"
     rows = enumerate(map(repr, model.history), start=1)
     artifacts.write_table(history_path, ["epoch", "loss"], rows, meta)

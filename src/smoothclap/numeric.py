@@ -74,7 +74,7 @@ def row_softmax(m, temperature: float) -> np.ndarray:
     scores stay finite.
     """
     m = as_matrix(m)
-    check_temperature(temperature)
+    check_temperature(temperature, "temperature")
     return row_softmax_inplace(m.copy(), temperature)
 
 
@@ -91,10 +91,12 @@ def row_softmax_inplace(z: np.ndarray, temperature: float) -> np.ndarray:
     return z
 
 
-def check_temperature(temperature: float) -> None:
-    """Softmax temperatures must be strictly positive."""
-    if not temperature > 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
+def check_temperature(value: float, name: str) -> None:
+    """Softmax temperatures must be finite and strictly positive."""
+    if not value > 0.0:
+        raise NonPositiveTemperature(f"{name} must be > 0, got {value}")
+    if value == math.inf:
+        raise NonFiniteValue(f"{name} must be finite, got {value}")
 
 
 def kl_sum(p, q) -> float:

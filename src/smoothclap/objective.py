@@ -38,8 +38,6 @@ from .errors import (
     ConfigError,
     GammaOutOfRange,
     NonFiniteLoss,
-    NonFiniteValue,
-    NonPositiveTemperature,
     NotSquare,
     ShapeMismatch,
     ZeroMassTarget,
@@ -91,11 +89,7 @@ class SmoothingConfig:
                 f"clap_mix_lambda must lie in [0, 1], got {self.clap_mix_lambda}"
             )
         for name in ("tau_a2a", "tau_t2t", "tau_pred"):
-            tau = getattr(self, name)
-            if not tau > 0.0:
-                raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
-            if tau == np.inf:
-                raise NonFiniteValue(f"{name} must be finite, got {tau}")
+            check_temperature(getattr(self, name), name)
         # at clap_mix_lambda = 1 no target and no KL term is built
         if (
             self.kl_mode is KLMode.SYMMETRIC
@@ -167,7 +161,7 @@ def cross_modal_scores(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarra
 def intra_modal_targets(features, tau: float) -> np.ndarray:
     """Row-softmax of the self-similarity matrix of unit-norm feature rows."""
     features = as_matrix(features, "features")
-    check_temperature(tau)
+    check_temperature(tau, "tau")
     return _softmax_rows(features, features, tau)
 
 

@@ -7,6 +7,11 @@ against its own shifted copy, so the estimate is unbiased by the shrinking
 overlap) plus parabolic peak interpolation. Jitter and shimmer use the
 "local" convention: mean absolute consecutive difference divided by the
 mean, pooled over maximal voiced runs.
+
+The front end has one configuration and no options: 16 kHz audio, 25 ms
+frames every 10 ms, a 50-600 Hz pitch band, a voicing threshold of 0.3 and a
+peak ratio of 0.85 (the constants below). Only the sample rate of a Waveform
+comes from the input.
 """
 from __future__ import annotations
 
@@ -77,12 +82,12 @@ class F0Track:
     """Per-frame fundamental frequency estimates.
 
     ``frames_hz[i] == 0`` exactly when ``voiced[i]`` is False; voiced values
-    stay inside the configured search band.
+    stay inside ``FMIN_HZ``-``FMAX_HZ``. Frame ``i`` starts ``i`` hops into
+    the signal.
     """
 
     frames_hz: np.ndarray
     voiced: np.ndarray
-    hop_seconds: float
 
     def __post_init__(self) -> None:
         hz = np.asarray(self.frames_hz, dtype=np.float64)
@@ -93,8 +98,6 @@ class F0Track:
             raise ValueError("frames_hz must be 0 exactly on unvoiced frames")
         if np.any(hz[v] <= 0.0):
             raise ValueError("voiced F0 values must be positive")
-        if not self.hop_seconds > 0.0:
-            raise ValueError("hop_seconds must be positive")
         self.frames_hz = hz
         self.voiced = v
 
@@ -209,14 +212,18 @@ def load_wav(path) -> Waveform:
 
 # --- framing and frame-level features ---------------------------------------
 
-def frame_signal(w: Waveform, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS) -> np.ndarray:
+def _frame_geometry(sample_rate: int) -> tuple[int, int]:
+    """Frame and hop lengths in samples at ``sample_rate``."""
+    return tuple(int(round(ms * sample_rate / 1000.0)) for ms in (FRAME_MS, HOP_MS))
+
+
+def frame_signal(w: Waveform) -> np.ndarray:
     """Split into overlapping frames, zero-padding the final partial frame.
 
     Returns an (n_frames, frame_len) array; frame count is
     ceil((n - frame + hop) / hop).
     """
-    frame = int(round(frame_ms * w.sample_rate / 1000.0))
-    hop = int(round(hop_ms * w.sample_rate / 1000.0))
+    frame, hop = _frame_geometry(w.sample_rate)
     n = w.samples.size
     if n < frame:
         raise SignalTooShort(f"signal has {n} samples, frame needs {frame}")
@@ -255,41 +262,33 @@ def _normalized_autocorr(frames: np.ndarray, max_lag: int) -> np.ndarray:
     return np.where(denom > 0.0, raw / np.maximum(denom, 1e-300), 0.0)
 
 
-def estimate_f0(
-    frames,
-    sample_rate: int = TARGET_RATE,
-    fmin: float = FMIN_HZ,
-    fmax: float = FMAX_HZ,
-    voicing_threshold: float = VOICING_THRESHOLD,
-    hop_seconds: float = HOP_MS / 1000.0,
-) -> F0Track:
-    """Per-frame F0 from the normalized autocorrelation peak in [fmin, fmax].
+def estimate_f0(frames, sample_rate: int = TARGET_RATE) -> F0Track:
+    """Per-frame F0 from the normalized autocorrelation peak in [FMIN_HZ, FMAX_HZ].
 
     Among local maxima within ``PEAK_RELATIVE_THRESHOLD`` of the strongest
     one, the smallest lag is chosen (harmonically related peaks tie on clean
     periodic signals, and the smallest lag is the true period). The chosen
     peak is refined by parabolic interpolation; a frame is voiced iff the
-    peak value reaches ``voicing_threshold``. Silence yields all-unvoiced.
+    peak value reaches ``VOICING_THRESHOLD``. Silence yields all-unvoiced.
+    Frames with no lag inside the band raise SignalTooShort.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.size == 0:
         raise EmptyInput("frames must be a non-empty 2-D array")
     n = frames.shape[1]
-    lag_min = int(math.ceil(sample_rate / fmax))
-    lag_max = int(math.floor(sample_rate / fmin))
-    lag_max = min(lag_max, n - 1)
-    if lag_min < 1:
-        raise ValueError(f"fmax must be a positive finite frequency, got {fmax}")
+    lag_min = int(math.ceil(sample_rate / FMAX_HZ))
+    lag_max = min(int(math.floor(sample_rate / FMIN_HZ)), n - 1)
     if lag_min >= lag_max:
-        raise ValueError("frame too short for the requested pitch range")
+        raise SignalTooShort(
+            f"frame too short for the pitch band: {n} samples at {sample_rate} Hz"
+        )
     ncc = _normalized_autocorr(frames, lag_max)
 
     # all frames at once; columns of ``window`` are the lags lag_min..lag_max
     window = ncc[:, lag_min:]
     peak = window.max(axis=1)
-    # "not below" rather than ">=": a NaN threshold voices every frame
-    voiced = ~(peak < voicing_threshold)
-    floor = np.maximum(PEAK_RELATIVE_THRESHOLD * peak, voicing_threshold)
+    voiced = ~(peak < VOICING_THRESHOLD)
+    floor = np.maximum(PEAK_RELATIVE_THRESHOLD * peak, VOICING_THRESHOLD)
     # a candidate reaches the floor and both neighbours; lag_max has no right one
     candidate = ~(window < floor[:, None])
     candidate &= window >= ncc[:, lag_min - 1 : lag_max]
@@ -306,9 +305,9 @@ def estimate_f0(
     bend = (lag < lag_max) & (denom < 0.0)
     delta = 0.5 * (lo - hi) / np.where(bend, denom, -1.0)
     refined = np.where(bend, lag + np.clip(delta, -0.5, 0.5), lag)
-    refined = np.clip(refined, sample_rate / fmax, sample_rate / fmin)
+    refined = np.clip(refined, sample_rate / FMAX_HZ, sample_rate / FMIN_HZ)
     hz = np.where(voiced, sample_rate / refined, 0.0)
-    return F0Track(frames_hz=hz, voiced=voiced, hop_seconds=hop_seconds)
+    return F0Track(frames_hz=hz, voiced=voiced)
 
 
 # --- voice-quality ratios ----------------------------------------------------
@@ -336,18 +335,16 @@ def jitter_local(track: F0Track) -> tuple[float, bool]:
     return mean_diff / mean_period, False
 
 
-def shimmer_local(
-    w: Waveform, track: F0Track, frame_seconds: float = FRAME_MS / 1000.0
-) -> tuple[float, bool]:
+def shimmer_local(w: Waveform, track: F0Track) -> tuple[float, bool]:
     """Cycle-to-cycle peak-amplitude variation, pooled over voiced runs.
 
-    Period boundaries are walked through each voiced run using the per-frame
-    F0 estimates; each period contributes its peak absolute amplitude.
-    Returns (ratio, degraded) with the same conventions as jitter_local.
+    Period boundaries are walked through each voiced run using the F0 of the
+    frames :func:`frame_signal` cuts from ``w``; each period contributes its
+    peak absolute amplitude. Returns (ratio, degraded) with the same
+    conventions as jitter_local.
     """
     x = np.abs(w.samples)
-    hop = int(round(track.hop_seconds * w.sample_rate))
-    frame_len = int(round(frame_seconds * w.sample_rate))
+    frame_len, hop = _frame_geometry(w.sample_rate)
     frames_hz = track.frames_hz.tolist()
     diffs: list[np.ndarray] = []
     amps_all: list[np.ndarray] = []

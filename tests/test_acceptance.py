@@ -233,7 +233,7 @@ def test_criterion_5_dsp_ground_truth(capsys):
     ok &= profile.shimmer < 0.01
 
     hz = np.where(np.arange(40) % 2 == 0, 1.0 / 0.0045, 1.0 / 0.0055)
-    track = F0Track(hz, np.ones(40, bool), 0.01)
+    track = F0Track(hz, np.ones(40, bool))
     jitter, degraded = jitter_local(track)
     ok &= not degraded and abs(jitter - 0.20) <= 1e-6
 

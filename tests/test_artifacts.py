@@ -352,7 +352,7 @@ def test_model_reader_skips_the_kl_floor_of_older_versions(corpus):
 
 def test_model_roundtrip_is_byte_identical(corpus, tmp_path):
     path = tmp_path / "again.json"
-    save_model(path, load_model(corpus["model"]), extra_meta=model_doc(corpus)["_meta"])
+    save_model(path, load_model(corpus["model"]), model_doc(corpus)["_meta"])
     assert path.read_bytes() == corpus["model"].read_bytes()
 
 

@@ -17,6 +17,7 @@ from helpers import (
     write_cluster_fixture_files,
     write_embeddings_csv,
     write_labels_csv,
+    write_tags_jsonl,
 )
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.objective import KLMode, SmoothingConfig
@@ -560,7 +561,26 @@ def test_zero_feature_row_before_training_exits_2(tmp_path, capsys):
         "--batch-size", "16", "--out", str(tmp_path / "m.json"),
     )
     assert code == 2
-    assert "row 4 has norm" in capsys.readouterr().err
+    # the header is row 1, so the fifth data row is row 6
+    assert capsys.readouterr().err == (
+        f"error: {files['features']}: row 6 has norm 0.000e+00, cannot normalize\n"
+    )
+
+
+def test_zero_feature_row_that_the_join_drops_is_dropped(tmp_path, capsys):
+    fixture = make_cluster_fixture(6, 16)
+    fixture.features[4] = 0.0
+    files = write_cluster_fixture_files(tmp_path, fixture)
+    kept = [i for i in range(len(fixture.ids)) if i != 4]
+    write_tags_jsonl(
+        files["tags"], [fixture.ids[i] for i in kept], [fixture.tag_lists[i] for i in kept]
+    )
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 0
+    assert "id join dropped 1 feature row(s) and 0 tag record(s)" in capsys.readouterr().err
 
 
 def test_train_is_byte_identical_across_blas_thread_counts(tmp_path):

@@ -141,8 +141,7 @@ def dumped_report(report, meta) -> str:
         ],
         "warnings": report.warnings,
     }
-    if meta is not None:
-        doc["_meta"] = meta
+    doc["_meta"] = meta
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -154,7 +153,7 @@ def small_report(names, predictions):
 
 REPORT_CASES = {
     "no predictions": ([], {"seed": 0}),
-    "no meta": ([Prediction("u", "a", "b", [0.5, -0.25, 1e-300])], None),
+    "empty meta": ([Prediction("u", "a", "b", [0.5, -0.25, 1e-300])], {}),
     "escaped strings": (
         [Prediction('q"uo\\te', "ä中", "a\nb", [1.0, 2.0, 3.0]),
          Prediction("\u2028\x00\x7f", "\"predictions\": []", "é", [0.0, -0.0, 1.5e300])],

@@ -4,13 +4,18 @@ segment energies against their earlier form.
 
 The references below are the earlier implementations. The arithmetic is the
 same expressions in the same order, so agreement is bit for bit: ``frames_hz``
-is compared through an int64 view and the shimmer ratio with ``==``.
+is compared through an int64 view and the shimmer ratio with ``==``. The
+front end has one configuration, so the signals and sample rates, not a moved
+pitch band, reach the band edges.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import smoothclap.paralinguistics as para
+from smoothclap.errors import SignalTooShort
 from smoothclap.fixtures import (
     synth_alternating_amplitude_tone,
     synth_chirp,
@@ -33,10 +38,10 @@ from smoothclap.paralinguistics import (
 )
 
 
-def reference_f0(frames, sample_rate, fmin=FMIN_HZ, fmax=FMAX_HZ,
-                 voicing_threshold=VOICING_THRESHOLD):
+def reference_f0(frames, sample_rate):
     """(frames_hz, voiced, branch per frame): branch is the picked lag's kind,
     "min", "max", "inner" or "fallback", or None when unvoiced."""
+    fmin, fmax, voicing_threshold = FMIN_HZ, FMAX_HZ, VOICING_THRESHOLD
     n = frames.shape[1]
     lag_min = int(math.ceil(sample_rate / fmax))
     lag_max = min(int(math.floor(sample_rate / fmin)), n - 1)
@@ -111,10 +116,10 @@ def reference_voiced_runs(voiced):
     return runs
 
 
-def reference_shimmer(w, track, frame_seconds=FRAME_MS / 1000.0):
+def reference_shimmer(w, track):
     x = np.abs(w.samples)
-    hop = int(round(track.hop_seconds * w.sample_rate))
-    frame_len = int(round(frame_seconds * w.sample_rate))
+    hop = int(round(HOP_MS / 1000.0 * w.sample_rate))
+    frame_len = int(round(FRAME_MS / 1000.0 * w.sample_rate))
     diffs, amps_all = [], []
     for start, end in reference_voiced_runs(track.voiced):
         run_start = start * hop
@@ -143,10 +148,10 @@ def reference_shimmer(w, track, frame_seconds=FRAME_MS / 1000.0):
     return mean_diff / mean_amp, False
 
 
-def assert_same_track(frames, rate, **kw):
+def assert_same_track(frames, rate):
     """estimate_f0 equals the reference bit for bit; returns the reference's branches."""
-    hz, voiced, branches = reference_f0(frames, rate, **kw)
-    track = estimate_f0(frames, sample_rate=rate, **kw)
+    hz, voiced, branches = reference_f0(frames, rate)
+    track = estimate_f0(frames, sample_rate=rate)
     np.testing.assert_array_equal(track.frames_hz.view(np.int64), hz.view(np.int64))
     np.testing.assert_array_equal(track.voiced, voiced)
     assert track.voiced_runs() == reference_voiced_runs(voiced)
@@ -207,81 +212,89 @@ def test_constant_frames_tie_everywhere_and_pick_lag_min():
 
 
 @pytest.mark.parametrize(
-    "kw, branch",
+    "hz, rate, branch",
     [
-        # the period of a 200 Hz tone is 80 samples: the band ends there
-        ({"fmax": 200.0}, "min"),
-        ({"fmin": 200.0}, "max"),
+        # a 50 Hz period is the longest lag of the band, rate / FMIN_HZ samples
+        (FMIN_HZ, 8000, "max"),
+        (FMIN_HZ, 16000, "max"),
+        (FMIN_HZ, 44100, "max"),
+        # a 600 Hz period, rate / FMAX_HZ samples, is the shortest; lag_min,
+        # its ceiling, peaks where it is the nearer lag (at 8 kHz the period,
+        # 13.3 samples, is nearer lag 13, outside the band)
+        (FMAX_HZ, 16000, "min"),
+        (FMAX_HZ, 44100, "min"),
     ],
 )
-def test_first_peak_at_the_band_edges(kw, branch):
-    frames = frame_signal(Waveform(synth_tone(200.0, 0.2), 16000))
-    assert branch in assert_same_track(frames, 16000, **kw)
+def test_first_peak_at_the_band_edges(hz, rate, branch):
+    frames = frame_signal(Waveform(synth_tone(hz, 0.2, rate=rate), rate))
+    assert branch in assert_same_track(frames, rate)
 
 
 def test_lag_max_clipped_to_the_frame():
     # 200-sample frames cannot reach the 320-sample lag of 50 Hz
-    frames = frame_signal(Waveform(synth_chirp(70.0, 300.0, 0.3), 16000), frame_ms=12.5)
+    x = synth_chirp(70.0, 300.0, 0.3)
+    frames = np.stack([x[i : i + 200] for i in range(0, x.size - 200, 160)])
     assert_same_track(frames, 16000)
 
 
-@pytest.mark.parametrize("signal", ["noise", "silence"])
-def test_voicing_threshold_zero_voices_every_frame(signal):
-    # a silent frame correlates to 0 at every lag, which reaches a 0 threshold
-    frames = frame_signal(Waveform(fixture_signals(16000)[signal], 16000))
-    branches = assert_same_track(frames, 16000, voicing_threshold=0.0)
-    assert None not in branches
+def test_a_peak_at_the_voicing_threshold_voices_its_frame(monkeypatch):
+    # no signal was found whose correlation peak is exactly the threshold, so
+    # both sides are given the correlations: peaks at it and just below it
+    ncc = np.zeros((2, 400))
+    ncc[:, 0] = 1.0
+    ncc[:, 100] = [VOICING_THRESHOLD, np.nextafter(VOICING_THRESHOLD, 0.0)]
+    def given(frames, max_lag):
+        return ncc[:, : max_lag + 1]
+    monkeypatch.setattr(para, "_normalized_autocorr", given)
+    monkeypatch.setattr(sys.modules[__name__], "_normalized_autocorr", given)
+    assert assert_same_track(np.zeros((2, 400)), 16000) == ["inner", None]
 
 
 def test_frame_too_short_raises_like_the_loop():
     frames = np.ones((2, 20))
     with pytest.raises(ValueError, match="frame too short"):
         reference_f0(frames, 16000)
-    with pytest.raises(ValueError, match="frame too short"):
+    with pytest.raises(SignalTooShort, match="frame too short"):
         estimate_f0(frames, sample_rate=16000)
 
 
-@pytest.mark.parametrize("fmax", [-100.0, math.inf])
-def test_fmax_that_leaves_no_positive_lag_is_rejected(fmax):
-    with pytest.raises(ValueError, match="fmax must be a positive finite frequency"):
-        estimate_f0(np.ones((2, 400)), fmax=fmax)
-
-
-def test_random_frames_and_bands_match_the_loops():
+def test_random_frames_match_the_loops():
     rng = np.random.default_rng(5)
+    branches = set()
+    rates = set()
     for _ in range(150):
         rate = int(rng.choice([8000, 16000, 22050, 44100]))
-        fmin = float(rng.uniform(40.0, 300.0))
-        fmax = float(rng.uniform(fmin * 1.5, 1200.0))
-        n = int(rng.integers(int(rate / fmax) + 3, int(rate / fmin) + 40))
-        period = rate / rng.uniform(fmin * 0.7, fmax * 1.3)
+        n = int(rng.integers(int(rate / FMAX_HZ), int(rate / FMIN_HZ) + 40))
+        period = rate / rng.uniform(FMIN_HZ * 0.7, FMAX_HZ * 1.3)
         t = np.arange(3 * n)
         x = np.sin(2.0 * np.pi * t / period) + rng.uniform(0.0, 1.5) * rng.standard_normal(t.size)
         if rng.random() < 0.3:
             x = np.round(x * rng.integers(1, 4))
         frames = np.stack([x[i : i + n] for i in range(0, 2 * n, max(1, n // 3))])
         try:
-            reference_f0(frames, rate, fmin, fmax)
+            reference_f0(frames, rate)
         except ValueError:
-            with pytest.raises(ValueError, match="frame too short"):
-                estimate_f0(frames, rate, fmin, fmax)
+            with pytest.raises(SignalTooShort, match="frame too short"):
+                estimate_f0(frames, rate)
             continue
-        assert_same_track(frames, rate, fmin=fmin, fmax=fmax,
-                          voicing_threshold=float(rng.uniform(0.0, 0.9)))
+        branches.update(assert_same_track(frames, rate))
+        rates.add(rate)
+    assert branches == {"min", "max", "inner", "fallback", None}
+    assert rates == {8000, 16000, 22050, 44100}
 
 
 def test_random_tracks_match_the_shimmer_loop():
     rng = np.random.default_rng(11)
     degraded = set()
     for _ in range(100):
-        rate = int(rng.choice([8000, 16000]))
+        # the hop, 10 ms, is 80 to 441 samples
+        rate = int(rng.choice([8000, 16000, 22050, 44100]))
         n_frames = int(rng.integers(1, 30))
-        hop_seconds = float(rng.choice([HOP_MS / 1000.0, 0.005, 0.0137]))
-        samples = rng.uniform(-1.0, 1.0, int(n_frames * hop_seconds * rate) + 400)
+        samples = rng.uniform(-1.0, 1.0, int(n_frames * HOP_MS / 1000.0 * rate) + 400)
         voiced = rng.random(n_frames) < rng.uniform(0.2, 1.0)
         # up to 3 * rate Hz, so some periods round to no samples at all
         hz = np.where(voiced, np.exp(rng.uniform(math.log(40.0), math.log(3.0 * rate), n_frames)), 0.0)
-        track = F0Track(hz, voiced, hop_seconds)
+        track = F0Track(hz, voiced)
         assert track.voiced_runs() == reference_voiced_runs(voiced)
         degraded.add(assert_same_shimmer(Waveform(samples, rate), track))
     assert degraded == {True, False}
@@ -293,7 +306,7 @@ def test_random_tracks_match_the_shimmer_loop():
 )
 def test_voiced_runs_match_the_loop(voiced):
     voiced = np.array(voiced, dtype=bool)
-    track = F0Track(np.where(voiced, 100.0, 0.0), voiced, 0.01)
+    track = F0Track(np.where(voiced, 100.0, 0.0), voiced)
     runs = track.voiced_runs()
     assert runs == reference_voiced_runs(voiced)
     assert all(type(i) is int for run in runs for i in run)

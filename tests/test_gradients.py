@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,10 @@ from smoothclap.objective import (
     loss_and_grad,
     loss_with_fixed_targets,
     build_targets,
+    predicted_distributions,
+    soft_loss,
 )
+from smoothclap.numeric import gram
 
 
 def make_rows(rng, b, d):
@@ -113,12 +115,18 @@ def test_fixed_target_forward_ignores_target_branch_inputs():
     # with frozen targets, perturbing text inputs changes only the
     # prediction path; the target matrix passed in stays authoritative
     rng = np.random.default_rng(46)
-    batch = EmbeddingBatch(*make_rows(rng, 4, 5))
+    audio, text, local = make_rows(rng, 4, 5)
     cfg = SmoothingConfig()
-    y = build_targets(batch, cfg)
-    v1 = loss_with_fixed_targets(batch, y, cfg)
-    v2 = loss_with_fixed_targets(batch, y, replace(cfg, tau_pred=cfg.tau_pred))
-    assert v1 == v2
+    y = build_targets(EmbeddingBatch(audio, text, local), cfg)
+    value = loss_with_fixed_targets(EmbeddingBatch(audio, text, local), y, cfg)
+    other_local = EmbeddingBatch(audio, text, rng.standard_normal(local.shape))
+    assert loss_with_fixed_targets(other_local, y, cfg) == value
+
+    perturbed = EmbeddingBatch(audio, text + 0.3 * rng.standard_normal(text.shape), local)
+    # the perturbed rows would build other targets
+    assert not np.array_equal(build_targets(perturbed, cfg), y)
+    p_a2t, p_t2a = predicted_distributions(gram(perturbed.audio, perturbed.text), cfg)
+    assert loss_with_fixed_targets(perturbed, y, cfg) == soft_loss(y, p_a2t, p_t2a, cfg)
 
 
 def test_relative_error_metric():

@@ -82,6 +82,10 @@ def test_softmax_rejects_bad_temperature():
         row_softmax([[1.0, 2.0]], 0.0)
     with pytest.raises(NonPositiveTemperature):
         row_softmax([[1.0, 2.0]], -1.0)
+    with pytest.raises(NonPositiveTemperature, match="temperature must be > 0, got nan"):
+        row_softmax(np.eye(2), np.nan)
+    with pytest.raises(NonFiniteValue, match="temperature must be finite, got inf"):
+        row_softmax(np.eye(2), np.inf)
 
 
 @settings(deadline=None, max_examples=60)

@@ -59,6 +59,10 @@ def test_config_validation():
         SmoothingConfig(tau_a2a=np.nan)
     with pytest.raises(NonFiniteValue, match="tau_t2t must be finite, got inf"):
         SmoothingConfig(tau_t2t=np.inf)
+    with pytest.raises(NonFiniteValue, match="tau_a2a must be finite, got inf"):
+        SmoothingConfig(tau_a2a=np.inf)
+    with pytest.raises(NonPositiveTemperature, match="tau_pred must be > 0, got -inf"):
+        SmoothingConfig(tau_pred=-np.inf)
 
 
 @pytest.mark.parametrize("module", [smoothclap.objective, smoothclap.gradcheck])
@@ -140,6 +144,13 @@ def test_intra_two_orthogonal_rows():
     q = intra_modal_targets(rows, 1.0)
     np.testing.assert_allclose(q[0], GOLDEN["intra_two_orthogonal"], atol=1e-9)
     np.testing.assert_allclose(q[1], GOLDEN["intra_two_orthogonal"][::-1], atol=1e-9)
+
+
+def test_intra_rejects_a_temperature_the_config_rejects():
+    with pytest.raises(NonFiniteValue, match="tau must be finite, got inf"):
+        intra_modal_targets(np.eye(2), np.inf)
+    with pytest.raises(NonPositiveTemperature, match="tau must be > 0, got 0.0"):
+        intra_modal_targets(np.eye(2), 0.0)
 
 
 def test_intra_high_temperature_is_uniform():

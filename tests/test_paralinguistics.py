@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import struct
@@ -229,24 +230,44 @@ def test_f0_pulse_train():
     assert np.all(np.abs(voiced - 100.0) <= 2.0)
 
 
+# parameters of the front end's one configuration, its module constants
+FRONT_END_SETTINGS = {
+    "frame_ms", "hop_ms", "hop_seconds", "frame_seconds", "fmin", "fmax", "voicing_threshold",
+}
+
+
+def test_front_end_takes_no_frame_hop_band_or_voicing_parameter():
+    import smoothclap.paralinguistics as para
+
+    # the functions and the dataclasses, whose fields are their parameters
+    public = [
+        obj for name, obj in inspect.getmembers(para, callable)
+        if not name.startswith("_") and obj.__module__ == para.__name__
+    ]
+    assert {"frame_signal", "estimate_f0", "shimmer_local", "F0Track"} <= {
+        obj.__name__ for obj in public
+    }
+    for obj in public:
+        loose = FRONT_END_SETTINGS & set(inspect.signature(obj).parameters)
+        assert not loose, f"{obj.__name__} takes {sorted(loose)}"
+
+
 def test_f0_track_validation():
     with pytest.raises(ValueError):
-        F0Track(np.array([100.0, 0.0]), np.array([True, True]), 0.01)
-    with pytest.raises(ValueError):
-        F0Track(np.array([100.0]), np.array([True]), 0.0)
+        F0Track(np.array([100.0, 0.0]), np.array([True, True]))
 
 
 # --- jitter / shimmer ---
 
 def test_jitter_constant_f0_is_zero():
-    track = F0Track(np.full(20, 200.0), np.ones(20, bool), 0.01)
+    track = F0Track(np.full(20, 200.0), np.ones(20, bool))
     value, degraded = jitter_local(track)
     assert value == 0.0 and not degraded
 
 
 def test_jitter_alternating_periods():
     hz = np.where(np.arange(40) % 2 == 0, 1.0 / 0.0045, 1.0 / 0.0055)
-    track = F0Track(hz, np.ones(40, bool), 0.01)
+    track = F0Track(hz, np.ones(40, bool))
     value, degraded = jitter_local(track)
     assert not degraded
     assert value == pytest.approx(0.20, abs=1e-6)
@@ -259,7 +280,7 @@ def test_jitter_pure_sine_is_tiny():
 
 
 def test_jitter_insufficient_voicing():
-    track = F0Track(np.array([200.0, 0.0, 210.0]), np.array([True, False, True]), 0.01)
+    track = F0Track(np.array([200.0, 0.0, 210.0]), np.array([True, False, True]))
     value, degraded = jitter_local(track)
     assert value == 0.0 and degraded
 
@@ -274,7 +295,7 @@ def test_shimmer_constant_sine_is_tiny():
 def test_shimmer_alternating_amplitude():
     w = Waveform(synth_alternating_amplitude_tone(200.0, 2.0, 0.4, 0.6), 16000)
     n_frames = frame_signal(w).shape[0]
-    track = F0Track(np.full(n_frames, 200.0), np.ones(n_frames, bool), 0.01)
+    track = F0Track(np.full(n_frames, 200.0), np.ones(n_frames, bool))
     value, degraded = shimmer_local(w, track)
     assert not degraded
     assert value == pytest.approx(0.40, abs=1e-6)

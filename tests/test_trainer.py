@@ -134,8 +134,8 @@ def test_train_same_seed_is_bit_identical(tmp_path):
     assert m1.history == m2.history
     p1 = tmp_path / "m1.json"
     p2 = tmp_path / "m2.json"
-    save_model(p1, m1)
-    save_model(p2, m2)
+    save_model(p1, m1, {"seed": 0})
+    save_model(p2, m2, {"seed": 0})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -354,7 +354,7 @@ def test_train_takes_one_adam_step_and_one_kernel_call_per_step(monkeypatch):
 def test_model_json_roundtrip(tmp_path):
     fx = make_cluster_fixture(seed=9, n_per_class=16)
     model = train(fx.features, fx.tag_lists, small_config())
-    save_model(tmp_path / "model.json", model)
+    save_model(tmp_path / "model.json", model, {"seed": 0})
     restored = load_model(tmp_path / "model.json")
     np.testing.assert_array_equal(
         restored.audio_projection.weights, model.audio_projection.weights
@@ -371,7 +371,7 @@ def test_save_load_model(tmp_path):
     fx = make_cluster_fixture(seed=9, n_per_class=16)
     model = train(fx.features, fx.tag_lists, small_config())
     path = tmp_path / "model.json"
-    save_model(path, model, extra_meta={"seed": 3})
+    save_model(path, model, {"seed": 3})
     loaded = load_model(path)
     emb1 = embed_audio(model, fx.features)
     emb2 = embed_audio(loaded, fx.features)
