@@ -11,7 +11,8 @@ mean, pooled over maximal voiced runs.
 The front end has one configuration and no options: 16 kHz audio, 25 ms
 frames every 10 ms, a 50-600 Hz pitch band, a voicing threshold of 0.3 and a
 peak ratio of 0.85 (the constants below). Only the sample rate of a Waveform
-comes from the input.
+comes from the input. ``scipy.signal`` is imported on the first resample,
+not with this module, so a process that never resamples never loads it.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
 
 from .errors import (
     CorruptHeader,
@@ -147,12 +147,23 @@ def _parse_riff_chunks(data: bytes) -> dict[bytes, bytes]:
     return chunks
 
 
+def resample_poly(x: np.ndarray, up: int, down: int, window) -> np.ndarray:
+    """``scipy.signal.resample_poly``, imported on the first call: scipy.signal
+    roughly quadruples the import time and memory of a process, and only
+    input at a rate other than ``TARGET_RATE`` needs it."""
+    from scipy.signal import resample_poly
+
+    return resample_poly(x, up, down, window=window)
+
+
 @lru_cache(maxsize=4)
 def _resample_filter(max_rate: int) -> np.ndarray:
     """The low-pass FIR filter ``resample_poly`` designs for ``max(up, down)``
     with its default Kaiser window; passed back as ``window=``, it gives the
     same output bits without the design. A few entries bound the cache: near
     ``MAX_SAMPLE_RATE`` one filter has millions of taps."""
+    from scipy.signal import firwin
+
     h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
     h.flags.writeable = False
     return h

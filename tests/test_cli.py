@@ -1310,3 +1310,198 @@ def test_meta_headers_hold_what_each_command_reads(tmp_path):
     assert meta["tool"] == "smoothclap-tags"
     assert meta["seed"] == 5
     assert meta["config"] == {"seed": 5}
+
+
+# --- one parser per process ---
+
+def _run_in_order(calls, capsys):
+    """Exit code, stdout, stderr and the bytes of the named outputs of each
+    ``(argv, outputs)`` call, run in the given order through ``main``."""
+    results = []
+    for argv, outputs in calls:
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        results.append((code, out, err, [p.read_bytes() if p.exists() else None for p in outputs]))
+    return results
+
+
+def _stateless_parser_cases(tmp_path):
+    files = cluster_files(tmp_path)
+    model = tmp_path / "model.json"
+    assert run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--epochs", "1", "--batch-size", "16", "--out", str(model),
+    ) == 0
+    eval_inputs = ["--model", str(model), "--features", str(files["features"]), "--labels", str(files["labels"])]
+    train_inputs = ["--features", str(files["features"]), "--tags", str(files["tags"])]
+
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    labels = write_label_entries(tmp_path / "labels.jsonl")
+    # fitted on fewer profiles than the calls tag, so that the two calls differ
+    fitted = tmp_path / "fitted.json"
+    assert run_cli(
+        "tags", "--profiles", str(write_profiles(tmp_path / "six.jsonl", n=6)), "--labels", str(labels),
+        "--thresholds-out", str(fitted), "--out", str(tmp_path / "six-tags.jsonl"),
+    ) == 0
+    tag_inputs = ["--profiles", str(profiles), "--labels", str(labels)]
+    refit = tmp_path / "refit.json"
+
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"epochs": 2, "batch_size": 16, "gamma": 0.3, "seed": 3}))
+
+    def call(*argv, outputs=()):
+        return list(argv), [tmp_path / name for name in outputs]
+
+    return {
+        "eval-queries": [
+            call("eval", *eval_inputs, "--queries", "happy,angry,excited,frustrated",
+                 "--out", str(tmp_path / "q.json"), outputs=["q.json"]),
+            call("eval", *eval_inputs, "--out", str(tmp_path / "plain.json"), outputs=["plain.json"]),
+        ],
+        "tags-thresholds": [
+            call("tags", *tag_inputs, "--thresholds-out", str(refit), "--out", str(tmp_path / "t1.jsonl"),
+                 outputs=["t1.jsonl", refit.name]),
+            call("tags", *tag_inputs, "--thresholds-in", str(fitted), "--out", str(tmp_path / "t2.jsonl"),
+                 outputs=["t2.jsonl", "t2.jsonl.thresholds.json"]),
+        ],
+        "train-config": [
+            call("train", *train_inputs, "--config", str(config), "--out", str(tmp_path / "m1.json"),
+                 outputs=["m1.json", "m1.json.history.csv"]),
+            call("train", *train_inputs, "--epochs", "1", "--batch-size", "32", "--out", str(tmp_path / "m2.json"),
+                 outputs=["m2.json", "m2.json.history.csv"]),
+        ],
+        "usage-error-between": [
+            call("eval", *eval_inputs, "--queries", "angry,excited,frustrated,happy",
+                 "--out", str(tmp_path / "e1.json"), outputs=["e1.json"]),
+            call("train", *train_inputs, "--epochs", "1", outputs=["m.json"]),
+            call("train", *train_inputs, "--epochs", "1", "--batch-size", "16", "--out", str(tmp_path / "m3.json"),
+                 outputs=["m3.json", "m3.json.history.csv"]),
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", ["eval-queries", "tags-thresholds", "train-config", "usage-error-between"])
+def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys, case):
+    calls = _stateless_parser_cases(tmp_path)[case]
+    capsys.readouterr()
+    forward = _run_in_order(calls, capsys)
+    backward = _run_in_order(calls[::-1], capsys)[::-1]
+    assert forward == backward
+    codes = [code for code, *_ in forward]
+    assert codes == ([0, 2, 0] if case == "usage-error-between" else [0, 0])
+    # the first and last calls wrote their main artifacts, and these differ
+    first, last = forward[0][3][0], forward[-1][3][0]
+    assert first is not None and last is not None and first != last
+    if case == "tags-thresholds":
+        # a --thresholds-out left over from the first call would write this
+        assert forward[1][3][1] is None
+
+
+def test_main_finds_the_handler_by_name_after_the_parser_is_built(monkeypatch, capsys):
+    import smoothclap.cli as cli
+
+    assert run_cli("eval") == 2  # builds the parser, if no earlier call has
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.out) or 0)
+    assert run_cli("eval", "--labels", "labels.csv", "--out", "report.json") == 0
+    assert seen == ["report.json"]
+
+
+def test_main_builds_the_parser_once_per_process(capsys):
+    build_parser.cache_clear()
+    assert run_cli("--version") == 0
+    assert run_cli("gradcheck", "--sizes", "B=2,d=3") == 0
+    assert run_cli("eval") == 2
+    assert build_parser.cache_info().misses == 1
+
+
+def _subprocess_env():
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {
+        **os.environ,
+        "COLUMNS": "80",  # argparse wraps help at the terminal width
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+    }
+
+
+def _modules_imported_by(*python_args):
+    """The module names that ``python -X importtime`` reports for a whole process."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *python_args],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    return result.returncode, {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "python_args",
+    [["-c", "import smoothclap.cli"], ["-m", "smoothclap.cli", "gradcheck", "--sizes", "B=2,d=3"]],
+    ids=["import", "gradcheck"],
+)
+def test_scipy_signal_stays_unloaded_until_something_resamples(python_args):
+    code, modules = _modules_imported_by(*python_args)
+    assert code == 0
+    assert "smoothclap.paralinguistics" in modules
+    assert "scipy.signal" not in modules
+
+
+def test_the_first_resample_loads_scipy_signal(tmp_path):
+    # the check above can see scipy.signal: extracting a 22.05 kHz file loads it
+    write_wav(tmp_path / "t.wav", synth_tone(180.0, 0.3, 0.5, rate=22050), rate=22050)
+    out = tmp_path / "profiles.jsonl"
+    code, modules = _modules_imported_by(
+        "-m", "smoothclap.cli", "extract", "--in-dir", str(tmp_path), "--out", str(out)
+    )
+    assert code == 0 and len(read_jsonl_records(out)) == 1
+    assert "scipy.signal" in modules
+
+
+@pytest.mark.parametrize("queries", [",", " "])
+def test_eval_queries_that_name_no_class_exit_2_naming_the_flag(tmp_path, capsys, queries):
+    files = cluster_files(tmp_path)
+    model = tmp_path / "model.json"
+    assert run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--epochs", "1", "--batch-size", "16", "--out", str(model),
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "eval", "--model", str(model), "--features", str(files["features"]),
+        "--labels", str(files["labels"]), "--queries", queries, "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --queries names no class\n"
+    assert not out.exists()
+
+
+HELP_AND_USAGE_ARGVS = [
+    ["--help"],
+    *([command, "--help"] for command in ("extract", "tags", "train", "eval", "gradcheck", "sweep")),
+    ["--version"],
+    ["train", "--features", "f.csv", "--tags", "t.jsonl"],  # no --out
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ARGVS, ids=" ".join)
+def test_help_and_usage_output_is_the_same_in_a_fresh_process_and_after_other_calls(
+    monkeypatch, capsys, argv
+):
+    fresh = subprocess.run(
+        [sys.executable, "-m", "smoothclap.cli", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    for other in (["eval"], ["train", "--help"], ["--version"], ["gradcheck", "--sizes", "B=2,d=3"]):
+        run_cli(*other)
+    capsys.readouterr()
+    code = run_cli(*argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert out or err
