@@ -412,11 +412,15 @@ def read_labels(path) -> dict[str, tuple[dict[str, str], dict[str, float]]]:
 def read_tags(path) -> dict[str, list[str]]:
     """The tag list of each record; an empty list is an error, since a text
     row with no tag has no direction to normalize."""
+    # one string per distinct tag: the records repeat a few tags thousands of
+    # times, and json.loads makes a new string for each
+    seen: dict[str, str] = {}
+
     def parse(record: dict, where: str) -> list[str]:
         tags = _strings(_field(record, "tags", where), where, "tags")
         if not tags:
             raise ConfigError(f"{where}: field 'tags' must list at least one tag")
-        return tags
+        return [seen.setdefault(t, t) for t in tags]
 
     return _read_jsonl_by_id(path, parse)
 
@@ -453,8 +457,22 @@ def _read_id_csv(path, columns: list[str]) -> tuple[list[str], list[list[str]]]:
 
 # A plain id-matrix CSV has no quote character, one kind of line end (\n or
 # \r\n) and none of the ASCII separators 0x1c-0x1f, which numpy's number parser
-# skips as whitespace and float() does not.
-_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+# skips as whitespace and float() does not. A row that still holds a \r or \n
+# once its line end is cut had another kind of line end.
+_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f", "\r", "\n")
+
+
+def _plain_rows(lines, end: str, commas: int, ids: list[str]):
+    """Each line of ``lines`` without its line end, checked as it is read;
+    its id is appended to ``ids``. A line the plain parse does not take
+    raises ValueError."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        row = line.removesuffix(end)
+        if any(c in row for c in _NOT_PLAIN) or len(row) > limit or row.count(",") != commas:
+            raise ValueError("not a plain id-matrix row")
+        ids.append(row.partition(",")[0])
+        yield row
 
 
 def _read_plain_id_matrix(path) -> tuple[list[str], np.ndarray] | None:
@@ -462,32 +480,27 @@ def _read_plain_id_matrix(path) -> tuple[list[str], np.ndarray] | None:
     parse, its numbers parsed by numpy's C reader; None for any other file.
 
     ``loadtxt`` takes a subset of the cells that float() takes, with equal
-    values; a cell it rejects raises ValueError. The text is read once and
-    split into lines; no other copy of it is made."""
+    values; a cell it rejects raises ValueError. The file is read one line at
+    a time as loadtxt parses it, so no copy of its whole text is made."""
     with open(path, newline="") as fh:
-        text = fh.read()
-    if any(c in text for c in _NOT_PLAIN):
-        return None
-    end = "\r\n" if "\r" in text else "\n"
-    if end == "\r\n" and not text.count("\r") == text.count("\r\n") == text.count("\n"):
-        return None
-    lines = text.split(end)
-    del text
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header, body = lines[0].split(","), lines[1:]
-    commas = len(header) - 1
-    if header[0] != "id" or commas < 1 or any(line.count(",") != commas for line in body):
-        return None
-    ids = [line.partition(",")[0] for line in body]
+        # newline="": lines split at \n, \r\n and a lone \r, their ends kept
+        header = next(fh, "")
+        end = "\r\n" if header.endswith("\r\n") else "\n"
+        header = header.removesuffix(end)
+        first = next(fh, None)
+        if first is None or any(c in header for c in _NOT_PLAIN) or len(header) > csv.field_size_limit():
+            return None
+        names = header.split(",")
+        if names[0] != "id" or len(names) < 2:
+            return None
+        ids: list[str] = []
+        data = np.loadtxt(
+            _plain_rows(itertools.chain([first], fh), end, len(names) - 1, ids),
+            delimiter=",", usecols=range(1, len(names)), comments=None,
+            quotechar=None, dtype=np.float64, ndmin=2,
+        )
     if len(set(ids)) < len(ids):
         return None
-    data = np.loadtxt(
-        body, delimiter=",", usecols=range(1, len(header)), comments=None,
-        quotechar=None, dtype=np.float64, ndmin=2,
-    )
     return (ids, data) if np.isfinite(data).all() else None
 
 
@@ -525,7 +538,7 @@ def read_id_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     parse, which raises the error."""
     try:
         parsed = _read_plain_id_matrix(path)
-    except ValueError:  # a cell loadtxt rejects, or a UnicodeDecodeError
+    except ValueError:  # a cell loadtxt rejects, a row _plain_rows refuses, or a UnicodeDecodeError
         parsed = None
     return parsed if parsed is not None else _read_id_matrix_rows(path)
 
