@@ -56,7 +56,8 @@ from .trainer import (
     train,
 )
 
-logger = logging.getLogger(__name__)
+# named, not __name__, so that the log lines read alike under ``python -m``
+logger = logging.getLogger("smoothclap.cli")
 
 
 # --- run configuration ----------------------------------------------------------
@@ -286,7 +287,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         if model is None:
             raise ConfigError("label-string queries need --model")
-        if args.queries:
+        if args.queries is not None:
             class_names = [q.strip() for q in args.queries.split(",") if q.strip()]
             if not class_names:
                 raise ConfigError("--queries names no class")

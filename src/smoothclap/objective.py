@@ -253,8 +253,9 @@ def loss_with_fixed_targets(batch: EmbeddingBatch, targets, cfg: SmoothingConfig
     This is the stop-gradient view of the objective: a batch built from
     perturbed audio or text rows changes the predictions, but ``targets``
     stays fixed and ``batch.local_audio`` is unused. Finite-difference checks
-    of :func:`loss_and_grad` must use this function, since the analytic
-    gradients deliberately do not differentiate through the target branch.
+    of :func:`loss_and_grad` must hold the targets fixed like this, since the
+    analytic gradients deliberately do not differentiate through the target
+    branch.
 
     The mix is the kernel's, from the kernel's own row-block pass: InfoNCE
     alone at ``cfg.clap_mix_lambda = 1`` (then ``targets`` is unused), the

@@ -1,14 +1,24 @@
-"""Shared helpers for the test suite: fixture file writers and a CLI runner."""
+"""Shared helpers for the test suite: fixture file writers, a CLI runner and
+the per-entry finite-difference oracle."""
 from __future__ import annotations
 
 import csv
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from smoothclap.cli import main
 from smoothclap.fixtures import ClusterFixture
+from smoothclap.gradcheck import STEP
+from smoothclap.objective import (
+    EmbeddingBatch,
+    SmoothingConfig,
+    build_targets,
+    loss_with_fixed_targets,
+)
 
 
 def run_cli(*argv: str) -> int:
@@ -67,3 +77,37 @@ def write_embeddings_csv(path, ids, matrix) -> Path:
 def random_unit_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     m = rng.standard_normal((rows, cols))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def loop_finite_difference_grads(audio, text, local_audio, cfg: SmoothingConfig):
+    """The oracle of ``gradcheck.finite_difference_grads``: the same central
+    differences, one ``loss_with_fixed_targets`` call per perturbed point."""
+    batch = EmbeddingBatch(audio, text, local_audio)
+    targets = build_targets(batch, cfg) if cfg.clap_mix_lambda < 1.0 else None
+
+    def f(audio: np.ndarray, text: np.ndarray, config: SmoothingConfig = cfg) -> float:
+        perturbed = EmbeddingBatch(audio, text, batch.local_audio)
+        return loss_with_fixed_targets(perturbed, targets, config)
+
+    def nudged(m: np.ndarray, index: tuple[int, ...], step: float) -> np.ndarray:
+        out = m.copy()
+        out[index] += step
+        return out
+
+    def central(args_at, step: float) -> float:
+        # args_at(h): the arguments of f with one coordinate moved by h
+        return (f(*args_at(step)) - f(*args_at(-step))) / (2.0 * step)
+
+    num_audio = np.zeros_like(audio)
+    for index in np.ndindex(num_audio.shape):
+        step = STEP * batch.audio_norms[index[0]]
+        num_audio[index] = central(lambda h: (nudged(audio, index, h), text), step)
+    num_text = np.zeros_like(text)
+    for index in np.ndindex(num_text.shape):
+        step = STEP * batch.text_norms[index[0]]
+        num_text[index] = central(lambda h: (audio, nudged(text, index, h)), step)
+    log_tau = math.log(cfg.tau_pred)
+    num_log_tau = central(
+        lambda h: (audio, text, replace(cfg, tau_pred=math.exp(log_tau + h))), STEP
+    )
+    return num_audio, num_text, num_log_tau

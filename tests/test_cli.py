@@ -809,7 +809,7 @@ def test_gradcheck_rejects_a_malformed_sizes_entry_with_one_line(capsys, sizes, 
 
 def test_gradcheck_takes_sizes_in_either_order_down_to_two_rows_and_one_column(capsys):
     assert run_cli("gradcheck", "--sizes", "d=1,B=2;B=2,d=3") == 0
-    assert "over 38 configurations" in capsys.readouterr().out
+    assert "over 40 configurations" in capsys.readouterr().out
 
 
 # --- the seed of every subcommand ---
@@ -1409,6 +1409,26 @@ def test_main_finds_the_handler_by_name_after_the_parser_is_built(monkeypatch, c
     assert seen == ["report.json"]
 
 
+def test_a_skipped_file_warns_alike_under_python_m_and_in_process(tmp_path, capsys):
+    entries = make_wavs(tmp_path)
+    (tmp_path / "t1.wav").write_bytes(b"RIFF")  # truncated
+    manifest = write_manifest(tmp_path / "manifest.jsonl", entries)
+    argv = ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "profiles.jsonl")]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "smoothclap.cli", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert run_cli(*argv) == fresh.returncode == 0
+    in_process = capsys.readouterr().err
+
+    def warnings(err):
+        return [line for line in err.splitlines() if line.startswith("WARNING")]
+
+    assert warnings(fresh.stderr) == warnings(in_process)
+    assert len(warnings(in_process)) == 1
+    assert warnings(in_process)[0].startswith("WARNING smoothclap.cli: skipping t1 (")
+
+
 def test_main_builds_the_parser_once_per_process(capsys):
     build_parser.cache_clear()
     assert run_cli("--version") == 0
@@ -1462,7 +1482,7 @@ def test_the_first_resample_loads_scipy_signal(tmp_path):
     assert "scipy.signal" in modules
 
 
-@pytest.mark.parametrize("queries", [",", " "])
+@pytest.mark.parametrize("queries", [",", " ", ""])
 def test_eval_queries_that_name_no_class_exit_2_naming_the_flag(tmp_path, capsys, queries):
     files = cluster_files(tmp_path)
     model = tmp_path / "model.json"

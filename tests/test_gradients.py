@@ -1,10 +1,17 @@
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loop_finite_difference_grads
+from smoothclap.errors import ZeroMassTarget
 from smoothclap.gradcheck import (
+    _CHUNK_DOUBLES,
+    _case_configs,
     finite_difference_grads,
     max_relative_error,
     run_gradcheck_suite,
@@ -187,3 +194,83 @@ def test_scaling_an_input_row_divides_its_gradient_row(data):
     assert out.grad_log_tau_pred == base.grad_log_tau_pred
     assert out.grad_audio.tobytes() == (base.grad_audio / scales[0][:, None]).tobytes()
     assert out.grad_text.tobytes() == (base.grad_text / scales[1][:, None]).tobytes()
+
+
+# --- the stacked differences against the per-entry loop ------------------------
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_stacked_differences_match_the_per_entry_loop(data):
+    # a row of norm r moves by STEP * r, so its differences carry the loss's
+    # rounding divided by STEP * r: at r = 1e-3 one ulp of the loss is 1e-8 of
+    # the gradient, for the loop and the stack alike. Rows below unit norm are
+    # therefore compared as if scaled to it, that is, times min(r, 1). A mix
+    # other than 0.5 tells its two weights apart, and tau_pred 0.05 puts
+    # predictions below KL_FLOOR
+    b = data.draw(st.integers(2, 9), label="b")
+    d = data.draw(st.integers(1, 6), label="d")
+    cfg = data.draw(st.sampled_from(_case_configs()), label="cfg")
+    cfg = replace(
+        cfg,
+        clap_mix_lambda=data.draw(st.sampled_from([cfg.clap_mix_lambda, 0.25]), label="lam"),
+        tau_pred=data.draw(st.sampled_from([cfg.tau_pred, 0.05]), label="tau_pred"),
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    exponents = st.lists(st.floats(-3.0, 3.0), min_size=b, max_size=b)
+    audio, text, local = make_rows(np.random.default_rng(seed), b, d)
+    scales = []
+    for m, name in ((audio, "audio"), (text, "text")):
+        norms = 10.0 ** np.array(data.draw(exponents, label=name))
+        m *= (norms / np.linalg.norm(m, axis=1))[:, None]
+        scales.append(np.minimum(norms, 1.0)[:, None])
+    stacked = finite_difference_grads(audio, text, local, cfg)
+    loop = loop_finite_difference_grads(audio, text, local, cfg)
+    assert max_relative_error(stacked[0] * scales[0], loop[0] * scales[0]) < 1e-8
+    assert max_relative_error(stacked[1] * scales[1], loop[1] * scales[1]) < 1e-8
+    assert max_relative_error(stacked[2], loop[2]) < 1e-8
+
+
+@pytest.mark.parametrize("differences", [finite_difference_grads, loop_finite_difference_grads])
+def test_symmetric_kl_against_targets_below_the_floor_raises(differences):
+    # at tau 0.01 the off-diagonal intra-modal weights underflow, so
+    # (1 - beta) I + beta q has entries below KL_FLOOR
+    rows = make_rows(np.random.default_rng(50), 4, 3)
+    cfg = SmoothingConfig(beta=0.1, tau_a2a=0.01, tau_t2t=0.01, clap_mix_lambda=0.5)
+    with pytest.raises(ZeroMassTarget, match="below the floor"):
+        differences(*rows, cfg)
+
+
+def test_stacked_differences_are_chunked():
+    # at B = 65 the 4 B d + 2 = 522 perturbed batches' grams alone take 17.6
+    # MB; in chunks of at most _CHUNK_DOUBLES doubles per stack the peak stays
+    # under six chunk-sized arrays
+    b, d = 65, 2
+    rows = make_rows(np.random.default_rng(51), b, d)
+    cfg = SmoothingConfig(clap_mix_lambda=0.5)
+    bound = 6 * _CHUNK_DOUBLES * 8
+    assert (4 * b * d + 2) * b * b * 8 > bound
+    finite_difference_grads(*rows, cfg)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        finite_difference_grads(*rows, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+@pytest.mark.parametrize("kl_mode", list(KLMode))
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_gradients_match_finite_differences_one_row_past_a_block(lam, kl_mode):
+    # the kernel forms its B x B terms in blocks of 64 rows; at 65 the second
+    # block holds one row, and the gradient is checked across the seam
+    rows = make_rows(np.random.default_rng(52), 65, 2)
+    cfg = SmoothingConfig(
+        gamma=0.5, beta=0.3, tau_a2a=0.7, tau_t2t=1.3, tau_pred=0.7,
+        kl_mode=kl_mode, clap_mix_lambda=lam,
+    )
+    out = loss_and_grad(EmbeddingBatch(*rows), cfg)
+    num_a, num_t, num_lt = finite_difference_grads(*rows, cfg)
+    assert max_relative_error(out.grad_audio, num_a) < 1e-5
+    assert max_relative_error(out.grad_text, num_t) < 1e-5
+    assert max_relative_error(out.grad_log_tau_pred, num_lt) < 1e-5
