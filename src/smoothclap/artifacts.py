@@ -126,34 +126,33 @@ def _read_json(path) -> dict:
     return doc
 
 
-def _run_options(
-    doc: dict, by_key: dict, where: str, strict: bool, within: str = "", prefix: str = ""
-) -> dict:
+def _run_options(doc: dict, by_key: dict, where: str, prefix: str = "") -> dict:
     """Run option values of a config object, coerced to each option's type.
-    Nested objects address their keys dotted; with ``strict`` an unknown key is
-    an error, otherwise it is skipped. Messages name a key as ``within`` plus
-    its dotted key."""
+    Nested objects address their keys dotted, and an unknown key is an error.
+    A string is coerced as a flag's is. A JSON bool is refused for every
+    option, and a JSON float for an int option, which int() would truncate;
+    argparse's ``int`` likewise refuses ``"2.7"``."""
     values = {}
     for key, value in doc.items():
         name = prefix + key
         if isinstance(value, dict):
-            values.update(_run_options(value, by_key, where, strict, within, name + "."))
-        elif name in by_key:
-            opt = by_key[name]
-            try:
-                values[opt] = opt.type(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{where}: bad value for {within + name!r}: {value!r:.40}"
-                ) from None
-        elif strict:
-            raise ConfigError(f"{where}: unknown config key {within + name!r}")
+            values.update(_run_options(value, by_key, where, name + "."))
+            continue
+        if name not in by_key:
+            raise ConfigError(f"{where}: unknown config key {name!r}")
+        opt = by_key[name]
+        try:
+            if isinstance(value, bool) or (opt.type is int and isinstance(value, float)):
+                raise TypeError
+            values[opt] = opt.type(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: bad value for {name!r}: {value!r:.40}") from None
     return values
 
 
 def read_config(path, options_by_key: dict) -> dict:
     """Run option values of a JSON config file; every key must be known."""
-    return _run_options(_read_json(path), options_by_key, str(path), strict=True)
+    return _run_options(_read_json(path), options_by_key, str(path))
 
 
 # json writes a non-finite float as these literals
@@ -224,7 +223,8 @@ def load_thresholds(path) -> tuple[dict[str, BinThresholds], TemplateSet]:
     })
 
 
-# model: base64 row-major float64 tensors, vocabulary, log-temperature, config echo
+# model: base64 row-major float64 tensors, vocabulary and log-temperature; the
+# run's config is the ``config`` of its ``_meta`` header
 
 def _encode_tensor(a: np.ndarray) -> dict:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -244,18 +244,20 @@ def _decode_tensor(projection: dict, key: str, where: str, side: str, ndim: int)
         if len(shape) != ndim or -1 in shape or entry.get("dtype") != "float64":
             raise ValueError(f"shape {shape!r:.40}, dtype {entry.get('dtype')!r:.20}")
         raw = base64.b64decode(data, validate=True)
-        return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+        tensor = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"{where}: field {name!r} is not a {ndim}-d float64 tensor ({exc})"
         ) from None
+    if not np.isfinite(tensor).all():
+        raise ConfigError(f"{where}: field {name!r} must be finite")
+    return tensor
 
 
 def save_model(path, model, meta: dict) -> None:
     doc = {
         "kind": MODEL_KIND,
         "format_version": MODEL_FORMAT_VERSION,
-        "config": model.config.to_json_dict(),
         "vocabulary": list(model.vocabulary),
         "log_tau_pred": model.log_tau_pred,
     }
@@ -266,11 +268,14 @@ def save_model(path, model, meta: dict) -> None:
 
 
 def load_model(path):
-    """TrainedModel of a model file. Besides each field's type it checks the
-    format version, one output width for both projections' weights and biases,
-    and a text input width equal to the vocabulary size."""
+    """TrainedModel of a model file: the projections, vocabulary and
+    log-temperature that embedding reads; other keys, such as the ``config``
+    that older versions also wrote, are ignored. Besides each field's type it
+    checks the format version, finite tensors and log-temperature, one output
+    width for both projections' weights and biases, and a text input width
+    equal to the vocabulary size."""
     # trainer imports this module for save_model and load_model
-    from .trainer import RUN_OPTIONS, ProjectionParams, TrainConfig, TrainedModel
+    from .trainer import ProjectionParams, TrainedModel
 
     doc, where = _read_json(path), str(path)
     if doc.get("kind") != MODEL_KIND:
@@ -296,27 +301,14 @@ def load_model(path):
             f"{where}: text input width {text.in_dim} is not the vocabulary size "
             f"{len(vocabulary)}"
         )
-    # the echo holds each option at its path; older versions echo lr as
-    # lr_projection and the mix at the top level, and their other retired
-    # keys are skipped
-    by_path = {opt.path: opt for opt in RUN_OPTIONS}
-    mix = by_path["smoothing.clap_mix_lambda"]
-    echo_keys = {"lr_projection": by_path["lr"], "clap_mix_lambda": mix, **by_path}
-    echo = _field(doc, "config", where, dict)
-    values = _run_options(echo, echo_keys, where, False, "config.")
-    if echo.get("objective") == "clap":
-        # older versions trained objective clap at 1 whatever clap_mix_lambda they echo
-        values[mix] = 1.0
-    try:
-        config = TrainConfig.from_options(values)
-    except SmoothClapError as exc:
-        raise ConfigError(f"{where}: field 'config': {exc}") from None
+    log_tau_pred = _field(doc, "log_tau_pred", where, float)
+    if not math.isfinite(log_tau_pred):
+        raise ConfigError(f"{where}: field 'log_tau_pred' must be finite")
     return TrainedModel(
         audio_projection=audio,
         text_projection=text,
-        log_tau_pred=_field(doc, "log_tau_pred", where, float),
+        log_tau_pred=log_tau_pred,
         vocabulary=vocabulary,
-        config=config,
     )
 
 
@@ -353,37 +345,38 @@ def write_tags(path, table: TagTable, meta: dict) -> None:
 def _read_jsonl_by_id(path, parse) -> dict:
     """``parse(record, where)`` of each record, keyed by its ``id`` in file
     order. Blank lines and the ``_meta`` header are skipped; a line that is not
-    a JSON object, or an id seen before, is an error."""
-    with open(path) as fh:
-        try:
-            lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    a JSON object, or an id seen before, is an error. Each line is parsed as
+    it is read."""
     by_id = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
+    with open(path) as fh:
+        # only reading the file raises UnicodeDecodeError; json.loads takes str
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{where}: invalid JSON ({exc})") from None
-        if not isinstance(record, dict):
-            raise ConfigError(f"{where}: expected a JSON object, got {type(record).__name__}")
-        if "_meta" in record:
-            continue
-        key = _field(record, "id", where)
-        if isinstance(key, bool) or not isinstance(key, (str, int)):
-            raise ConfigError(f"{where}: field 'id' must be a string or an integer")
-        key = str(key)
-        if key in first_line:
-            raise DuplicateId(
-                f"{where}: duplicate id {key!r} (first on line {first_line[key]})"
-            )
-        first_line[key] = lineno
-        by_id[key] = parse(record, where)
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{where}: invalid JSON ({exc})") from None
+                if not isinstance(record, dict):
+                    raise ConfigError(f"{where}: expected a JSON object, got {type(record).__name__}")
+                if "_meta" in record:
+                    continue
+                key = _field(record, "id", where)
+                if isinstance(key, bool) or not isinstance(key, (str, int)):
+                    raise ConfigError(f"{where}: field 'id' must be a string or an integer")
+                key = str(key)
+                if key in first_line:
+                    raise DuplicateId(
+                        f"{where}: duplicate id {key!r} (first on line {first_line[key]})"
+                    )
+                first_line[key] = lineno
+                by_id[key] = parse(record, where)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return by_id
 
 

@@ -62,9 +62,9 @@ logger = logging.getLogger("smoothclap.cli")
 
 # --- run configuration ----------------------------------------------------------
 # Every flag and config key below derives from trainer.RUN_OPTIONS. A config
-# file names an option by its field or by its path in the config echo of
-# model.json ("gamma" or "smoothing.gamma"); nested objects flatten to dotted
-# paths, so that echo is itself a valid config file.
+# file names an option by its field or by its path in the ``_meta.config`` of
+# a train or sweep artifact ("gamma" or "smoothing.gamma"); nested objects
+# flatten to dotted paths, so that echo is itself a valid config file.
 
 _SEED = next(opt for opt in RUN_OPTIONS if opt.path == "seed")
 _OPTIONS_BY_KEY = {key: opt for opt in RUN_OPTIONS for key in (opt.field, opt.path)}
@@ -330,9 +330,7 @@ def _parse_sizes(spec: str) -> tuple[tuple[int, int], ...]:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     seed = resolve_seed(args)
     sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SIZES
-    report = run_gradcheck_suite(
-        seed=seed, sizes=sizes, corrupt_gradient=args.corrupt_gradient
-    )
+    report = run_gradcheck_suite(seed=seed, sizes=sizes)
     print(
         f"gradcheck: max relative error {report.max_error:.3e} "
         f"over {report.n_cases} configurations"
@@ -352,9 +350,6 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         raise ConfigError(f"bad {name} grid: {spec!r}") from None
     if not grid:
         raise ConfigError(f"{name} grid is empty")
-    for v in grid:
-        if not 0.0 < v < 1.0:
-            raise ConfigError(f"{name} grid values must lie strictly inside (0, 1), got {v}")
     return grid
 
 
@@ -367,6 +362,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     gamma_grid = _parse_grid(args.gamma_grid, "gamma")
     beta_grid = _parse_grid(args.beta_grid, "beta")
+    # SmoothingConfig checks each cell's gamma and beta before any cell trains
+    cells = [
+        replace(base_config, smoothing=replace(base_config.smoothing, gamma=gamma, beta=beta))
+        for gamma in gamma_grid
+        for beta in beta_grid
+    ]
     ids, features, tag_lists = _load_training_data(
         args.features, args.tags, base_config.batch_size
     )
@@ -375,27 +376,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows: list[tuple[float, float, float, float]] = []
     failed = 0
-    for gamma in gamma_grid:
-        for beta in beta_grid:
-            config = replace(
-                base_config,
-                smoothing=replace(base_config.smoothing, gamma=gamma, beta=beta),
-            )
+    for config in cells:
+        gamma, beta = config.smoothing.gamma, config.smoothing.beta
+        try:
+            model = train(features, tag_lists, config)
             try:
-                model = train(features, tag_lists, config)
-                try:
-                    audio_emb = embed_audio(model, features)
-                    query_emb = embed_query_labels(model, class_names)
-                except (ZeroRow, NonFiniteValue) as exc:
-                    # train has validated the inputs, so the trained weights
-                    # gave the degenerate row
-                    raise ComputationFailure(f"embedding with the trained model: {exc}") from exc
-                report = _evaluate(ids, audio_emb, class_names, query_emb, labels)
-                rows.append((gamma, beta, report.uar, model.history[-1]))
-            except ComputationFailure as exc:
-                failed += 1
-                logger.warning("sweep cell gamma=%s beta=%s failed: %s", gamma, beta, exc)
-                rows.append((gamma, beta, float("nan"), float("nan")))
+                audio_emb = embed_audio(model, features)
+                query_emb = embed_query_labels(model, class_names)
+            except (ZeroRow, NonFiniteValue) as exc:
+                # train has validated the inputs, so the trained weights
+                # gave the degenerate row
+                raise ComputationFailure(f"embedding with the trained model: {exc}") from exc
+            report = _evaluate(ids, audio_emb, class_names, query_emb, labels)
+            rows.append((gamma, beta, report.uar, model.history[-1]))
+        except ComputationFailure as exc:
+            failed += 1
+            logger.warning("sweep cell gamma=%s beta=%s failed: %s", gamma, beta, exc)
+            rows.append((gamma, beta, float("nan"), float("nan")))
     artifacts.write_table(
         args.out, ["gamma", "beta", "uar", "final_loss"], (map(repr, row) for row in rows),
         artifacts.meta_header("sweep", base_config.to_json_dict()),
@@ -462,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--sizes", help="e.g. B=2,d=3 or B=2,d=3;B=8,d=16")
-    p.add_argument("--corrupt-gradient", dest="corrupt_gradient", action="store_true", help=argparse.SUPPRESS)
     _add_config_flags(p)
 
     p = sub.add_parser("sweep", help="train and evaluate over a gamma/beta grid")

@@ -213,14 +213,8 @@ def _case_configs() -> list[SmoothingConfig]:
 def run_gradcheck_suite(
     seed: int = 0,
     sizes: tuple[tuple[int, int], ...] = DEFAULT_SIZES,
-    corrupt_gradient: bool = False,
 ) -> GradCheckReport:
-    """Sweep batch sizes, dimensions, and mix and smoothing configurations.
-
-    ``corrupt_gradient`` injects a deliberate error into one analytic
-    component; it exists so the harness can prove it would catch a bad
-    gradient.
-    """
+    """Sweep batch sizes, dimensions, and mix and smoothing configurations."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     cases: list[GradCheckCase] = []
     for b, d in sizes:
@@ -229,8 +223,6 @@ def run_gradcheck_suite(
             text = rng.standard_normal((b, d))
             local_audio = rng.standard_normal((b, d + 1))
             out = loss_and_grad(EmbeddingBatch(audio, text, local_audio), cfg)
-            if corrupt_gradient:
-                out.grad_audio[0, 0] += 1e-3
             num_a, num_t, num_lt = finite_difference_grads(audio, text, local_audio, cfg)
             err = max(
                 max_relative_error(out.grad_audio, num_a),

@@ -241,7 +241,6 @@ class TrainedModel:
     text_projection: ProjectionParams
     log_tau_pred: float
     vocabulary: list[str]
-    config: TrainConfig
     history: list[float] = field(default_factory=list)
 
 
@@ -365,6 +364,5 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
         text_projection=proj_t,
         log_tau_pred=float(log_tau),
         vocabulary=vocabulary,
-        config=config,
         history=history,
     )

@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: fixture file writers, a CLI runner and
-the per-entry finite-difference oracle."""
+"""Shared helpers for the test suite: fixture file writers, a CLI runner,
+the per-entry finite-difference oracle and a corrupted analytic gradient."""
 from __future__ import annotations
 
 import csv
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+import smoothclap.gradcheck
 from smoothclap.cli import main
 from smoothclap.fixtures import ClusterFixture
 from smoothclap.gradcheck import STEP
@@ -23,6 +24,19 @@ from smoothclap.objective import (
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def corrupt_gradcheck_gradient(monkeypatch) -> None:
+    """Make the analytic gradient that gradcheck checks 1e-3 off in
+    ``grad_audio[0, 0]``, so that the suite must fail."""
+    real_loss_and_grad = smoothclap.gradcheck.loss_and_grad
+
+    def corrupted(batch, cfg):
+        out = real_loss_and_grad(batch, cfg)
+        out.grad_audio[0, 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(smoothclap.gradcheck, "loss_and_grad", corrupted)
 
 
 def write_features_csv(path, ids, matrix) -> Path:

@@ -6,7 +6,7 @@ import json
 import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -165,16 +165,6 @@ MALFORMED = {
         lambda c: eval_argv(c, model=write_doc(c, "bad.json", [])),
         "bad.json", "top level must be an object",
     ),
-    "model config not an object": (
-        lambda c: eval_argv(c, model=write_doc(c, "bad.json", {**model_doc(c), "config": "x"})),
-        "bad.json", "field 'config' must be an object",
-    ),
-    "model config value": (
-        lambda c: eval_argv(c, model=write_doc(
-            c, "bad.json", {**model_doc(c), "config": {"smoothing": {"gamma": "high"}}}
-        )),
-        "bad.json", "'config.smoothing.gamma'",
-    ),
     "manifest wav not a string": (
         lambda c: ["extract", "--out", c["root"] / "o.jsonl",
                    "--manifest", mutate_line(c["manifest"], 1, lambda r: r.update(wav=5))],
@@ -252,6 +242,13 @@ def tensor_entry(a):
             "data_b64": base64.b64encode(np.asarray(a, float).tobytes()).decode()}
 
 
+def with_nan(entry):
+    """A tensor entry with its first value NaN."""
+    a = np.frombuffer(base64.b64decode(entry["data_b64"])).reshape(entry["shape"]).copy()
+    a.flat[0] = np.nan
+    return tensor_entry(a)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -276,6 +273,9 @@ def tensor_entry(a):
         (lambda d: d["audio_projection"]["bias"].update(shape=[-1]),
          "'audio_projection.bias' is not a 1-d float64 tensor"),
         (lambda d: d.update(log_tau_pred=[0.0]), "field 'log_tau_pred' must be a number"),
+        (lambda d: d["audio_projection"].update(weights=with_nan(d["audio_projection"]["weights"])),
+         "field 'audio_projection.weights' must be finite"),
+        (lambda d: d.update(log_tau_pred=float("nan")), "field 'log_tau_pred' must be finite"),
     ],
 )
 def test_model_reader_rejects_inconsistent_documents(corpus, change, message):
@@ -287,67 +287,6 @@ def test_model_reader_rejects_inconsistent_documents(corpus, change, message):
     assert str(path) in str(err.value) and message in str(err.value)
     code, lines = run_main(*eval_argv(corpus, model=path))
     assert code == 2 and len(lines) == 1
-
-
-def test_model_reader_skips_config_keys_of_older_versions(corpus):
-    doc = model_doc(corpus)
-    doc["config"]["lr_text"] = 1e-5
-    loaded = load_model(write_doc(corpus, "old.json", doc))
-    assert loaded.config == load_model(corpus["model"]).config
-
-
-def test_model_reader_takes_lr_projection_of_older_versions_as_lr(corpus):
-    doc = model_doc(corpus)
-    del doc["config"]["lr"]
-    doc["config"]["lr_projection"] = 0.05
-    assert load_model(write_doc(corpus, "old_lr.json", doc)).config.lr == 0.05
-
-
-def older_echo(corpus, **top_level):
-    """The model document with the config echo of older versions: the mix at
-    the top level, not under smoothing."""
-    doc = model_doc(corpus)
-    del doc["config"]["smoothing"]["clap_mix_lambda"]
-    doc["config"].update(top_level)
-    return doc
-
-
-def with_mix(config, lam):
-    return replace(config, smoothing=replace(config.smoothing, clap_mix_lambda=lam))
-
-
-def test_model_reader_takes_the_top_level_mix_of_older_versions(corpus):
-    nested = model_doc(corpus)
-    nested["config"]["smoothing"]["clap_mix_lambda"] = 0.4
-    config = load_model(write_doc(corpus, "new_mix.json", nested)).config
-    old = load_model(write_doc(corpus, "old_mix.json", older_echo(corpus, clap_mix_lambda=0.4)))
-    assert old.config == config == with_mix(load_model(corpus["model"]).config, 0.4)
-
-
-def test_model_reader_takes_clap_with_a_partial_mix_of_older_versions_as_clap(corpus):
-    # older versions trained objective clap at lambda 1 whatever clap_mix_lambda
-    # said, and echoed both
-    doc = older_echo(corpus, objective="clap", clap_mix_lambda=0.5)
-    path = write_doc(corpus, "old_clap.json", doc)
-    config = load_model(path).config
-    assert config.smoothing.clap_mix_lambda == 1.0
-    assert config == with_mix(load_model(corpus["model"]).config, 1.0)
-    code, lines = run_main(*eval_argv(corpus, model=path))
-    assert code == 0
-
-
-def test_model_reader_takes_smooth_of_older_versions_at_its_echoed_mix(corpus):
-    doc = older_echo(corpus, objective="smooth", clap_mix_lambda=0.3)
-    config = load_model(write_doc(corpus, "old_smooth.json", doc)).config
-    assert config == with_mix(load_model(corpus["model"]).config, 0.3)
-
-
-def test_model_reader_skips_the_kl_floor_of_older_versions(corpus):
-    # older versions echo the KL floor as smoothing.floor; it is now a constant
-    doc = model_doc(corpus)
-    doc["config"]["smoothing"]["floor"] = 1e-9
-    loaded = load_model(write_doc(corpus, "old_floor.json", doc))
-    assert loaded.config == load_model(corpus["model"]).config
 
 
 def test_model_roundtrip_is_byte_identical(corpus, tmp_path):
@@ -705,6 +644,17 @@ FUZZED_READERS = {
     "config": ("config", document_mutations,
                lambda c, p: tags_argv(c) + ["--config", p]),
 }
+
+
+@pytest.mark.parametrize("reader", ["manifest", "profiles", "labels", "tags"])
+def test_invalid_utf8_in_a_jsonl_input_exits_2_naming_the_file(corpus, reader):
+    key, _, argv = FUZZED_READERS[reader]
+    source = Path(corpus[key])
+    path = source.with_name("utf8-" + source.name)
+    path.write_bytes(source.read_bytes() + b'{"id": "\xff"}\n')
+    code, err = run_main(*argv(corpus, path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "can't decode" in err[0], err
 
 
 @pytest.mark.parametrize("reader", sorted(FUZZED_READERS))

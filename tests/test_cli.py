@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    corrupt_gradcheck_gradient,
     random_unit_rows,
     run_cli,
     write_cluster_fixture_files,
@@ -410,7 +411,7 @@ def test_train_clap_accepts_beta0_at_the_default_kl_mode(tmp_path):
         path = tmp_path / f"beta{beta}.json"
         assert run_cli("train", *common, "--beta", beta, "--out", str(path)) == 0
         model = load_model(path)
-        assert model.config.smoothing.beta == float(beta)
+        assert json.loads(path.read_text())["_meta"]["config"]["smoothing"]["beta"] == float(beta)
         history = (tmp_path / f"beta{beta}.json.history.csv").read_text().splitlines()
         tensors = (
             model.audio_projection.weights, model.audio_projection.bias,
@@ -778,8 +779,10 @@ def test_gradcheck_small_sizes(capsys):
     assert "max relative error" in capsys.readouterr().out
 
 
-def test_gradcheck_corrupted_gradient_fails():
-    assert run_cli("gradcheck", "--sizes", "B=2,d=3", "--corrupt-gradient") == 1
+def test_gradcheck_corrupted_gradient_fails(monkeypatch, capsys):
+    corrupt_gradcheck_gradient(monkeypatch)
+    assert run_cli("gradcheck", "--sizes", "B=2,d=3") == 1
+    assert capsys.readouterr().err.startswith("worst case: ")
 
 
 def test_gradcheck_bad_sizes():
@@ -906,14 +909,46 @@ def test_sweep_rejects_a_mix_of_one(tmp_path, capsys, source):
     assert err.count("\n") == 1 and err.startswith("error: sweep needs a mix below 1")
 
 
-def test_sweep_rejects_grid_outside_open_interval(tmp_path):
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (["--gamma-grid", "1.5"], "gamma must be in [0, 1], got 1.5"),
+        (["--gamma-grid", "0.5,-0.5"], "gamma must be in [0, 1], got -0.5"),
+        (["--beta-grid", "0.5,1.5"], "beta must be in [0, 1], got 1.5"),
+        # at the default symmetric KL mode
+        (["--beta-grid", "0.5,0"], "symmetric KL requires beta > 0"),
+    ],
+    ids=["gamma-1.5", "gamma-neg", "beta-1.5", "beta-0-symmetric"],
+)
+def test_sweep_grid_value_its_config_refuses_exits_2_before_training(
+    tmp_path, monkeypatch, capsys, grids, message
+):
+    import smoothclap.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "train", lambda *args: calls.append(args))
     files = cluster_files(tmp_path)
+    out = tmp_path / "s.csv"
     code = run_cli(
         "sweep", "--features", str(files["features"]), "--tags", str(files["tags"]),
-        "--labels", str(files["labels"]), "--beta-grid", "0.0,0.5",
-        "--out", str(tmp_path / "s.csv"),
+        "--labels", str(files["labels"]), "--out", str(out), *grids,
     )
-    assert code == 2
+    assert code == 2 and calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+def test_sweep_grid_takes_the_bounds_of_gamma_and_beta(tmp_path):
+    files = cluster_files(tmp_path)
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--labels", str(files["labels"]), "--gamma-grid", "0,1", "--beta-grid", "1",
+        "--epochs", "1", "--batch-size", "16", "--out", str(out),
+    )
+    assert code == 0
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[2:]]
+    assert rows == [["0.0", "1.0"], ["1.0", "1.0"]]
 
 
 def test_sweep_cell_failing_in_training_exits_1_after_writing_every_row(tmp_path, capsys):
@@ -939,13 +974,20 @@ def test_sweep_cell_failing_to_embed_exits_1_after_writing_every_row(
     import smoothclap.cli as cli_mod
     from smoothclap.errors import ZeroRow
 
-    real_embed = cli_mod.embed_audio
+    real_train, real_embed = cli_mod.train, cli_mod.embed_audio
+    configs = []
+
+    def train(features, tag_lists, config):
+        configs.append(config)
+        return real_train(features, tag_lists, config)
 
     def embed(model, features):
-        if model.config.smoothing.beta == 0.5:
+        # the model of the cell that train saw last
+        if configs[-1].smoothing.beta == 0.5:
             raise ZeroRow("row 2 has norm 0.000e+00, cannot normalize")
         return real_embed(model, features)
 
+    monkeypatch.setattr(cli_mod, "train", train)
     monkeypatch.setattr(cli_mod, "embed_audio", embed)
     files = cluster_files(tmp_path)
     out = tmp_path / "s.csv"
@@ -1074,7 +1116,7 @@ def test_largest_seed_trains(tmp_path):
         "--batch-size", "16", "--epochs", "1", "--seed", str(2**64 - 1), "--out", str(out),
     )
     assert code == 0
-    assert load_model(out).config.seed == 2**64 - 1
+    assert json.loads(out.read_text())["_meta"]["config"]["seed"] == 2**64 - 1
 
 
 def test_flags_override_config_file(tmp_path):
@@ -1206,21 +1248,70 @@ def test_unknown_run_option_keys_exit_2(tmp_path, doc, capsys):
     assert err.count("\n") == 1 and "unknown config key" in err
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        # int() would truncate a JSON float, as argparse's int refuses "2.7"
+        ({"epochs": 2.7}, "epochs"),
+        ({"epochs": 5.0}, "epochs"),
+        ({"seed": 1.9}, "seed"),
+        ({"batch_size": 16.0}, "batch_size"),
+        ({"epochs": "2.7"}, "epochs"),
+        # a JSON bool is an int to Python, but no option's value
+        ({"lr": True}, "lr"),
+        ({"epochs": True}, "epochs"),
+        ({"smoothing.gamma": False}, "smoothing.gamma"),
+        ({"clap_mix_lambda": True}, "clap_mix_lambda"),
+    ],
+)
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, doc, key):
+    files = cluster_files(tmp_path)
+    config_path = write_config(tmp_path, doc)
+    out = tmp_path / "m.json"
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--config", str(config_path), "--out", str(out),
+    )
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {config_path}: bad value for {key!r}: {doc[key]!r}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, path, parsed",
+    [
+        ({"epochs": "3"}, "epochs", 3),
+        ({"seed": 2**64 - 1}, "seed", 2**64 - 1),
+        ({"lr": 1}, "lr", 1.0),
+        ({"lr": "0.5"}, "lr", 0.5),
+    ],
+)
+def test_config_value_takes_json_numbers_and_strings_as_a_flag_does(
+    tmp_path, monkeypatch, doc, path, parsed
+):
+    config = config_received_by_train(
+        tmp_path, monkeypatch, "--config", str(write_config(tmp_path, doc))
+    )
+    value = field_value(config, path)
+    assert value == parsed and type(value) is type(parsed)
+
+
 def test_model_config_echo_is_a_valid_config_file(tmp_path, monkeypatch):
     files = cluster_files(tmp_path)
-    model_path = tmp_path / "model.json"
+    inputs = ["--features", str(files["features"]), "--tags", str(files["tags"])]
+    model_path, rerun_path = tmp_path / "model.json", tmp_path / "rerun.json"
     assert run_cli(
-        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "train", *inputs,
         "--seed", "4", "--epochs", "2", "--batch-size", "16", "--lr", "0.02",
         "--embed-dim", "8", "--clap-mix-lambda", "0.25", "--gamma", "0.3", "--beta", "0.2",
         "--tau-a2a", "0.5", "--kl-mode", "forward", "--out", str(model_path),
     ) == 0
-    trained = load_model(model_path).config
-    echo = json.loads(model_path.read_text())["config"]
-    config = config_received_by_train(
-        tmp_path, monkeypatch, "--config", str(write_config(tmp_path, echo))
-    )
-    assert config == trained
+    echo = json.loads(model_path.read_text())["_meta"]["config"]
+    config_path = write_config(tmp_path, echo)
+    # the echo reproduces the run
+    assert run_cli("train", *inputs, "--config", str(config_path), "--out", str(rerun_path)) == 0
+    assert rerun_path.read_bytes() == model_path.read_bytes()
+    config = config_received_by_train(tmp_path, monkeypatch, "--config", str(config_path))
+    assert config.to_json_dict() == echo
     assert config.lr == 0.02 and config.smoothing.kl_mode is KLMode.FORWARD
 
 
@@ -1300,7 +1391,9 @@ def test_meta_headers_hold_what_each_command_reads(tmp_path):
         "--seed", "4", "--epochs", "1", "--batch-size", "16", "--out", str(model_path),
     ) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["_meta"]["config"] == doc["config"]
+    # the run's config is stated once, in the header
+    assert "config" not in doc
+    assert doc["_meta"]["config"] == TrainConfig(seed=4, epochs=1, batch_size=16).to_json_dict()
     assert doc["_meta"]["seed"] == 4
 
     profiles = write_profiles(tmp_path / "profiles.jsonl")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_finite_difference_grads
+from helpers import corrupt_gradcheck_gradient, loop_finite_difference_grads
 from smoothclap.errors import ZeroMassTarget
 from smoothclap.gradcheck import (
     _CHUNK_DOUBLES,
@@ -67,9 +67,10 @@ def test_suite_small_slice_passes():
     assert report.max_error < 1e-5
 
 
-def test_suite_catches_corrupted_gradient():
-    report = run_gradcheck_suite(seed=1, sizes=((2, 3),), corrupt_gradient=True)
-    assert not report.passed
+def test_suite_catches_corrupted_gradient(monkeypatch):
+    corrupt_gradcheck_gradient(monkeypatch)
+    report = run_gradcheck_suite(seed=1, sizes=((2, 3),))
+    assert report.passed is False
 
 
 def test_aligned_batch_has_smaller_gradient_than_shuffled():

@@ -364,7 +364,6 @@ def test_model_json_roundtrip(tmp_path):
     )
     assert restored.log_tau_pred == model.log_tau_pred
     assert restored.vocabulary == model.vocabulary
-    assert restored.config == model.config
 
 
 def test_save_load_model(tmp_path):
