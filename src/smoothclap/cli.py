@@ -126,6 +126,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     for utt_id, wav_path in inputs.items():
         try:
             profile = acoustic_profile(load_wav(wav_path))
+        except ComputationFailure:
+            raise  # a broken invariant is the program's fault, not the file's
         except (SmoothClapError, OSError) as exc:
             failures += 1
             logger.warning("skipping %s (%s): %s", utt_id, wav_path, exc)

@@ -67,6 +67,14 @@ class TooShort(SmoothClapError):
     """Utterance below the minimum analyzable duration."""
 
 
+class AmplitudeOutOfRange(SmoothClapError):
+    """Waveform samples outside [-1, 1]."""
+
+
+class FractionalPeriod(SmoothClapError):
+    """A synthesized tone's period is not a whole number of samples."""
+
+
 # --- tagging ---
 
 class TooFewValues(SmoothClapError):
@@ -103,6 +111,12 @@ class TrainingStepFailed(ComputationFailure):
     """A training step broke down: a zero-norm or non-finite projection row, a
     temperature out of range, targets below the KL floor, or a non-finite loss.
     The message names the epoch and batch start; the error is the ``__cause__``."""
+
+
+class InconsistentF0Track(ComputationFailure):
+    """An F0 track breaks its invariants: ``frames_hz`` and ``voiced`` differ
+    in shape, or a frame's F0 is 0 but voiced, nonzero but unvoiced, or
+    negative."""
 
 
 # --- evaluation ---

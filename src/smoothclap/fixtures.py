@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FractionalPeriod
 from .paralinguistics import AcousticProfile
 
 # class centers sit on a circle at these angles (degrees); the two tight
@@ -145,12 +146,10 @@ def synth_alternating_amplitude_tone(
     """
     period = rate / freq_hz
     if abs(period - round(period)) > 1e-9:
-        raise ValueError("freq_hz must divide the sample rate")
+        raise FractionalPeriod("freq_hz must divide the sample rate")
     period = int(round(period))
-    n = int(round(duration_s * rate))
-    idx = np.arange(n)
-    amps = np.where((idx // period) % 2 == 0, amp_a, amp_b)
-    return amps * np.sin(2.0 * math.pi * (idx % period) / period)
+    cycle = np.sin(2.0 * math.pi * np.arange(period) / period)
+    return np.resize(np.concatenate((amp_a * cycle, amp_b * cycle)), int(round(duration_s * rate)))
 
 
 def write_wav(path, samples, rate: int = 16000) -> None:

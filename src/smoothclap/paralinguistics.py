@@ -4,9 +4,12 @@ Covers the small feature set used for tag generation: pitch statistics,
 frame intensity, jitter, shimmer, and utterance duration. Pitch is tracked
 per frame with a normalized autocorrelation (cross-correlation of the frame
 against its own shifted copy, so the estimate is unbiased by the shrinking
-overlap) plus parabolic peak interpolation. Jitter and shimmer use the
-"local" convention: mean absolute consecutive difference divided by the
-mean, pooled over maximal voiced runs.
+overlap) plus parabolic peak interpolation. The correlation comes from an
+FFT of the smallest 5-smooth length at or above the frame length plus the
+longest lag (720 points at 16 kHz); no lag wraps around onto another, so it
+is exact up to rounding. Jitter and shimmer use the "local" convention: mean
+absolute consecutive difference divided by the mean, pooled over maximal
+voiced runs.
 
 The front end has one configuration and no options: 16 kHz audio, 25 ms
 frames every 10 ms, a 50-600 Hz pitch band, a voicing threshold of 0.3 and a
@@ -25,9 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    AmplitudeOutOfRange,
     CorruptHeader,
     EmptyAudio,
     EmptyInput,
+    InconsistentF0Track,
     NonFiniteValue,
     SignalTooShort,
     TooShort,
@@ -67,9 +72,9 @@ class Waveform:
         if not np.all(np.isfinite(s)):
             raise NonFiniteValue("waveform contains NaN or Inf")
         if float(np.max(np.abs(s))) > 1.0 + 1e-9:
-            raise ValueError("samples must lie in [-1, 1]")
+            raise AmplitudeOutOfRange("samples must lie in [-1, 1]")
         if not self.sample_rate > 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
+            raise UnsupportedFormat(f"sample rate must be positive, got {self.sample_rate}")
         self.samples = np.clip(s, -1.0, 1.0)
 
     @property
@@ -93,11 +98,11 @@ class F0Track:
         hz = np.asarray(self.frames_hz, dtype=np.float64)
         v = np.asarray(self.voiced, dtype=bool)
         if hz.shape != v.shape or hz.ndim != 1:
-            raise ValueError("frames_hz and voiced must be equal-length 1-D arrays")
+            raise InconsistentF0Track("frames_hz and voiced must be equal-length 1-D arrays")
         if np.any((hz == 0.0) != ~v):
-            raise ValueError("frames_hz must be 0 exactly on unvoiced frames")
+            raise InconsistentF0Track("frames_hz must be 0 exactly on unvoiced frames")
         if np.any(hz[v] <= 0.0):
-            raise ValueError("voiced F0 values must be positive")
+            raise InconsistentF0Track("voiced F0 values must be positive")
         self.frames_hz = hz
         self.voiced = v
 
@@ -254,23 +259,46 @@ def rms_intensity(frames) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(rms, INTENSITY_FLOOR))
 
 
+def _fft_length(min_length: int) -> int:
+    """The smallest 5-smooth integer (its only prime factors are 2, 3 and 5)
+    at or above ``min_length``, a length pocketfft transforms quickly."""
+    length = min_length
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
+
+
 def _normalized_autocorr(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized cross-correlation of each frame with itself for lags 0..max_lag."""
-    n = frames.shape[1]
-    nfft = 1
-    while nfft < 2 * n:
-        nfft *= 2
+    """Normalized cross-correlation of each frame with itself for lags 0..max_lag.
+
+    The FFT length is at least ``n + max_lag``, so no lag up to ``max_lag``
+    wraps around onto another and the correlation is exact up to rounding.
+    """
+    count, n = frames.shape
+    nfft = _fft_length(n + max_lag)
     spec = np.fft.rfft(frames, nfft, axis=1)
-    raw = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, : max_lag + 1]
-    # cum[:, k] is the energy of x[:k]
-    cum = np.zeros((frames.shape[0], n + 1))
+    # the power spectrum in place: the squared real and imaginary parts summed
+    # into the real part, the imaginary part zeroed
+    re, im = spec.real, spec.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    im[...] = 0.0
+    raw = np.fft.irfft(spec, nfft, axis=1)[:, : max_lag + 1]
+    # cum[:, k] is the energy of x[:k]; it never decreases, so neither energy
+    # below is negative
+    cum = np.zeros((count, n + 1))
     np.cumsum(frames * frames, axis=1, out=cum[:, 1:])
-    lags = np.arange(max_lag + 1)
-    # energy of the leading segment x[:n-lag] and the trailing segment x[lag:]
-    e_head = cum[:, n - lags]
-    e_tail = cum[:, n:] - cum[:, lags]
-    denom = np.sqrt(np.maximum(e_head * e_tail, 0.0))
-    return np.where(denom > 0.0, raw / np.maximum(denom, 1e-300), 0.0)
+    # energy of the leading segment x[:n-lag], read backwards, times that of
+    # the trailing segment x[lag:]
+    denom = cum[:, n - max_lag :][:, ::-1] * (cum[:, n:] - cum[:, : max_lag + 1])
+    np.sqrt(denom, out=denom)
+    return np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0.0)
 
 
 def estimate_f0(frames, sample_rate: int = TARGET_RATE) -> F0Track:

@@ -126,6 +126,20 @@ def test_extract_skips_a_wav_with_an_out_of_range_sample_rate(tmp_path, monkeypa
     assert run_cli(*args) == 1
 
 
+def test_a_broken_f0_track_exits_1_and_is_no_skip(tmp_path, monkeypatch, capsys):
+    import smoothclap.paralinguistics as para
+
+    def unvoiced_zeros_marked_voiced(frames, sample_rate):
+        return para.F0Track(np.zeros(len(frames)), np.ones(len(frames), dtype=bool))
+
+    monkeypatch.setattr(para, "estimate_f0", unvoiced_zeros_marked_voiced)
+    manifest = write_manifest(tmp_path / "manifest.jsonl", make_wavs(tmp_path))
+    out = tmp_path / "profiles.jsonl"
+    assert run_cli("extract", "--manifest", str(manifest), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: frames_hz must be 0 exactly on unvoiced frames\n"
+    assert not out.exists()
+
+
 def test_extract_unreadable_manifest(tmp_path):
     out = tmp_path / "profiles.jsonl"
     code = run_cli("extract", "--manifest", str(tmp_path / "missing.jsonl"), "--out", str(out))
@@ -1552,16 +1566,23 @@ def _modules_imported_by(*python_args):
     }
 
 
-@pytest.mark.parametrize(
-    "python_args",
-    [["-c", "import smoothclap.cli"], ["-m", "smoothclap.cli", "gradcheck", "--sizes", "B=2,d=3"]],
-    ids=["import", "gradcheck"],
-)
-def test_scipy_signal_stays_unloaded_until_something_resamples(python_args):
+@pytest.mark.parametrize("command", ["import", "gradcheck", "extract"])
+def test_scipy_stays_unloaded_until_something_resamples(tmp_path, command):
+    # no module under scipy at all: a module-level scipy.fft would add about
+    # as much import time and memory as scipy.signal does
+    write_wav(tmp_path / "t.wav", synth_tone(180.0, 0.3, 0.5))
+    out = tmp_path / "profiles.jsonl"
+    python_args = {
+        "import": ["-c", "import smoothclap.cli"],
+        "gradcheck": ["-m", "smoothclap.cli", "gradcheck", "--sizes", "B=2,d=3"],
+        "extract": ["-m", "smoothclap.cli", "extract", "--in-dir", str(tmp_path), "--out", str(out)],
+    }[command]
     code, modules = _modules_imported_by(*python_args)
     assert code == 0
     assert "smoothclap.paralinguistics" in modules
-    assert "scipy.signal" not in modules
+    assert not [name for name in modules if name.split(".")[0] == "scipy"]
+    if command == "extract":
+        assert len(read_jsonl_records(out)) == 1
 
 
 def test_the_first_resample_loads_scipy_signal(tmp_path):

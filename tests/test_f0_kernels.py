@@ -1,12 +1,15 @@
 """The array-at-once F0 peak picking, shimmer walk and voiced runs against the
-per-frame and per-period loops they replaced, and the autocorrelation's
-segment energies against their earlier form.
+per-frame and per-period loops they replaced, and the FFT autocorrelation
+against a direct time-domain correlation.
 
-The references below are the earlier implementations. The arithmetic is the
-same expressions in the same order, so agreement is bit for bit: ``frames_hz``
-is compared through an int64 view and the shimmer ratio with ``==``. The
-front end has one configuration, so the signals and sample rates, not a moved
-pitch band, reach the band edges.
+The loops below are the earlier implementations. The arithmetic is the same
+expressions in the same order, so agreement is bit for bit: ``frames_hz`` is
+compared through an int64 view and the shimmer ratio with ``==``. The FFT
+rounds differently from the direct sums, so the autocorrelation is held to a
+bound in units of the frame's energy, and the F0 decisions it drives to the
+same voicing and a pitch within 1e-9 Hz. The front end has one
+configuration, so the signals and sample rates, not a moved pitch band,
+reach the band edges.
 """
 import math
 import sys
@@ -85,21 +88,22 @@ def reference_f0(frames, sample_rate):
     return hz, voiced, branches
 
 
-def reference_normalized_autocorr(frames, max_lag):
+def direct_autocorr_terms(frames, max_lag):
+    """(corr, e_head, e_tail), each (frames, max_lag + 1): the correlation
+    x[:n-lag] . x[lag:] and the energies of those two segments, every one a
+    dot product over the segments in the time domain."""
     n = frames.shape[1]
-    nfft = 1
-    while nfft < 2 * n:
-        nfft *= 2
-    spec = np.fft.rfft(frames, nfft, axis=1)
-    raw = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, : max_lag + 1]
-    sq = frames * frames
-    cum = np.cumsum(sq, axis=1)
-    total = cum[:, -1:]
-    lags = np.arange(max_lag + 1)
-    e_head = cum[:, n - 1 - lags]
-    e_tail = np.where(lags == 0, total, total - cum[:, np.maximum(lags - 1, 0)])
-    denom = np.sqrt(np.maximum(e_head * e_tail, 0.0))
-    return np.where(denom > 0.0, raw / np.maximum(denom, 1e-300), 0.0)
+    terms = np.empty((3, frames.shape[0], max_lag + 1))
+    for lag in range(max_lag + 1):
+        head, tail = frames[:, : n - lag], frames[:, lag:]
+        terms[:, :, lag] = np.vecdot(head, tail), np.vecdot(head, head), np.vecdot(tail, tail)
+    return terms
+
+
+def direct_normalized_autocorr(frames, max_lag):
+    corr, e_head, e_tail = direct_autocorr_terms(frames, max_lag)
+    denom = np.sqrt(e_head * e_tail)
+    return np.divide(corr, denom, out=np.zeros_like(corr), where=denom > 0.0)
 
 
 def reference_voiced_runs(voiced):
@@ -198,8 +202,11 @@ def test_fixture_signals_match_the_loops(rate):
     assert {"inner", "fallback", None} <= set(branches)
 
 
+TONES_HZ = (40.0, 55.0, 97.3, 150.0, 220.0, 333.3, 440.0, 599.0, 650.0, 700.0)
+
+
 def test_tones_from_40_to_700_hz_match_the_loops():
-    for hz in (40.0, 55.0, 97.3, 150.0, 220.0, 333.3, 440.0, 599.0, 650.0, 700.0):
+    for hz in TONES_HZ:
         w = Waveform(synth_tone(hz, 0.25), 16000)
         frames = frame_signal(w)
         assert_same_track(frames, 16000)
@@ -312,10 +319,35 @@ def test_voiced_runs_match_the_loop(voiced):
     assert all(type(i) is int for run in runs for i in run)
 
 
+def cumulative_energies(frames, max_lag):
+    """(e_head, e_tail) from running sums of squares, as the kernel takes
+    them. A tail's energy taken as a difference of running sums is off by up
+    to about n * eps * sum(x**2), much against a one-sample tail, so the
+    kernel's output is scaled back with these, not the direct energies."""
+    n = frames.shape[1]
+    cum = np.cumsum(frames * frames, axis=1)
+    total = cum[:, -1:]
+    lags = np.arange(max_lag + 1)
+    e_head = cum[:, n - 1 - lags]
+    e_tail = np.where(lags == 0, total, total - cum[:, np.maximum(lags - 1, 0)])
+    return e_head, e_tail
+
+
+# in units of eps * sum(x**2) of the frame; the 2n-point FFT reached 6.4 on
+# these cases
+AUTOCORR_TOLERANCE = 64
+
+
 def assert_same_autocorr(frames, max_lag):
+    """The kernel's correlation, scaled back by the segment energies, is the
+    direct correlation within the tolerance, and exactly 0 where a segment
+    has no energy."""
     got = _normalized_autocorr(frames, max_lag)
-    expected = reference_normalized_autocorr(frames, max_lag)
-    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+    corr, e_head, e_tail = direct_autocorr_terms(frames, max_lag)
+    energy = np.sum(frames * frames, axis=1, keepdims=True)
+    error = np.abs(got * np.sqrt(np.multiply(*cumulative_energies(frames, max_lag))) - corr)
+    assert np.all(error <= AUTOCORR_TOLERANCE * np.finfo(np.float64).eps * energy)
+    assert np.all(got[e_head * e_tail == 0.0] == 0.0)
 
 
 def test_random_frames_match_the_autocorr_energies():
@@ -333,3 +365,23 @@ def test_fixture_signals_match_the_autocorr_energies(rate):
     for samples in fixture_signals(rate).values():
         frames = frame_signal(Waveform(samples, rate))
         assert_same_autocorr(frames, frames.shape[1] - 1)
+
+
+def assert_tracks_match_the_direct_correlation(monkeypatch, all_frames, rate):
+    tracks = [estimate_f0(frames, sample_rate=rate) for frames in all_frames]
+    monkeypatch.setattr(para, "_normalized_autocorr", direct_normalized_autocorr)
+    for frames, track in zip(all_frames, tracks):
+        direct = estimate_f0(frames, sample_rate=rate)
+        np.testing.assert_array_equal(track.voiced, direct.voiced)
+        np.testing.assert_allclose(track.frames_hz, direct.frames_hz, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_fixture_signal_tracks_match_the_direct_correlation(monkeypatch, rate):
+    all_frames = [frame_signal(Waveform(x, rate)) for x in fixture_signals(rate).values()]
+    assert_tracks_match_the_direct_correlation(monkeypatch, all_frames, rate)
+
+
+def test_tone_tracks_from_40_to_700_hz_match_the_direct_correlation(monkeypatch):
+    all_frames = [frame_signal(Waveform(synth_tone(hz, 0.25), 16000)) for hz in TONES_HZ]
+    assert_tracks_match_the_direct_correlation(monkeypatch, all_frames, 16000)

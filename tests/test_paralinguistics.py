@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 from smoothclap.errors import (
+    AmplitudeOutOfRange,
+    ComputationFailure,
     CorruptHeader,
     EmptyAudio,
+    FractionalPeriod,
+    InconsistentF0Track,
     SignalTooShort,
     TooShort,
     UnsupportedFormat,
@@ -253,8 +257,23 @@ def test_front_end_takes_no_frame_hop_band_or_voicing_parameter():
 
 
 def test_f0_track_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentF0Track, match="0 exactly on unvoiced"):
         F0Track(np.array([100.0, 0.0]), np.array([True, True]))
+    with pytest.raises(InconsistentF0Track, match="equal-length"):
+        F0Track(np.array([100.0]), np.array([True, True]))
+    with pytest.raises(InconsistentF0Track, match="must be positive"):
+        F0Track(np.array([-100.0]), np.array([True]))
+    # a track only estimate_f0 builds: a broken one is a computation failure
+    assert issubclass(InconsistentF0Track, ComputationFailure)
+
+
+def test_waveform_validation():
+    with pytest.raises(AmplitudeOutOfRange):
+        Waveform(np.array([0.5, -1.5]), 16000)
+    with pytest.raises(UnsupportedFormat, match="sample rate must be positive"):
+        Waveform(np.array([0.5]), 0)
+    for error in (AmplitudeOutOfRange, UnsupportedFormat):
+        assert not issubclass(error, ComputationFailure)
 
 
 # --- jitter / shimmer ---
@@ -299,6 +318,29 @@ def test_shimmer_alternating_amplitude():
     value, degraded = shimmer_local(w, track)
     assert not degraded
     assert value == pytest.approx(0.40, abs=1e-6)
+
+
+def reference_alternating_amplitude_tone(freq_hz, duration_s, amp_a, amp_b, rate):
+    """The per-sample formula that tiling one period pair replaced."""
+    period = int(round(rate / freq_hz))
+    idx = np.arange(int(round(duration_s * rate)))
+    amps = np.where((idx // period) % 2 == 0, amp_a, amp_b)
+    return amps * np.sin(2.0 * math.pi * (idx % period) / period)
+
+
+@pytest.mark.parametrize("rate", [16000, 22050, 44100])
+def test_alternating_amplitude_tone_matches_the_per_sample_formula(rate):
+    for period in (2, 37, 80, 441):
+        for duration in (0.0, 0.004, 0.3, 1.0):
+            args = (rate / period, duration, 0.3, 0.7)
+            got = synth_alternating_amplitude_tone(*args, rate=rate)
+            assert got.tobytes() == reference_alternating_amplitude_tone(*args, rate).tobytes()
+
+
+def test_alternating_amplitude_tone_needs_a_whole_period():
+    with pytest.raises(FractionalPeriod, match="divide the sample rate"):
+        synth_alternating_amplitude_tone(300.0, 0.1, 0.3, 0.7)
+    assert not issubclass(FractionalPeriod, ComputationFailure)
 
 
 def test_shimmer_silence_degraded():
