@@ -274,7 +274,8 @@ def load_model(path):
     checks the format version, finite tensors and log-temperature, one output
     width for both projections' weights and biases, and a text input width
     equal to the vocabulary size."""
-    # trainer imports this module for save_model and load_model
+    # trainer imports this module for save_model when it loads, so its
+    # classes are imported here, at call time
     from .trainer import ProjectionParams, TrainedModel
 
     doc, where = _read_json(path), str(path)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# the report's writer is part of this module's interface
+# ingest_external_embeddings reads its CSV through read_id_matrix_csv; the
+# benchmark times CSV reads and report writes through these two names
 from .artifacts import read_id_matrix_csv, save_report  # noqa: F401
 from .errors import LabelOutOfRange, LengthMismatch, ShapeMismatch
 from .numeric import as_matrix, l2_normalize_rows

@@ -8,10 +8,9 @@ supervises the cross-modal prediction distributions through a (symmetric)
 KL divergence. ``clap_mix_lambda`` mixes in conventional contrastive
 supervision: the loss is ``lam * InfoNCE + (1 - lam) * soft``. Every one of
 these weights is a field of :class:`SmoothingConfig`, which checks them
-once: every public piece that uses a weight takes the config, and only
-:func:`intra_modal_targets`, which serves both intra-modal temperatures,
-takes its temperature as an argument. Targets are constants during
-backpropagation: no gradient flows through the target branch.
+once, and every public function that uses a weight takes the config.
+Targets are constants during backpropagation: no gradient flows through the
+target branch.
 
 Gradients returned by :func:`loss_and_grad` are taken with respect to the
 rows an :class:`EmbeddingBatch` was built from (the chain rule runs through
@@ -20,11 +19,12 @@ the row L2-normalization) and with respect to ``log(tau_pred)``.
 Every B x B quantity (the targets, both prediction distributions, their KL
 terms and logit gradients) is formed one block of ``_BLOCK_ROWS`` rows at a
 time, and its sums are added up in block order, so no B x B array exists.
-The public forward functions validate their matrix arguments and then run the
-same private block code, in the same block order, as :func:`loss_and_grad`.
-Rows come from a validated :class:`EmbeddingBatch` and are trusted. So a
-manual composition of the public pieces reproduces the kernel's loss bit for
-bit, given the whole-matrix products the bits of the kernel's row blocks.
+Rows come from a validated :class:`EmbeddingBatch` and are trusted.
+:func:`build_targets` and :func:`loss_with_fixed_targets` run the kernel's
+own block code, so the fixed-target forward at the targets of
+:func:`build_targets` gives the loss of :func:`loss_and_grad` bit for bit.
+:func:`soft_loss`, summed in the kernel's block order, and
+:func:`clap_infonce` score given whole-matrix distributions and scores.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ from .numeric import (
     KL_FLOOR,
     as_matrix,
     check_temperature,
-    gram,
     l2_normalize_rows,
     row_norms,
     row_softmax_inplace,
@@ -62,9 +61,11 @@ class KLMode(str, Enum):
 class SmoothingConfig:
     """All hyperparameters of the soft-target objective.
 
-    gamma weights text-side against audio-side intra-modal similarity,
-    beta blends the soft distribution with the identity (hard) target,
-    and the three temperatures scale the respective similarity softmaxes.
+    The target is ``(1 - beta) I + beta ((1 - gamma) q_a2a + gamma q_t2t)``:
+    gamma weights text-side against audio-side intra-modal similarity, beta
+    blends the soft distribution with the identity (hard) target, and
+    ``tau_a2a``, ``tau_t2t`` and ``tau_pred`` scale the softmaxes of the
+    audio-audio, text-text and audio-text similarities.
     ``clap_mix_lambda`` weights InfoNCE against the soft loss: 0 is the soft
     loss alone, 1 plain CLAP, where no targets are built, so that symmetric
     KL needs ``beta > 0`` only below 1. Only ``tau_pred`` is learnable
@@ -153,58 +154,14 @@ class LossOutput:
     grad_log_tau_pred: float
 
 
-def cross_modal_scores(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
-    """Temperature-scaled audio-text similarity: dot(e_a[i], e_t[j]) / cfg.tau_pred."""
-    return gram(batch.audio, batch.text) / cfg.tau_pred
-
-
-def intra_modal_targets(features, tau: float) -> np.ndarray:
-    """Row-softmax of the self-similarity matrix of unit-norm feature rows."""
-    features = as_matrix(features, "features")
-    check_temperature(tau, "tau")
-    return _softmax_rows(features, features, tau)
-
-
-def mix_targets(q_a2a, q_t2t, cfg: SmoothingConfig) -> np.ndarray:
-    """Convex combination (1 - cfg.gamma) * q_a2a + cfg.gamma * q_t2t."""
-    q_a2a = as_matrix(q_a2a, "q_a2a")
-    q_t2t = as_matrix(q_t2t, "q_t2t")
-    if q_a2a.shape != q_t2t.shape:
-        raise ShapeMismatch(f"shapes differ: {q_a2a.shape} vs {q_t2t.shape}")
-    return (1.0 - cfg.gamma) * q_a2a + cfg.gamma * q_t2t
-
-
-def smooth_targets(q, cfg: SmoothingConfig) -> np.ndarray:
-    """Fuse the identity (hard) target with a soft distribution: (1-b)*I + b*q,
-    with b = cfg.beta."""
-    q = as_matrix(q, "q")
-    if q.shape[0] != q.shape[1]:
-        raise NotSquare(f"q must be square, got {q.shape}")
-    return (1.0 - cfg.beta) * np.eye(q.shape[0]) + cfg.beta * q
-
-
-def predicted_distributions(scores, cfg: SmoothingConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Audio-to-text and text-to-audio prediction distributions.
-
-    ``scores`` is the raw (unscaled) similarity matrix; ``cfg.tau_pred`` is
-    applied here exactly once. The second output is the row-softmax of the
-    transpose. Both are C-contiguous.
-    """
-    s = as_matrix(scores, "scores")
-    if s.shape[0] != s.shape[1]:
-        raise NotSquare(f"scores must be square, got {s.shape}")
-    return (
-        row_softmax_inplace(s.copy(), cfg.tau_pred),
-        row_softmax_inplace(np.ascontiguousarray(s.T), cfg.tau_pred),
-    )
-
-
 def build_targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
     """Softened target distribution for one batch (constant under backprop).
 
-    Built row block by row block, each block as the kernel builds it, with
-    the arithmetic of ``smooth_targets(mix_targets(q_a2a, q_t2t, cfg), cfg)``
-    of the two ``intra_modal_targets``.
+    ``(1 - beta) I + beta ((1 - gamma) q_a2a + gamma q_t2t)``, where q_a2a
+    and q_t2t are the row softmaxes of the similarities of the batch's unit
+    local-audio rows at ``cfg.tau_a2a`` and of its unit text rows at
+    ``cfg.tau_t2t``. Built row block by row block, each block as
+    :func:`loss_and_grad` builds it.
     """
     b = batch.size
     y = np.empty((b, b))
@@ -239,11 +196,16 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
 
 
 def clap_infonce(scores, cfg: SmoothingConfig) -> float:
-    """Symmetric InfoNCE at ``cfg.tau_pred``: mean negative log-likelihood of
-    the diagonal pairs."""
-    p_a2t, p_t2a = predicted_distributions(scores, cfg)
-    if p_a2t.shape[0] < 2:
+    """Symmetric InfoNCE at ``cfg.tau_pred`` of raw (unscaled) scores: mean
+    negative log-likelihood of the diagonal pairs, over the row softmaxes of
+    the scores and of their transpose."""
+    s = as_matrix(scores, "scores")
+    if s.shape[0] != s.shape[1]:
+        raise NotSquare(f"scores must be square, got {s.shape}")
+    if s.shape[0] < 2:
         raise ShapeMismatch("InfoNCE needs a batch of at least 2")
+    p_a2t = row_softmax_inplace(s.copy(), cfg.tau_pred)
+    p_t2a = row_softmax_inplace(np.ascontiguousarray(s.T), cfg.tau_pred)
     return _infonce(np.diag(p_a2t), np.diag(p_t2a))
 
 
@@ -300,7 +262,7 @@ def _softmax_rows(src: np.ndarray, dst: np.ndarray, tau: float) -> np.ndarray:
 def _target_rows(
     local: np.ndarray, text: np.ndarray, rows: slice, cfg: SmoothingConfig
 ) -> np.ndarray:
-    # in place, the arithmetic of smooth_targets(mix_targets(...)) on the rows
+    # in place: (1 - beta) I + beta ((1 - gamma) q_a2a + gamma q_t2t) on the rows
     y = _softmax_rows(local[rows], local, cfg.tau_a2a)
     y *= 1.0 - cfg.gamma
     q_t2t = _softmax_rows(text[rows], text, cfg.tau_t2t)
@@ -453,9 +415,9 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     Gradients are with respect to the audio/text rows the batch was built
     from (the last step divides by their norms, so scaling a row by s divides
     its gradient by s) and with respect to ``log(tau_pred)``. Target
-    distributions are constants. The returned value is computed by the same
-    block code, in the same block order, as the public forward functions, so
-    it matches a manual composition bit for bit (see the module docstring).
+    distributions are constants. The value is the one
+    :func:`loss_with_fixed_targets` gives at the targets of
+    :func:`build_targets`, bit for bit.
     """
     e_a, e_t = batch.audio, batch.text
     value, (grad_ea, grad_et) = _blocked_pass(

@@ -351,6 +351,20 @@ def estimate_f0(frames, sample_rate: int = TARGET_RATE) -> F0Track:
 
 # --- voice-quality ratios ----------------------------------------------------
 
+def _pooled_ratio(runs: list[np.ndarray]) -> tuple[float, bool]:
+    """(ratio, degraded) of per-run value sequences of two or more entries:
+    mean |v[i+1] - v[i]| over the consecutive pairs of every run, divided by
+    the mean of all values. (0, True) with no run or a mean that is not
+    positive."""
+    if not runs:
+        return 0.0, True
+    mean_diff = float(np.mean(np.concatenate([np.abs(np.diff(v)) for v in runs])))
+    mean = float(np.mean(np.concatenate(runs)))
+    if mean <= 0.0:
+        return 0.0, True
+    return mean_diff / mean, False
+
+
 def jitter_local(track: F0Track) -> tuple[float, bool]:
     """Cycle-to-cycle period variation, pooled over voiced runs.
 
@@ -359,19 +373,12 @@ def jitter_local(track: F0Track) -> tuple[float, bool]:
     two frames contribute nothing. With no usable pair the ratio is 0 and
     the degraded flag is set.
     """
-    diffs: list[np.ndarray] = []
-    periods: list[np.ndarray] = []
-    for start, end in track.voiced_runs():
-        if end - start < 2:
-            continue
-        t = 1.0 / track.frames_hz[start:end]
-        diffs.append(np.abs(np.diff(t)))
-        periods.append(t)
-    if not diffs:
-        return 0.0, True
-    mean_diff = float(np.mean(np.concatenate(diffs)))
-    mean_period = float(np.mean(np.concatenate(periods)))
-    return mean_diff / mean_period, False
+    periods = [
+        1.0 / track.frames_hz[start:end]
+        for start, end in track.voiced_runs()
+        if end - start >= 2
+    ]
+    return _pooled_ratio(periods)
 
 
 def shimmer_local(w: Waveform, track: F0Track) -> tuple[float, bool]:
@@ -385,8 +392,7 @@ def shimmer_local(w: Waveform, track: F0Track) -> tuple[float, bool]:
     x = np.abs(w.samples)
     frame_len, hop = _frame_geometry(w.sample_rate)
     frames_hz = track.frames_hz.tolist()
-    diffs: list[np.ndarray] = []
-    amps_all: list[np.ndarray] = []
+    amps: list[np.ndarray] = []
     for start, end in track.voiced_runs():
         run_start = start * hop
         run_end = min(x.size, (end - 1) * hop + frame_len)
@@ -402,16 +408,8 @@ def shimmer_local(w: Waveform, track: F0Track) -> tuple[float, bool]:
             bounds.append(hi)
             t += period
         if len(bounds) >= 3:
-            a = np.maximum.reduceat(x[: bounds[-1]], bounds[:-1])
-            diffs.append(np.abs(np.diff(a)))
-            amps_all.append(a)
-    if not diffs:
-        return 0.0, True
-    mean_diff = float(np.mean(np.concatenate(diffs)))
-    mean_amp = float(np.mean(np.concatenate(amps_all)))
-    if mean_amp <= 0.0:
-        return 0.0, True
-    return mean_diff / mean_amp, False
+            amps.append(np.maximum.reduceat(x[: bounds[-1]], bounds[:-1]))
+    return _pooled_ratio(amps)
 
 
 # --- profile -----------------------------------------------------------------

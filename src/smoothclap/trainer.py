@@ -17,8 +17,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-# the model's reader and writer, next to the model they serialize
-from .artifacts import load_model, save_model  # noqa: F401
+# the benchmark times model writes through the name trainer.save_model
+from .artifacts import save_model  # noqa: F401
 from .errors import (
     ConfigError,
     EmptyVocabulary,

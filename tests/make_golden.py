@@ -20,6 +20,24 @@ mp.mp.dps = 50
 
 GOLDEN_PATH = Path(__file__).parent / "golden_values.json"
 
+# Inputs of the loss_and_grad goldens: a batch of B rows takes the first B
+# rows of each matrix. Every entry and weight is exact in binary.
+KERNEL_AUDIO = [[1, 2, 0], [0, -1, 2], [2, 1, 1]]
+KERNEL_TEXT = [[2, 0, 1], [1, 1, -1], [0, 2, 1]]
+KERNEL_LOCAL = [[1, 0], [1, 1], [0, 2]]
+KERNEL_WEIGHTS = {"gamma": 0.25, "beta": 0.5, "tau_a2a": 0.5, "tau_t2t": 2.0, "tau_pred": 0.75}
+KERNEL_CASES = [
+    (b, kl_mode, lam)
+    for b in (2, 3)
+    for kl_mode in ("symmetric", "forward")
+    for lam in (0.0, 0.5, 1.0)
+]
+KL_FLOOR = 1e-8  # the floor under both logs of every KL term of the kernel
+
+
+def kernel_key(b: int, kl_mode: str, lam: float) -> str:
+    return f"loss_and_grad_b{b}_{kl_mode}_lam{lam:g}"
+
 
 def _softmax_row(values, temperature):
     exps = [mp.e ** (mp.mpf(v) / mp.mpf(temperature)) for v in values]
@@ -35,6 +53,97 @@ def _kl_row(p, q, floor):
         if pi > 0:
             total += pi * mp.log(max(pi, mp.mpf(floor)) / max(qi, mp.mpf(floor)))
     return total
+
+
+def _unit_rows(rows):
+    unit = []
+    for row in rows:
+        norm = mp.sqrt(mp.fsum(mp.mpf(x) ** 2 for x in row))
+        unit.append([mp.mpf(x) / norm for x in row])
+    return unit
+
+
+def _dot(u, v):
+    return mp.fsum(x * y for x, y in zip(u, v))
+
+
+def _similarity_softmax(src, dst, temperature):
+    """Row i: the softmax of the similarities of unit row src[i] to every dst row."""
+    return [_softmax_row([_dot(s, d) for d in dst], temperature) for s in src]
+
+
+def _kernel_targets(text, local, w):
+    """(1 - beta) I + beta ((1 - gamma) q_a2a + gamma q_t2t), from the unit rows."""
+    l_unit, t_unit = _unit_rows(local), _unit_rows(text)
+    q_a2a = _similarity_softmax(l_unit, l_unit, w["tau_a2a"])
+    q_t2t = _similarity_softmax(t_unit, t_unit, w["tau_t2t"])
+    gamma, beta = mp.mpf(w["gamma"]), mp.mpf(w["beta"])
+    return [
+        [
+            (1 - beta) * (i == j) + beta * ((1 - gamma) * q_a2a[i][j] + gamma * q_t2t[i][j])
+            for j in range(len(local))
+        ]
+        for i in range(len(local))
+    ]
+
+
+def _kernel_loss(audio, text, log_tau, y, symmetric, lam):
+    """lam * InfoNCE + (1 - lam) * soft loss of the rows at tau_pred = exp(log_tau),
+    against the fixed targets y."""
+    a_unit, t_unit = _unit_rows(audio), _unit_rows(text)
+    b = len(audio)
+    tau = mp.exp(log_tau)
+    # row i of p_a2t is audio i's distribution over the texts, row i of
+    # p_t2a text i's over the audio rows; both are scored against y[i]
+    p_a2t = _similarity_softmax(a_unit, t_unit, tau)
+    p_t2a = _similarity_softmax(t_unit, a_unit, tau)
+    infonce = -mp.fsum(mp.log(p_a2t[i][i]) + mp.log(p_t2a[i][i]) for i in range(b)) / (2 * b)
+    if lam == 1:
+        return infonce
+    soft = mp.mpf(0)
+    for i in range(b):
+        for p in (p_a2t[i], p_t2a[i]):
+            soft += _kl_row(y[i], p, KL_FLOOR)
+            if symmetric:
+                soft += _kl_row(p, y[i], KL_FLOOR)
+    soft /= 2 * b
+    return lam * infonce + (1 - lam) * soft
+
+
+def kernel_golden(b: int, kl_mode: str, lam: float) -> dict:
+    """Value of loss_and_grad on the first b rows of the KERNEL_* inputs, and its
+    gradients in the raw audio and text rows and in log(tau_pred), with the
+    targets held constant."""
+    audio = [[mp.mpf(x) for x in row] for row in KERNEL_AUDIO[:b]]
+    text = [[mp.mpf(x) for x in row] for row in KERNEL_TEXT[:b]]
+    y = _kernel_targets(text, KERNEL_LOCAL[:b], KERNEL_WEIGHTS)
+    symmetric = kl_mode == "symmetric"
+    lam = mp.mpf(lam)
+    log_tau = mp.log(mp.mpf(KERNEL_WEIGHTS["tau_pred"]))
+
+    def loss(audio, text, log_tau):
+        return _kernel_loss(audio, text, log_tau, y, symmetric, lam)
+
+    def grad_rows(rows, at):
+        grads = []
+        for i, row in enumerate(rows):
+            grads.append([])
+            for k, x in enumerate(row):
+
+                def moved(v, i=i, k=k):
+                    changed = [list(r) for r in rows]
+                    changed[i][k] = v
+                    return at(changed)
+
+                grads[-1].append(float(mp.diff(moved, x)))
+        return grads
+
+    return {
+        "value": float(loss(audio, text, log_tau)),
+        "grad_audio": grad_rows(audio, lambda a: loss(a, text, log_tau)),
+        "grad_text": grad_rows(text, lambda t: loss(audio, t, log_tau)),
+        "grad_log_tau_pred": float(mp.diff(lambda v: loss(audio, text, v), log_tau)),
+    }
 
 
 def compute_golden() -> dict:
@@ -64,27 +173,31 @@ def compute_golden() -> dict:
     values["percentile_1to10_p30"] = float(ranked[int(mp.ceil(mp.mpf(30) * 10 / 100)) - 1])
     values["percentile_1to10_p70"] = float(ranked[int(mp.ceil(mp.mpf(70) * 10 / 100)) - 1])
 
-    # intra-modal softmax for two orthogonal unit rows: scores [1, 0]
+    # targets at gamma 0, beta 1 and tau_a2a 1 on two orthogonal unit rows:
+    # row 0 is the softmax of their similarities [1, 0]
     values["intra_two_orthogonal"] = [float(x) for x in _softmax_row([1, 0], 1)]
 
     # prediction rows for scores [[2, 0], [0, 2]]: softmax of [2, 0]
     values["predicted_diag2"] = [float(x) for x in _softmax_row([2, 0], 1)]
 
-    # target mixing: 0.5 * [0.6, 0.4] + 0.5 * [0.2, 0.8]
+    # row 1 of the targets at gamma 0.5 and beta 1 on orthogonal local rows at
+    # tau_a2a = 1 / ln(13/7) and orthogonal text rows at tau_t2t = 1 / ln(11/9):
+    # 0.5 * [0.35, 0.65] + 0.5 * [0.45, 0.55]
     g = mp.mpf("0.5")
-    values["mix_half"] = [
-        float((1 - g) * mp.mpf("0.6") + g * mp.mpf("0.2")),
-        float((1 - g) * mp.mpf("0.4") + g * mp.mpf("0.8")),
-    ]
+    q_a2a = _softmax_row([0, 1], 1 / mp.log(mp.mpf(13) / 7))
+    q_t2t = _softmax_row([0, 1], 1 / mp.log(mp.mpf(11) / 9))
+    values["mix_half"] = [float((1 - g) * qa + g * qt) for qa, qt in zip(q_a2a, q_t2t)]
 
-    # identity fusion: 0.5 * I + 0.5 * [[0.6, 0.4], [0.4, 0.6]]
+    # targets at gamma 0 and beta 0.5 on orthogonal local rows at
+    # tau_a2a = 1 / ln 1.5: 0.5 * I + 0.5 * [[0.6, 0.4], [0.4, 0.6]]
     b = mp.mpf("0.5")
+    q = _softmax_row([1, 0], 1 / mp.log(mp.mpf("1.5")))
     values["smooth_half"] = [
-        [float((1 - b) + b * mp.mpf("0.6")), float(b * mp.mpf("0.4"))],
-        [float(b * mp.mpf("0.4")), float((1 - b) + b * mp.mpf("0.6"))],
+        [float((1 - b) + b * q[0]), float(b * q[1])],
+        [float(b * q[1]), float((1 - b) + b * q[0])],
     ]
 
-    # cross-modal score: [0.6, 0.8] . [0.8, 0.6]
+    # similarity of the rows [0.6, 0.8] and [0.8, 0.6]
     values["score_cross"] = float(
         mp.mpf("0.6") * mp.mpf("0.8") + mp.mpf("0.8") * mp.mpf("0.6")
     )
@@ -127,6 +240,9 @@ def compute_golden() -> dict:
     values["intensity_half_sine_db"] = float(
         20 * mp.log(mp.mpf("0.5") / mp.sqrt(2), 10)
     )
+
+    for case in KERNEL_CASES:
+        values[kernel_key(*case)] = kernel_golden(*case)
 
     return values
 

@@ -5,6 +5,7 @@ verdicts on the terminal.
 """
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +35,9 @@ from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
     SmoothingConfig,
+    build_targets,
     clap_infonce,
-    cross_modal_scores,
-    intra_modal_targets,
-    mix_targets,
-    predicted_distributions,
-    smooth_targets,
+    loss_and_grad,
     soft_loss,
 )
 from smoothclap.paralinguistics import (
@@ -111,12 +109,14 @@ def test_criterion_2_distribution_invariants(capsys):
             tau_t2t=float(rng.uniform(0.3, 3.0)),
             tau_pred=float(rng.uniform(0.3, 3.0)),
         )
-        q_a2a = intra_modal_targets(batch.local_audio, cfg.tau_a2a)
-        q_t2t = intra_modal_targets(batch.text, cfg.tau_t2t)
-        q = mix_targets(q_a2a, q_t2t, cfg)
-        y = smooth_targets(q, cfg)
+        # beta 1 leaves the identity out; gamma 0 and 1 keep one side each
+        q_a2a = build_targets(batch, replace(cfg, gamma=0.0, beta=1.0))
+        q_t2t = build_targets(batch, replace(cfg, gamma=1.0, beta=1.0))
+        q = build_targets(batch, replace(cfg, beta=1.0))
+        y = build_targets(batch, cfg)
         scores = gram(batch.audio, batch.text)
-        p_a2t, p_t2a = predicted_distributions(scores, cfg)
+        p_a2t = row_softmax(scores, cfg.tau_pred)
+        p_t2a = row_softmax(scores.T, cfg.tau_pred)
         for m in (q_a2a, q_t2t, q, y, p_a2t, p_t2a):
             ok = ok and is_row_stochastic(m, tol=1e-9)
         ok = ok and bool(np.all(y > 0.0))
@@ -131,6 +131,8 @@ def test_criterion_2_distribution_invariants(capsys):
 # 3. hard-target recovery
 
 def test_criterion_3_hard_target_recovery(capsys):
+    # the kernel's soft loss at beta 0 with forward KL against its plain CLAP
+    # loss: the value and every gradient entry
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(100):
@@ -143,10 +145,14 @@ def test_criterion_3_hard_target_recovery(capsys):
         )
         tau = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
         cfg = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD, tau_pred=tau)
-        scores = gram(batch.audio, batch.text)
-        y = smooth_targets(intra_modal_targets(batch.local_audio, 1.0), cfg)
-        p_a2t, p_t2a = predicted_distributions(scores, cfg)
-        gap = abs(soft_loss(y, p_a2t, p_t2a, cfg) - clap_infonce(scores, cfg))
+        soft = loss_and_grad(batch, cfg)
+        clap = loss_and_grad(batch, replace(cfg, clap_mix_lambda=1.0))
+        gap = max(
+            abs(soft.value - clap.value),
+            float(np.max(np.abs(soft.grad_audio - clap.grad_audio))),
+            float(np.max(np.abs(soft.grad_text - clap.grad_text))),
+            abs(soft.grad_log_tau_pred - clap.grad_log_tau_pred),
+        )
         worst = max(worst, gap)
     with capsys.disabled():
         report(3, f"hard-target recovery (worst gap {worst:.2e})", worst < 1e-9)
@@ -155,8 +161,21 @@ def test_criterion_3_hard_target_recovery(capsys):
 # -------------------------------------------------------------------------
 # 4. oracle golden values
 
+class _ReadKeys(dict):
+    """The golden values, recording each key read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def test_criterion_4_oracle_golden_values(capsys):
     ok = True
+    golden = _ReadKeys(GOLDEN)
 
     def close(a, b):
         return np.all(np.abs(np.asarray(a, float) - np.asarray(b, float)) < 1e-9)
@@ -164,57 +183,77 @@ def test_criterion_4_oracle_golden_values(capsys):
     # the frozen file must itself match a fresh run of the oracle script
     ok &= make_golden.compute_golden() == GOLDEN
 
-    ok &= close(l2_normalize_rows([[3.0, 4.0]])[0], GOLDEN["l2_normalize_3_4"])
-    ok &= close(row_softmax([[np.log(2.0), 0.0]], 1.0)[0], GOLDEN["softmax_ln2_0"])
-    ok &= close(row_softmax([[1000.0, 999.0]], 1.0)[0], GOLDEN["softmax_1000_999"])
-    ok &= close(kl_rows([[1.0, 0.0]], [[0.5, 0.5]]), GOLDEN["kl_onehot_uniform"])
-    ok &= close(kl_rows([[0.9, 0.1]], [[0.1, 0.9]]), GOLDEN["kl_09_01_vs_01_09"])
-    ok &= close(gram([[1.0, 2.0]], [[3.0, 4.0]])[0, 0], GOLDEN["gram_12_34"])
+    ok &= close(l2_normalize_rows([[3.0, 4.0]])[0], golden["l2_normalize_3_4"])
+    ok &= close(row_softmax([[np.log(2.0), 0.0]], 1.0)[0], golden["softmax_ln2_0"])
+    ok &= close(row_softmax([[1000.0, 999.0]], 1.0)[0], golden["softmax_1000_999"])
+    ok &= close(kl_rows([[1.0, 0.0]], [[0.5, 0.5]]), golden["kl_onehot_uniform"])
+    ok &= close(kl_rows([[0.9, 0.1]], [[0.1, 0.9]]), golden["kl_09_01_vs_01_09"])
+    ok &= close(gram([[1.0, 2.0]], [[3.0, 4.0]])[0, 0], golden["gram_12_34"])
     ok &= close(
-        percentile_nearest_rank(range(1, 11), 30), GOLDEN["percentile_1to10_p30"]
+        percentile_nearest_rank(range(1, 11), 30), golden["percentile_1to10_p30"]
     )
     ok &= close(
-        percentile_nearest_rank(range(1, 11), 70), GOLDEN["percentile_1to10_p70"]
+        percentile_nearest_rank(range(1, 11), 70), golden["percentile_1to10_p70"]
     )
-    ok &= close(intra_modal_targets(np.eye(2), 1.0)[0], GOLDEN["intra_two_orthogonal"])
-    unit_tau = SmoothingConfig(tau_pred=1.0)
+    eye = EmbeddingBatch(np.eye(2), np.eye(2), np.eye(2))
     ok &= close(
-        predicted_distributions(np.diag([2.0, 2.0]), unit_tau)[0][0],
-        GOLDEN["predicted_diag2"],
+        build_targets(eye, SmoothingConfig(gamma=0.0, beta=1.0, tau_a2a=1.0))[0],
+        golden["intra_two_orthogonal"],
     )
-    ok &= close(
-        mix_targets([[0.6, 0.4]], [[0.2, 0.8]], SmoothingConfig(gamma=0.5))[0],
-        GOLDEN["mix_half"],
+    ok &= close(row_softmax(np.diag([2.0, 2.0]), 1.0)[0], golden["predicted_diag2"])
+    mix = SmoothingConfig(
+        gamma=0.5, beta=1.0, tau_a2a=1.0 / np.log(13.0 / 7.0), tau_t2t=1.0 / np.log(11.0 / 9.0)
     )
-    ok &= close(
-        smooth_targets([[0.6, 0.4], [0.4, 0.6]], SmoothingConfig(beta=0.5)),
-        GOLDEN["smooth_half"],
-    )
+    ok &= close(build_targets(eye, mix)[1], golden["mix_half"])
+    smooth = SmoothingConfig(gamma=0.0, beta=0.5, tau_a2a=1.0 / np.log(1.5))
+    ok &= close(build_targets(eye, smooth), golden["smooth_half"])
     audio = np.array([[0.6, 0.8], [0.8, -0.6]])
     text = np.array([[0.8, 0.6], [0.6, -0.8]])
-    ok &= close(
-        cross_modal_scores(EmbeddingBatch(audio, text, audio), unit_tau)[0, 0],
-        GOLDEN["score_cross"],
-    )
-    ok &= close(clap_infonce(np.zeros((2, 2)), unit_tau), GOLDEN["infonce_zero_b2"])
-    ok &= close(clap_infonce(np.eye(2), unit_tau), GOLDEN["infonce_identity_b2"])
+    ok &= close(gram(audio, text)[0, 0], golden["score_cross"])
+    unit_tau = SmoothingConfig(tau_pred=1.0)
+    ok &= close(clap_infonce(np.zeros((2, 2)), unit_tau), golden["infonce_zero_b2"])
+    ok &= close(clap_infonce(np.eye(2), unit_tau), golden["infonce_identity_b2"])
     y = np.array([[0.9, 0.1], [0.1, 0.9]])
     uniform = np.full((2, 2), 0.5)
     ok &= close(
         soft_loss(y, uniform, uniform, SmoothingConfig(beta=0.5)),
-        GOLDEN["soft_loss_example"],
+        golden["soft_loss_example"],
     )
     theta, _ = adam_step(np.zeros(()), np.ones(()), AdamState.zeros_like(np.zeros(())), 1e-3)
-    ok &= close(float(theta), GOLDEN["adam_first_step_delta"])
+    ok &= close(float(theta), golden["adam_first_step_delta"])
     rep = confusion_and_uar([0] * 10 + [1] * 10, [0] * 8 + [1] * 2 + [0] * 4 + [1] * 6, 2)
-    ok &= close(rep.per_class_recall, GOLDEN["uar_8246"]["recalls"])
-    ok &= close(rep.uar, GOLDEN["uar_8246"]["uar"])
+    ok &= close(rep.per_class_recall, golden["uar_8246"]["recalls"])
+    ok &= close(rep.uar, golden["uar_8246"]["uar"])
     t = fit_bins(list(range(1, 11)), "x")
     ok &= (t.low, t.high) == (3.0, 7.0)
     vec = featurize_text(["happy", "calm"], ["calm", "happy"])
-    ok &= close(vec, [GOLDEN["two_tag_component"]] * 2)
+    ok &= close(vec, [golden["two_tag_component"]] * 2)
     frame = synth_tone(200.0, 0.025, 0.5)[None, :]
-    ok &= close(rms_intensity(frame)[0], GOLDEN["intensity_half_sine_db"])
+    ok &= close(rms_intensity(frame)[0], golden["intensity_half_sine_db"])
+
+    # loss_and_grad: the value and every gradient
+    kernel_keys = set()
+    for b, kl_mode, lam in make_golden.KERNEL_CASES:
+        batch = EmbeddingBatch(
+            np.array(make_golden.KERNEL_AUDIO[:b], float),
+            np.array(make_golden.KERNEL_TEXT[:b], float),
+            np.array(make_golden.KERNEL_LOCAL[:b], float),
+        )
+        cfg = SmoothingConfig(
+            **make_golden.KERNEL_WEIGHTS, kl_mode=KLMode(kl_mode), clap_mix_lambda=lam
+        )
+        out = loss_and_grad(batch, cfg)
+        key = make_golden.kernel_key(b, kl_mode, lam)
+        kernel_keys.add(key)
+        expected = golden[key]
+        ok &= close(out.value, expected["value"])
+        ok &= close(out.grad_audio, expected["grad_audio"])
+        ok &= close(out.grad_text, expected["grad_text"])
+        ok &= close(out.grad_log_tau_pred, expected["grad_log_tau_pred"])
+    ok &= len(kernel_keys) == 12
+
+    # every golden value is checked against the library
+    ok &= golden.read == set(GOLDEN)
 
     with capsys.disabled():
         report(4, "oracle golden values", bool(ok))

@@ -20,6 +20,7 @@ from helpers import (
     write_labels_csv,
     write_tags_jsonl,
 )
+from smoothclap.artifacts import load_model
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.objective import KLMode, SmoothingConfig
 from smoothclap.trainer import (
@@ -28,7 +29,6 @@ from smoothclap.trainer import (
     TrainConfig,
     embed_audio,
     embed_query_labels,
-    load_model,
     train,
 )
 from smoothclap.cli import _OPTIONS_BY_KEY, build_parser, resolve_train_config

@@ -23,10 +23,9 @@ from smoothclap.objective import (
     loss_and_grad,
     loss_with_fixed_targets,
     build_targets,
-    predicted_distributions,
     soft_loss,
 )
-from smoothclap.numeric import gram
+from smoothclap.numeric import gram, row_softmax
 
 
 def make_rows(rng, b, d):
@@ -133,7 +132,9 @@ def test_fixed_target_forward_ignores_target_branch_inputs():
     perturbed = EmbeddingBatch(audio, text + 0.3 * rng.standard_normal(text.shape), local)
     # the perturbed rows would build other targets
     assert not np.array_equal(build_targets(perturbed, cfg), y)
-    p_a2t, p_t2a = predicted_distributions(gram(perturbed.audio, perturbed.text), cfg)
+    # B = 4 is one row block: the kernel forms these two products
+    p_a2t = row_softmax(gram(perturbed.audio, perturbed.text), cfg.tau_pred)
+    p_t2a = row_softmax(gram(perturbed.text, perturbed.audio), cfg.tau_pred)
     assert loss_with_fixed_targets(perturbed, y, cfg) == soft_loss(y, p_a2t, p_t2a, cfg)
 
 

@@ -1,9 +1,9 @@
 """The row-blocked loss/gradient kernel against two whole-matrix oracles.
 
 ``reference_loss_and_grad`` is the earliest implementation of
-``loss_and_grad``: the public forward pieces, the per-direction logit
-gradient ``_kl_grad_wrt_logits`` and, for the CLAP mix, two separate calls
-combined with weights lambda and 1 - lambda. ``whole_matrix_loss_and_grad``
+``loss_and_grad``: whole-matrix targets and predictions, the per-direction
+logit gradient ``_kl_grad_wrt_logits`` and, for the CLAP mix, two separate
+calls combined with weights lambda and 1 - lambda. ``whole_matrix_loss_and_grad``
 is the single-pass kernel that the row-blocked one replaced, kept as it was:
 it forms every B x B array at once. The blocked kernel reorders the
 arithmetic, so agreement is to 1e-12 relative, not bit for bit. Both oracles
@@ -29,10 +29,7 @@ from smoothclap.objective import (
     KLMode,
     LossOutput,
     SmoothingConfig,
-    intra_modal_targets,
     loss_and_grad,
-    mix_targets,
-    smooth_targets,
 )
 
 REL_TOL = 1e-12
@@ -77,14 +74,7 @@ def reference_loss_and_grad(batch, cfg):
     hard = with_grads(infonce, np.eye(b), False)
     if lam == 1.0:
         return hard
-    y = smooth_targets(
-        mix_targets(
-            intra_modal_targets(batch.local_audio, cfg.tau_a2a),
-            intra_modal_targets(batch.text, cfg.tau_t2t),
-            cfg,
-        ),
-        cfg,
-    )
+    y = _targets(batch, cfg)
     symmetric = cfg.kl_mode is KLMode.SYMMETRIC
     total = kl_sum(y, p_a2t) + kl_sum(y, p_t2a)
     if symmetric:
@@ -113,7 +103,7 @@ def _intra_modal(features: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
-    # in place, the arithmetic of smooth_targets(mix_targets(...))
+    # in place: (1 - beta) I + beta ((1 - gamma) q_a2a + gamma q_t2t)
     y = _intra_modal(batch.local_audio, cfg.tau_a2a)
     y *= 1.0 - cfg.gamma
     q_t2t = _intra_modal(batch.text, cfg.tau_t2t)

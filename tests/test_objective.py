@@ -18,20 +18,15 @@ from smoothclap.errors import (
     ShapeMismatch,
     ZeroMassTarget,
 )
-from smoothclap.numeric import gram, is_row_stochastic, l2_normalize_rows
+from smoothclap.numeric import gram, is_row_stochastic, l2_normalize_rows, row_softmax
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
     SmoothingConfig,
     build_targets,
     clap_infonce,
-    cross_modal_scores,
-    intra_modal_targets,
     loss_and_grad,
     loss_with_fixed_targets,
-    mix_targets,
-    predicted_distributions,
-    smooth_targets,
     soft_loss,
 )
 
@@ -44,6 +39,18 @@ def make_batch(rng, b=4, d=8):
         text=rng.standard_normal((b, d)),
         local_audio=rng.standard_normal((b, d + 2)),
     )
+
+
+def audio_targets(local, tau_a2a):
+    """build_targets at gamma 0 and beta 1: the row softmax of the
+    similarities of the local rows, q_a2a."""
+    batch = EmbeddingBatch(np.eye(len(local)), np.eye(len(local)), local)
+    return build_targets(batch, SmoothingConfig(gamma=0.0, beta=1.0, tau_a2a=tau_a2a))
+
+
+def predictions(g, cfg):
+    """Both prediction distributions of the unscaled scores g."""
+    return row_softmax(g, cfg.tau_pred), row_softmax(g.T, cfg.tau_pred)
 
 
 # --- configuration and batch validation ---
@@ -118,50 +125,29 @@ def test_batch_shape_validation():
                        rng.standard_normal((1, 4)))
 
 
-# --- cross_modal_scores ---
-
-def test_scores_identity_basis():
-    eye = np.eye(3)
-    batch = EmbeddingBatch(eye, eye, eye)
-    scores = cross_modal_scores(batch, SmoothingConfig(tau_pred=1.0))
-    np.testing.assert_allclose(scores, np.eye(3), atol=1e-12)
-    scores = cross_modal_scores(batch, SmoothingConfig(tau_pred=0.5))
-    np.testing.assert_allclose(scores, 2 * np.eye(3), atol=1e-12)
-
+# --- targets and predictions ---
 
 def test_scores_hand_example():
     audio = np.array([[0.6, 0.8], [0.8, -0.6]])
     text = np.array([[0.8, 0.6], [0.6, -0.8]])
-    batch = EmbeddingBatch(audio, text, audio)
-    s = cross_modal_scores(batch, SmoothingConfig(tau_pred=1.0))
-    assert s[0, 0] == pytest.approx(GOLDEN["score_cross"], abs=1e-12)
+    assert gram(audio, text)[0, 0] == pytest.approx(GOLDEN["score_cross"], abs=1e-12)
 
-
-# --- intra_modal_targets ---
 
 def test_intra_two_orthogonal_rows():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    q = intra_modal_targets(rows, 1.0)
+    q = audio_targets(np.eye(2), 1.0)
     np.testing.assert_allclose(q[0], GOLDEN["intra_two_orthogonal"], atol=1e-9)
     np.testing.assert_allclose(q[1], GOLDEN["intra_two_orthogonal"][::-1], atol=1e-9)
 
 
-def test_intra_rejects_a_temperature_the_config_rejects():
-    with pytest.raises(NonFiniteValue, match="tau must be finite, got inf"):
-        intra_modal_targets(np.eye(2), np.inf)
-    with pytest.raises(NonPositiveTemperature, match="tau must be > 0, got 0.0"):
-        intra_modal_targets(np.eye(2), 0.0)
-
-
 def test_intra_high_temperature_is_uniform():
     rows = random_unit_rows(np.random.default_rng(2), 5, 6)
-    q = intra_modal_targets(rows, 1e6)
+    q = audio_targets(rows, 1e6)
     np.testing.assert_allclose(q, np.full((5, 5), 0.2), atol=1e-5)
 
 
 def test_intra_low_temperature_is_one_hot_on_diagonal():
     rows = l2_normalize_rows(np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.5, 0.0, 1.0]]))
-    q = intra_modal_targets(rows, 0.01)
+    q = audio_targets(rows, 0.01)
     np.testing.assert_allclose(q, np.eye(3), atol=1e-4)
 
 
@@ -169,59 +155,56 @@ def test_intra_diagonal_argmax_for_distinct_unit_rows():
     rng = np.random.default_rng(5)
     for _ in range(50):
         rows = random_unit_rows(rng, 6, 4)
-        q = intra_modal_targets(rows, 0.7)
+        q = audio_targets(rows, 0.7)
         assert np.array_equal(np.argmax(q, axis=1), np.arange(6))
 
 
-# --- mix / smooth targets ---
-
 def test_mix_endpoints_and_example():
-    qa = np.array([[0.6, 0.4]])
-    qt = np.array([[0.2, 0.8]])
-    np.testing.assert_array_equal(mix_targets(qa, qt, SmoothingConfig(gamma=0.0)), qa)
-    np.testing.assert_array_equal(mix_targets(qa, qt, SmoothingConfig(gamma=1.0)), qt)
-    half = SmoothingConfig(gamma=0.5)
-    np.testing.assert_allclose(mix_targets(qa, qt, half), [GOLDEN["mix_half"]], atol=1e-12)
-    with pytest.raises(ShapeMismatch):
-        mix_targets(qa, np.array([[0.2, 0.3, 0.5]]), half)
+    rng = np.random.default_rng(3)
+    audio, text, text2 = (rng.standard_normal((5, 4)) for _ in range(3))
+    local, local2 = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+    batch = EmbeddingBatch(audio, text, local)
+    other_text = EmbeddingBatch(audio, text2, local)
+    other_local = EmbeddingBatch(audio, text, local2)
+    # gamma 0 reads only the local rows, gamma 1 only the text rows
+    audio_side = SmoothingConfig(gamma=0.0, beta=1.0)
+    text_side = SmoothingConfig(gamma=1.0, beta=1.0)
+    np.testing.assert_array_equal(
+        build_targets(batch, audio_side), build_targets(other_text, audio_side)
+    )
+    np.testing.assert_array_equal(
+        build_targets(batch, text_side), build_targets(other_local, text_side)
+    )
+    # row 1 mixes [0.35, 0.65] and [0.45, 0.55] half and half
+    eye = np.eye(2)
+    half = SmoothingConfig(
+        gamma=0.5, beta=1.0, tau_a2a=1.0 / np.log(13.0 / 7.0), tau_t2t=1.0 / np.log(11.0 / 9.0)
+    )
+    y = build_targets(EmbeddingBatch(eye, eye, eye), half)
+    np.testing.assert_allclose(y[1], GOLDEN["mix_half"], atol=1e-12)
 
 
 def test_smooth_endpoints_and_example():
-    q = np.array([[0.6, 0.4], [0.4, 0.6]])
+    batch = make_batch(np.random.default_rng(7), b=3)
     hard = SmoothingConfig(beta=0.0, kl_mode=KLMode.FORWARD)
-    np.testing.assert_array_equal(smooth_targets(q, hard), np.eye(2))
-    np.testing.assert_array_equal(smooth_targets(q, SmoothingConfig(beta=1.0)), q)
-    half = SmoothingConfig(beta=0.5)
-    np.testing.assert_allclose(smooth_targets(q, half), GOLDEN["smooth_half"], atol=1e-12)
-    with pytest.raises(NotSquare):
-        smooth_targets(np.array([[0.5, 0.25, 0.25]]), half)
-
-
-# --- predicted_distributions ---
-
-def test_predicted_zero_scores_uniform():
-    p_a2t, p_t2a = predicted_distributions(np.zeros((2, 2)), SmoothingConfig(tau_pred=1.0))
-    np.testing.assert_allclose(p_a2t, np.full((2, 2), 0.5), atol=1e-15)
-    np.testing.assert_allclose(p_t2a, np.full((2, 2), 0.5), atol=1e-15)
-
-
-def test_predicted_symmetric_scores_match():
-    rng = np.random.default_rng(6)
-    s = rng.standard_normal((4, 4))
-    s = s + s.T
-    p_a2t, p_t2a = predicted_distributions(s, SmoothingConfig(tau_pred=0.8))
-    np.testing.assert_allclose(p_a2t, p_t2a, atol=1e-12)
+    np.testing.assert_array_equal(build_targets(batch, hard), np.eye(3))
+    # beta 1 leaves the identity out: at gamma 0 the targets are q_a2a
+    soft = SmoothingConfig(gamma=0.0, beta=1.0)
+    np.testing.assert_allclose(
+        build_targets(batch, soft),
+        row_softmax(gram(batch.local_audio, batch.local_audio), 1.0),
+        rtol=1e-12,
+    )
+    # the rows [0.6, 0.4] and [0.4, 0.6] fused with the identity half and half
+    eye = np.eye(2)
+    half = SmoothingConfig(gamma=0.0, beta=0.5, tau_a2a=1.0 / np.log(1.5))
+    y = build_targets(EmbeddingBatch(eye, eye, eye), half)
+    np.testing.assert_allclose(y, GOLDEN["smooth_half"], atol=1e-12)
 
 
 def test_predicted_diagonal_example():
-    scores = np.array([[2.0, 0.0], [0.0, 2.0]])
-    p_a2t, _ = predicted_distributions(scores, SmoothingConfig(tau_pred=1.0))
+    p_a2t = row_softmax(np.array([[2.0, 0.0], [0.0, 2.0]]), 1.0)
     np.testing.assert_allclose(p_a2t[0], GOLDEN["predicted_diag2"], atol=1e-9)
-
-
-def test_predicted_requires_square():
-    with pytest.raises(NotSquare):
-        predicted_distributions(np.zeros((2, 3)), SmoothingConfig())
 
 
 # --- soft_loss ---
@@ -253,7 +236,7 @@ def test_soft_loss_forward_near_hard_targets_approaches_infonce():
     g = gram(batch.audio, batch.text)
     cfg = SmoothingConfig(beta=1e-6, kl_mode=KLMode.FORWARD, tau_pred=1.0)
     y = build_targets(batch, cfg)
-    p_a2t, p_t2a = predicted_distributions(g, cfg)
+    p_a2t, p_t2a = predictions(g, cfg)
     soft = soft_loss(y, p_a2t, p_t2a, cfg)
     hard = clap_infonce(g, cfg)
     assert abs(soft - hard) < 1e-4
@@ -271,7 +254,7 @@ def test_soft_loss_nonnegative():
         )
         g = gram(batch.audio, batch.text)
         y = build_targets(batch, cfg)
-        p_a2t, p_t2a = predicted_distributions(g, cfg)
+        p_a2t, p_t2a = predictions(g, cfg)
         assert soft_loss(y, p_a2t, p_t2a, cfg) >= 0.0
 
 
@@ -299,6 +282,12 @@ def test_infonce_decreases_with_alignment_strength():
 def test_infonce_requires_square():
     with pytest.raises(NotSquare):
         clap_infonce(np.zeros((2, 3)), SmoothingConfig())
+    # a batch of one is refused before any softmax, which would overwrite
+    # a 1 x 1 input through its transpose view
+    one = np.array([[5.0]])
+    with pytest.raises(ShapeMismatch, match="InfoNCE needs a batch of at least 2"):
+        clap_infonce(one, SmoothingConfig())
+    assert one[0, 0] == 5.0
 
 
 # --- target distribution invariants ---
@@ -321,29 +310,32 @@ def test_hard_target_recovery_matches_infonce():
     for _ in range(25):
         batch = make_batch(rng, b=5, d=9)
         g = gram(batch.audio, batch.text)
-        y = smooth_targets(intra_modal_targets(batch.local_audio, 1.0), cfg)
-        p_a2t, p_t2a = predicted_distributions(g, cfg)
+        y = build_targets(batch, cfg)
+        p_a2t, p_t2a = predictions(g, cfg)
         assert soft_loss(y, p_a2t, p_t2a, cfg) == pytest.approx(
             clap_infonce(g, cfg), abs=1e-9
         )
 
 
-def test_loss_value_matches_manual_composition_bitwise():
+def test_loss_value_matches_manual_composition():
     # B = 130 is two full row blocks of the kernel and a block of two rows
     for b in (5, 130):
         rng = np.random.default_rng(13)
         audio, text = rng.standard_normal((b, 7)), rng.standard_normal((b, 7))
         batch = EmbeddingBatch(audio, text, rng.standard_normal((b, 9)))
         cfg = SmoothingConfig(gamma=0.3, beta=0.4, tau_pred=0.9)
-        # the kernel takes the batch's unit rows as they are
+        # the kernel takes the batch's unit rows as they are; its row blocks
+        # of the products need not match the whole products' rows bit for bit
         g = gram(batch.audio, batch.text)
-        p_a2t, p_t2a = predicted_distributions(g, cfg)
+        p_a2t, p_t2a = predictions(g, cfg)
         y = build_targets(batch, cfg)
-        assert loss_and_grad(batch, cfg).value == soft_loss(y, p_a2t, p_t2a, cfg)
+        soft = soft_loss(y, p_a2t, p_t2a, cfg)
+        assert loss_and_grad(batch, cfg).value == pytest.approx(soft, rel=1e-12)
         clap = replace(cfg, clap_mix_lambda=1.0)
-        assert loss_and_grad(batch, clap).value == clap_infonce(g, cfg)
+        assert loss_and_grad(batch, clap).value == pytest.approx(clap_infonce(g, cfg), rel=1e-12)
         # the fixed-target forward evaluates the kernel's mix from the same
-        # terms; 0.3 tells the weight of InfoNCE from that of the soft loss
+        # block code, bit for bit; 0.3 tells the weight of InfoNCE from that
+        # of the soft loss
         for lam in (0.0, 0.3, 0.5, 1.0):
             mixed = replace(cfg, clap_mix_lambda=lam)
             fixed = loss_with_fixed_targets(batch, y, mixed)

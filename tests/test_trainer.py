@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smoothclap.artifacts import load_model, save_model
 from smoothclap.errors import (
     EmptyVocabulary,
     InsufficientData,
@@ -32,8 +33,6 @@ from smoothclap.trainer import (
     featurize_tag_lists,
     featurize_text,
     init_projection,
-    load_model,
-    save_model,
     train,
     train_step,
 )
