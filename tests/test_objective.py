@@ -127,6 +127,18 @@ def test_batch_shape_validation():
 
 # --- targets and predictions ---
 
+def test_scores_identity_basis():
+    eye = np.eye(3)
+    np.testing.assert_allclose(gram(eye, eye), eye, atol=1e-12)
+    # the kernel's logits are the scores over tau_pred: at tau_pred 0.5 its
+    # InfoNCE on the identity basis is that of the scores 2 I at tau 1
+    batch = EmbeddingBatch(eye, eye, eye)
+    half = SmoothingConfig(tau_pred=0.5, clap_mix_lambda=1.0)
+    assert loss_and_grad(batch, half).value == pytest.approx(
+        clap_infonce(2 * eye, SmoothingConfig(tau_pred=1.0)), rel=1e-12
+    )
+
+
 def test_scores_hand_example():
     audio = np.array([[0.6, 0.8], [0.8, -0.6]])
     text = np.array([[0.8, 0.6], [0.6, -0.8]])
@@ -137,6 +149,20 @@ def test_intra_two_orthogonal_rows():
     q = audio_targets(np.eye(2), 1.0)
     np.testing.assert_allclose(q[0], GOLDEN["intra_two_orthogonal"], atol=1e-9)
     np.testing.assert_allclose(q[1], GOLDEN["intra_two_orthogonal"][::-1], atol=1e-9)
+
+
+def test_intra_rejects_a_temperature_the_config_rejects():
+    # the intra-modal temperatures reach build_targets only through the
+    # config, and the row softmax they scale refuses the same values
+    for name in ("tau_a2a", "tau_t2t"):
+        with pytest.raises(NonFiniteValue, match=f"{name} must be finite, got inf"):
+            SmoothingConfig(**{name: np.inf})
+        with pytest.raises(NonPositiveTemperature, match=f"{name} must be > 0, got 0.0"):
+            SmoothingConfig(**{name: 0.0})
+    with pytest.raises(NonFiniteValue, match="temperature must be finite, got inf"):
+        row_softmax(np.eye(2), np.inf)
+    with pytest.raises(NonPositiveTemperature, match="temperature must be > 0, got 0.0"):
+        row_softmax(np.eye(2), 0.0)
 
 
 def test_intra_high_temperature_is_uniform():
@@ -202,9 +228,30 @@ def test_smooth_endpoints_and_example():
     np.testing.assert_allclose(y, GOLDEN["smooth_half"], atol=1e-12)
 
 
+def test_predicted_zero_scores_uniform():
+    p_a2t, p_t2a = predictions(np.zeros((2, 2)), SmoothingConfig(tau_pred=1.0))
+    np.testing.assert_allclose(p_a2t, np.full((2, 2), 0.5), atol=1e-15)
+    np.testing.assert_allclose(p_t2a, np.full((2, 2), 0.5), atol=1e-15)
+
+
+def test_predicted_symmetric_scores_match():
+    rng = np.random.default_rng(6)
+    s = rng.standard_normal((4, 4))
+    s = s + s.T
+    p_a2t, p_t2a = predictions(s, SmoothingConfig(tau_pred=0.8))
+    np.testing.assert_allclose(p_a2t, p_t2a, atol=1e-12)
+
+
 def test_predicted_diagonal_example():
     p_a2t = row_softmax(np.array([[2.0, 0.0], [0.0, 2.0]]), 1.0)
     np.testing.assert_allclose(p_a2t[0], GOLDEN["predicted_diag2"], atol=1e-9)
+
+
+def test_predicted_requires_square():
+    # soft_loss takes the predicted distributions, one row per batch item
+    rect = np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(NotSquare):
+        soft_loss(rect, rect, rect, SmoothingConfig())
 
 
 # --- soft_loss ---
