@@ -7,11 +7,20 @@ keyed by ``id`` (manifest, profiles, labels, tags) start with a
 ``# {meta}`` line and write floats with ``repr``; the id-keyed CSV inputs are
 features or embeddings (``id,c0..cN``) and truth (``id,label``).
 
-Readers check and coerce each field they use once, where they read it, and
-ignore unknown keys. A malformed file raises one SmoothClapError whose
-one-line message names the file, the line or row, and the field. Numbers are
-coerced with ``float()``; only values it rejects are errors, and in a
-features or embeddings CSV also NaN and ±Inf.
+Readers check and coerce each field they use once and ignore unknown keys.
+A malformed file raises one SmoothClapError whose one-line message names the
+file, the line or row, and the field. Numbers are coerced with ``float()``;
+only values it rejects are errors, and in a features or embeddings CSV also
+NaN and ±Inf. An int beyond float's range coerces to ±Inf.
+
+A JSONL file is streamed line by line, each line decoded by one
+``raw_decode`` call of the default JSON decoder; only a line it refuses goes
+through ``json.loads``, for its message. Each line's JSON, type and id are
+checked as it is read. The profiles and labels readers then take the fields
+they use straight into a column table (tagging.FeatureTable), one block of
+records at a time, coercing and checking each field as a column. So a fault
+of a line's JSON, type or id is reported before any field fault, and among
+field faults the earliest line's, as a record-by-record read would.
 """
 from __future__ import annotations
 
@@ -40,6 +49,7 @@ from .tagging import (
     PROFILE_FIELDS,
     Bin,
     BinThresholds,
+    FeatureTable,
     TagTable,
     TemplateSet,
 )
@@ -73,6 +83,8 @@ def _field(record: dict, key: str, where: str, kind: type | None = None, prefix:
     if kind is float:
         try:
             return float(value)
+        except OverflowError:  # an int beyond float's range
+            return math.inf if value > 0 else -math.inf
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{where}: field {name!r} must be a number, got {value!r:.40}"
@@ -83,20 +95,6 @@ def _field(record: dict, key: str, where: str, kind: type | None = None, prefix:
             f"got {type(value).__name__}"
         )
     return value
-
-
-def _finite_floats(record: dict, keys: dict[str, str], where: str) -> dict[str, float]:
-    """float() of the field under each key that the record has, by name
-    (``keys`` maps name -> key); NaN and ±Inf are errors."""
-    try:
-        values = {name: float(record[key]) for name, key in keys.items() if key in record}
-    except (TypeError, ValueError):
-        # the same coercion again through _field, which names the rejected field
-        values = {name: _field(record, key, where, float) for name, key in keys.items() if key in record}
-    if not all(map(math.isfinite, values.values())):
-        name = next(name for name, value in values.items() if not math.isfinite(value))
-        raise ConfigError(f"{where}: field {keys[name]!r} must be finite")
-    return values
 
 
 def _strings(value, where: str, name: str) -> list[str]:
@@ -116,11 +114,21 @@ def _write_json(path, doc: dict, meta: dict) -> None:
     Path(path).write_text(_json_text(doc, meta) + "\n")
 
 
+def _loads(text: str, where) -> object:
+    """json.loads(text); what it raises, an int over the digit limit or
+    nesting too deep included, is one ConfigError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{where}: invalid JSON ({exc})") from None
+
+
 def _read_json(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    doc = _loads(text, path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return doc
@@ -145,7 +153,7 @@ def _run_options(doc: dict, by_key: dict, where: str, prefix: str = "") -> dict:
             if isinstance(value, bool) or (opt.type is int and isinstance(value, float)):
                 raise TypeError
             values[opt] = opt.type(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{where}: bad value for {name!r}: {value!r:.40}") from None
     return values
 
@@ -343,71 +351,88 @@ def write_tags(path, table: TagTable, meta: dict) -> None:
         )
 
 
-def _read_jsonl_by_id(path, parse) -> dict:
-    """``parse(record, where)`` of each record, keyed by its ``id`` in file
-    order. Blank lines and the ``_meta`` header are skipped; a line that is not
-    a JSON object, or an id seen before, is an error. Each line is parsed as
-    it is read."""
-    by_id = {}
+_decode = json.JSONDecoder().raw_decode  # what json.loads calls, on the same default decoder
+
+
+class _Absent:
+    """The value of a field that a record lacks, as a column holds it."""
+
+
+_ABSENT = _Absent()
+
+
+def _jsonl_records(fh, path):
+    """(line number, id, record) of each record of an open JSONL file, in
+    file order, each line decoded as it is read. Blank lines and the
+    ``_meta`` header are skipped; a line that is not one JSON object, a
+    missing or bad id, or an id seen before is an error."""
     first_line: dict[str, int] = {}
+    # only reading the file raises UnicodeDecodeError; the decoder takes str
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record, end = _decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):  # json.loads names the fault, or "Extra data"
+                record = _loads(line, f"{path}:{lineno}")
+            if not isinstance(record, dict):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}"
+                )
+            if "_meta" in record:
+                continue
+            key = record.get("id", _ABSENT)
+            if type(key) is not str:
+                key = _record_id(key, f"{path}:{lineno}")
+            if key in first_line:
+                raise DuplicateId(
+                    f"{path}:{lineno}: duplicate id {key!r} (first on line {first_line[key]})"
+                )
+            first_line[key] = lineno
+            yield lineno, key, record
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _record_id(key, where: str) -> str:
+    if key is _ABSENT:
+        raise ConfigError(f"{where}: missing field 'id'")
+    if type(key) is not int:  # a bool is not an id
+        raise ConfigError(f"{where}: field 'id' must be a string or an integer")
+    return str(key)
+
+
+def _read_jsonl_by_id(path, parse) -> dict:
+    """``parse(record, where)`` of each record, keyed by its ``id`` in file order."""
     with open(path) as fh:
-        # only reading the file raises UnicodeDecodeError; json.loads takes str
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{where}: invalid JSON ({exc})") from None
-                if not isinstance(record, dict):
-                    raise ConfigError(f"{where}: expected a JSON object, got {type(record).__name__}")
-                if "_meta" in record:
-                    continue
-                key = _field(record, "id", where)
-                if isinstance(key, bool) or not isinstance(key, (str, int)):
-                    raise ConfigError(f"{where}: field 'id' must be a string or an integer")
-                key = str(key)
-                if key in first_line:
-                    raise DuplicateId(
-                        f"{where}: duplicate id {key!r} (first on line {first_line[key]})"
-                    )
-                first_line[key] = lineno
-                by_id[key] = parse(record, where)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    return by_id
+        return {
+            key: parse(record, f"{path}:{lineno}")
+            for lineno, key, record in _jsonl_records(fh, path)
+        }
 
 
 def read_manifest(path) -> dict[str, Path]:
     """WAV path by id; relative paths start at the manifest's directory."""
     base = Path(path).parent
-    return _read_jsonl_by_id(path, lambda r, where: base / _field(r, "wav", where, str))
 
+    def parse(record: dict, where: str) -> Path:
+        wav = _field(record, "wav", where, str)
+        if "\0" in wav:
+            raise ConfigError(f"{where}: field 'wav' holds a NUL character")
+        return base / wav
 
-def read_profiles(path) -> dict[str, dict[str, float]]:
-    """The binnable features of each profile record keyed by tag feature name
-    (tagging.PROFILE_FIELDS), each finite; a record that lacks a field skips
-    that feature."""
-    return _read_jsonl_by_id(path, lambda r, where: _finite_floats(r, PROFILE_FIELDS, where))
-
-
-def read_labels(path) -> dict[str, tuple[dict[str, str], dict[str, float]]]:
-    """(categorical label by kind, finite rating by dimension) of each labels
-    record; a manifest can double as a labels file."""
-    return _read_jsonl_by_id(path, lambda r, where: (
-        {k: _field(r, k, where, str) for k in LABEL_KINDS if k in r},
-        _finite_floats(r, _DIMENSION_KEYS, where),
-    ))
+    return _read_jsonl_by_id(path, parse)
 
 
 def read_tags(path) -> dict[str, list[str]]:
     """The tag list of each record; an empty list is an error, since a text
     row with no tag has no direction to normalize."""
     # one string per distinct tag: the records repeat a few tags thousands of
-    # times, and json.loads makes a new string for each
+    # times, and the decoder makes a new string for each
     seen: dict[str, str] = {}
 
     def parse(record: dict, where: str) -> list[str]:
@@ -417,6 +442,145 @@ def read_tags(path) -> dict[str, list[str]]:
         return [seen.setdefault(t, t) for t in tags]
 
     return _read_jsonl_by_id(path, parse)
+
+
+# --- JSONL records read into columns --------------------------------------------------
+
+# The records of a column read are taken in blocks of this many: each block's
+# raw values become float64 columns before the next is decoded, so the
+# decoder's float objects do not outlive their block.
+_BLOCK = 1024
+
+
+def _floats(values: list, plain: bool) -> tuple[np.ndarray, int | None]:
+    """float() of each value as a float64 array, up to the first value that
+    float() rejects, and that value's index (None if there is none). An int
+    beyond float's range is ±inf. ``plain`` says that every value is a float
+    or an int, which takes one conversion."""
+    if plain:
+        try:
+            return np.array(values, dtype=np.float64), None
+        except OverflowError:
+            pass
+    out = np.empty(len(values))
+    for i, value in enumerate(values):
+        try:
+            out[i] = float(value)
+        except OverflowError:
+            out[i] = math.inf if value > 0 else -math.inf
+        except (TypeError, ValueError):
+            return out[:i], i
+    return out, None
+
+
+def _float_column(column: list, key: str, order: int, start: int, where) -> tuple:
+    """((values, present), faults) of one numeric field over a block of
+    records from row ``start``: its float64 values, NaN where a record lacks
+    the field, and the mask of the records that have it. A fault is (row,
+    stage, order, error), for the first value that float() rejects (stage 1)
+    and the first non-finite value before it (stage 2)."""
+    kinds = set(map(type, column))
+    if _Absent in kinds:
+        present = np.array([v is not _ABSENT for v in column], dtype=bool)
+        taken = list(itertools.compress(column, present))
+    else:
+        present = np.ones(len(column), dtype=bool)
+        taken = column
+    numbers, bad = _floats(taken, kinds <= {float, int, _Absent})
+    rows = np.flatnonzero(present)
+    faults = []
+    if bad is not None:
+        row = start + int(rows[bad])
+        faults.append((row, 1, order, ConfigError(
+            f"{where(row)}: field {key!r} must be a number, got {taken[bad]!r:.40}"
+        )))
+        rows = rows[:bad]
+    nonfinite = np.flatnonzero(~np.isfinite(numbers))
+    if nonfinite.size:
+        row = start + int(rows[nonfinite[0]])
+        faults.append((row, 2, order, ConfigError(f"{where(row)}: field {key!r} must be finite")))
+    values = np.full(len(column), np.nan)
+    values[rows] = numbers
+    return (values, present), faults
+
+
+def _label_column(column: list, key: str, order: int, start: int, where) -> tuple:
+    """(labels, faults) of one label field over a block of records from row
+    ``start``: each record's label, None where it has none, and a fault
+    (stage 0) for the first value that is not a string."""
+    kinds = set(map(type, column))
+    if not kinds <= {str, _Absent}:
+        row = next(r for r, v in enumerate(column) if v is not _ABSENT and type(v) is not str)
+        error = ConfigError(
+            f"{where(start + row)}: field {key!r} must be a string, got {type(column[row]).__name__}"
+        )
+        return [], [(start + row, 0, order, error)]
+    if _Absent in kinds:
+        column = [None if v is _ABSENT else v for v in column]
+    return column, []
+
+
+def _read_feature_table(path, numeric: dict[str, str], label_kinds=()) -> FeatureTable:
+    """The labels of each kind in ``label_kinds`` and the finite numbers
+    under each key of ``numeric`` (feature name -> key) as a FeatureTable.
+    Of the field faults, the one raised is the one a record-by-record read
+    meets first: the earliest line, and within it a label, then a value
+    float() rejects, then a non-finite value, each in key order. A fault of
+    a line's JSON, type or id is raised as it is read, before any field
+    fault."""
+    keys = (*label_kinds, *numeric.values())
+    ids: list[str] = []
+    lines: list[int] = []
+    blocks: list[list] = [[] for _ in keys]  # per key: its converted blocks
+    faults: list[tuple] = []
+
+    def where(row: int) -> str:
+        return f"{path}:{lines[row]}"
+
+    with open(path) as fh:
+        records = _jsonl_records(fh, path)
+        while True:
+            start = len(ids)
+            raw: list[list] = [[] for _ in keys]
+            appends = tuple(zip([c.append for c in raw], keys))
+            for lineno, key, record in itertools.islice(records, _BLOCK):
+                ids.append(key)
+                lines.append(lineno)
+                get = record.get
+                for append, k in appends:
+                    append(get(k, _ABSENT))
+            for order, (key, column) in enumerate(zip(keys, raw)):
+                convert = _label_column if order < len(label_kinds) else _float_column
+                converted, found = convert(column, key, order, start, where)
+                blocks[order].append(converted)
+                faults += found
+            if len(ids) - start < _BLOCK:
+                break
+    if faults:
+        raise min(faults, key=lambda fault: fault[:3])[3]
+    labels = {}
+    for kind, parts in zip(label_kinds, blocks):
+        column = list(itertools.chain.from_iterable(parts))
+        if column.count(None) < len(column):
+            labels[kind] = column
+    columns = {}
+    for feature, parts in zip(numeric, blocks[len(label_kinds):]):
+        present = np.concatenate([p for _, p in parts])
+        if present.any():
+            columns[feature] = (np.concatenate([v for v, _ in parts]), present)
+    return FeatureTable(ids, columns, labels)
+
+
+def read_profiles(path) -> FeatureTable:
+    """The binnable features of the profile records (tagging.PROFILE_FIELDS),
+    each finite; a record that lacks a field has no value for that feature."""
+    return _read_feature_table(path, PROFILE_FIELDS)
+
+
+def read_labels(path) -> FeatureTable:
+    """The categorical labels and finite ratings of the labels records; a
+    manifest can double as a labels file."""
+    return _read_feature_table(path, _DIMENSION_KEYS, LABEL_KINDS)
 
 
 # --- CSV ------------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Single entry point exposing the pipeline as subcommands.
 
-Exit codes: 0 success, 1 computation failure, 2 usage or IO error. Every
-artifact embeds the seed and the run options its command read, so runs can
-be reproduced from the outputs alone. The SMOOTHCLAP_LOG environment variable
-(error, warn, info, debug) controls log verbosity.
+Exit codes: 0 success, 1 computation failure, 2 usage or IO error. Any other
+exception is a fault of the program: one ``internal error:`` line and exit 1,
+with the traceback under SMOOTHCLAP_LOG=debug. Every artifact embeds the seed
+and the run options its command read, so runs can be reproduced from the
+outputs alone. The SMOOTHCLAP_LOG environment variable (error, warn, info,
+debug) controls log verbosity.
 
 The parser is built once per process, on the first ``main`` call, and reused:
 declaring its 72 arguments took about half of an in-process ``eval`` call on
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import logging
 import os
 import sys
@@ -45,7 +48,7 @@ from .evaluation import (
 from .gradcheck import DEFAULT_SIZES, run_gradcheck_suite
 from .numeric import row_norms
 from .paralinguistics import acoustic_profile, load_wav
-from .tagging import LABEL_KINDS, TemplateSet, fit_thresholds, render_tag_table
+from .tagging import FeatureTable, TemplateSet, fit_thresholds, render_tag_table
 from .trainer import (
     RUN_OPTIONS,
     RunOption,
@@ -146,43 +149,32 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_tags(args: argparse.Namespace) -> int:
     meta = artifacts.meta_header("tags", {"seed": resolve_seed(args)})
-    profiles_by_id = artifacts.read_profiles(args.profiles)
-    labels_by_id = artifacts.read_labels(args.labels) if args.labels else {}
+    profiles = artifacts.read_profiles(args.profiles)
+    labels = artifacts.read_labels(args.labels) if args.labels else FeatureTable([])
 
     if args.thresholds_in is None:
-        label_records = list(labels_by_id.values())
         try:
-            thresholds = fit_thresholds(
-                [dims for _, dims in label_records], list(profiles_by_id.values())
-            )
+            thresholds = fit_thresholds(labels, profiles)
         except TooFewValues as exc:
             raise ConfigError(f"cannot fit thresholds: {exc}") from None
-        observed = {}
-        for kind in LABEL_KINDS:
-            seen = {labels[kind] for labels, _ in label_records if kind in labels}
-            if seen:
-                observed[kind] = seen
+        observed = {kind: set(column) - {None} for kind, column in labels.labels.items()}
         templates = TemplateSet.closed_to(observed)
         thresholds_out = args.thresholds_out or f"{args.out}.thresholds.json"
         artifacts.save_thresholds(thresholds_out, thresholds, observed, meta)
     else:
         thresholds, templates = artifacts.load_thresholds(args.thresholds_in)
 
-    ids = list(profiles_by_id)
-    joined = [labels_by_id.get(utt_id, ({}, {})) for utt_id in ids]
-    table = render_tag_table(
-        ids,
-        [labels for labels, _ in joined],
-        [dims for _, dims in joined],
-        list(profiles_by_id.values()),
-        thresholds,
-        templates,
+    # the labels row of each profile, -1 where its id has none
+    label_row = dict(zip(labels.ids, range(len(labels.ids))))
+    rows = np.fromiter(
+        map(label_row.get, profiles.ids, itertools.repeat(-1)), np.intp, len(profiles.ids)
     )
+    table = render_tag_table(profiles.joined(labels, rows), thresholds, templates)
     artifacts.write_tags(args.out, table, meta)
 
-    matched = len(profiles_by_id.keys() & labels_by_id.keys())
-    unmatched_profiles = len(profiles_by_id) - matched
-    unmatched_labels = len(labels_by_id) - matched
+    matched = int(np.count_nonzero(rows >= 0))
+    unmatched_profiles = len(profiles.ids) - matched
+    unmatched_labels = len(labels.ids) - matched
     if unmatched_profiles or unmatched_labels:
         print(
             f"warning: {unmatched_profiles} profile id(s) without labels, "
@@ -504,9 +496,13 @@ def main(argv=None) -> int:
     except ComputationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SmoothClapError, OSError, ValueError) as exc:
+    except (SmoothClapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the program's fault: every input error is one of the above
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        logger.debug("traceback of the internal error", exc_info=True)
+        return 1
 
 
 def run() -> None:

@@ -31,6 +31,10 @@ class NonPositiveTemperature(SmoothClapError):
     """Softmax temperatures must be strictly positive."""
 
 
+class PercentileOutOfRange(SmoothClapError):
+    """A percentile rank must lie in (0, 100]."""
+
+
 # --- objective configuration ---
 
 class GammaOutOfRange(SmoothClapError):

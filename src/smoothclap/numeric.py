@@ -15,6 +15,7 @@ from .errors import (
     EmptyInput,
     NonFiniteValue,
     NonPositiveTemperature,
+    PercentileOutOfRange,
     ShapeMismatch,
     ZeroRow,
 )
@@ -58,12 +59,19 @@ def row_norms(m: np.ndarray, name: str = "matrix", first_row: int = 0) -> np.nda
     """Euclidean norm of each row of a trusted 2-D float64 array.
 
     Raises ZeroRow, naming the matrix and the row, if any norm falls below
-    ``ZERO_ROW_TOL``. The message numbers the rows from ``first_row``.
+    ``ZERO_ROW_TOL``, and NonFiniteValue if a norm is not finite, as when a
+    row's squares sum past the float64 range. The message numbers the rows
+    from ``first_row``.
     """
-    norms = np.sqrt(np.sum(m * m, axis=1))
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        norms = np.sqrt(np.sum(m * m, axis=1))
     if np.any(norms < ZERO_ROW_TOL):
         bad = int(np.argmin(norms))
         raise ZeroRow(f"{name} row {bad + first_row} has norm {norms[bad]:.3e}, cannot normalize")
+    finite = np.isfinite(norms)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteValue(f"{name} row {bad + first_row} has norm {norms[bad]:.3e}, cannot normalize")
     return norms
 
 
@@ -137,7 +145,7 @@ def percentile_nearest_rank(values, p: float) -> float:
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("values contain NaN or Inf")
     if not 0.0 < p <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {p}")
+        raise PercentileOutOfRange(f"percentile must be in (0, 100], got {p}")
     ordered = np.sort(vals)
     # p * n first keeps exact integer ranks exact (e.g. 30 * 10 / 100 == 3.0)
     rank = math.ceil(p * ordered.size / 100.0)

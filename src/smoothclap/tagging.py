@@ -191,42 +191,89 @@ def profile_feature_values(profile: AcousticProfile) -> dict[str, float]:
     return {name: float(getattr(profile, key)) for name, key in PROFILE_FIELDS.items()}
 
 
-def _columns(dims: Sequence[Mapping], acoustics: Sequence[Mapping]):
-    """(feature, values, present) for each binned feature in tag order that
-    some record has: its values as a float column, NaN where a record lacks
-    it, and the mask of the records that have it."""
-    for features, records in ((DIMENSION_FEATURES, dims), (ACOUSTIC_FEATURES, acoustics)):
-        for feature in features:
-            values = np.array([r.get(feature, np.nan) for r in records], dtype=np.float64)
-            present = ~np.isnan(values)
-            if not present.all():  # a record lacks the feature, or has NaN
-                present = np.array([feature in r for r in records], dtype=bool)
+@dataclass(frozen=True)
+class FeatureTable:
+    """The tagging inputs of many records as columns, one row per record.
+
+    ``columns`` holds, for each binned feature that some row has, its values
+    as a float64 column and the mask of the rows that have it (the values of
+    other rows are NaN). ``labels`` holds, for each label kind that some row
+    has, the label of every row, None where the row has none.
+    """
+
+    ids: list[str]
+    columns: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    labels: dict[str, list] = field(default_factory=dict)
+
+    @classmethod
+    def from_records(
+        cls,
+        ids: Sequence[str],
+        labels: Sequence[Mapping[str, str]],
+        dims: Sequence[Mapping[str, float]],
+        acoustics: Sequence[Mapping[str, float]],
+    ) -> "FeatureTable":
+        """Row i holds the labels ``labels[i]``, the ratings ``dims[i]`` and
+        the acoustic features ``acoustics[i]``."""
+        columns = {}
+        for features, records in ((DIMENSION_FEATURES, dims), (ACOUSTIC_FEATURES, acoustics)):
+            for feature in features:
+                values = np.array([r.get(feature, np.nan) for r in records], dtype=np.float64)
+                present = ~np.isnan(values)
+                if not present.all():  # a record lacks the feature, or has NaN
+                    present = np.array([feature in r for r in records], dtype=bool)
+                if present.any():
+                    columns[feature] = (values, present)
+        label_columns = {}
+        for kind in LABEL_KINDS:
+            column = [r.get(kind) for r in labels]
+            if any(v is not None for v in column):
+                label_columns[kind] = column
+        return cls(list(ids), columns, label_columns)
+
+    def joined(self, other: "FeatureTable", rows: np.ndarray) -> "FeatureTable":
+        """These rows with the columns of ``other`` added: row i takes row
+        ``rows[i]`` of ``other``, or no value where that index is -1."""
+        found = rows >= 0
+        columns = dict(self.columns)
+        for feature, (values, present) in other.columns.items():
+            present = present[rows] & found
             if present.any():
-                yield feature, values, present
+                columns[feature] = (np.where(present, values[rows], np.nan), present)
+        labels = dict(self.labels)
+        for kind, column in other.labels.items():
+            taken = np.array(column + [None], dtype=object)[rows].tolist()
+            if any(v is not None for v in taken):
+                labels[kind] = taken
+        return FeatureTable(self.ids, columns, labels)
 
 
-def fit_thresholds(
-    dims: Sequence[Mapping[str, float]], acoustics: Sequence[Mapping[str, float]]
-) -> dict[str, BinThresholds]:
-    """Thresholds of each binned feature that some record has, from one
-    ``fit_bins`` call on all its values: ratings from the ``dims`` records,
-    acoustic features from the ``acoustics`` records."""
+def _binned_columns(dims: FeatureTable, acoustics: FeatureTable):
+    """(feature, values, present) of each binned feature in tag order: the
+    ratings of ``dims`` and the acoustic features of ``acoustics``."""
+    for features, table in ((DIMENSION_FEATURES, dims), (ACOUSTIC_FEATURES, acoustics)):
+        for feature in features:
+            if feature in table.columns:
+                yield (feature, *table.columns[feature])
+
+
+def fit_thresholds(dims: FeatureTable, acoustics: FeatureTable) -> dict[str, BinThresholds]:
+    """Thresholds of each binned feature that some row has, from one
+    ``fit_bins`` call on all its values: ratings from the ``dims`` rows,
+    acoustic features from the ``acoustics`` rows."""
     return {
         feature: fit_bins(values[present], feature)
-        for feature, values, present in _columns(dims, acoustics)
+        for feature, values, present in _binned_columns(dims, acoustics)
     }
 
 
 def render_tag_table(
-    ids: Sequence[str],
-    labels: Sequence[Mapping[str, str]],
-    dims: Sequence[Mapping[str, float]],
-    acoustics: Sequence[Mapping[str, float]],
+    table: FeatureTable,
     thresholds: dict[str, BinThresholds],
     templates: TemplateSet = OPEN_TEMPLATES,
 ) -> TagTable:
     """Render the tags of many utterances at once; row i is what
-    ``render_tags(ids[i], labels[i], dims[i], acoustics[i], ...)`` gives.
+    ``render_tags`` gives for row i of ``table``.
 
     Each categorical label is checked once per distinct value, and each binned
     feature is binned as one column. Tags take the fixed order of
@@ -237,7 +284,9 @@ def render_tag_table(
     faults = []  # (row, error), in tag order within a row
     columns = []  # one per tag slot: the tag of every row, None where it has none
     for kind in LABEL_KINDS:
-        column = [r.get(kind) for r in labels]
+        column = table.labels.get(kind)
+        if column is None:
+            continue
         for value in set(column) - {None}:
             try:
                 templates.check_label(kind, value)
@@ -245,7 +294,7 @@ def render_tag_table(
                 faults.append((column.index(value), exc))
         columns.append(column)
     codes = {}
-    for feature, values, present in _columns(dims, acoustics):
+    for feature, values, present in _binned_columns(table, table):
         if feature not in thresholds:
             error = MissingThresholds(f"no thresholds fitted for {feature}")
             faults.append((int(present.argmax()), error))
@@ -262,11 +311,12 @@ def render_tag_table(
         # min keeps the first of equal rows, so the first in tag order
         raise min(faults, key=lambda fault: fault[0])[1]
     tags = []
-    for row in zip(*columns):
+    # a table with no label and no feature still has a row, with no tag, per id
+    for row in zip(*columns) if columns else [()] * len(table.ids):
         unique = dict.fromkeys(row)
         unique.pop(None, None)
         tags.append(list(unique))
-    return TagTable(ids=list(ids), tags=tags, codes=codes)
+    return TagTable(ids=table.ids, tags=tags, codes=codes)
 
 
 def render_tags(
@@ -287,7 +337,7 @@ def render_tags(
     """
     if isinstance(acoustics, AcousticProfile):
         acoustics = profile_feature_values(acoustics)
-    table = render_tag_table(
-        [utterance_id], [labels or {}], [dims or {}], [acoustics or {}], thresholds, templates
+    table = FeatureTable.from_records(
+        [utterance_id], [labels or {}], [dims or {}], [acoustics or {}]
     )
-    return table.record(0)
+    return render_tag_table(table, thresholds, templates).record(0)

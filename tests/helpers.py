@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: fixture file writers, a CLI runner,
-the per-entry finite-difference oracle and a corrupted analytic gradient."""
+the per-entry finite-difference oracle, a corrupted analytic gradient and
+the per-record JSONL readers that the column readers are checked against."""
 from __future__ import annotations
 
 import csv
@@ -11,7 +12,9 @@ from pathlib import Path
 import numpy as np
 
 import smoothclap.gradcheck
+from smoothclap.artifacts import _field, save_thresholds, write_tags
 from smoothclap.cli import main
+from smoothclap.errors import ConfigError, DuplicateId, TooFewValues
 from smoothclap.fixtures import ClusterFixture
 from smoothclap.gradcheck import STEP
 from smoothclap.objective import (
@@ -19,6 +22,15 @@ from smoothclap.objective import (
     SmoothingConfig,
     build_targets,
     loss_with_fixed_targets,
+)
+from smoothclap.tagging import (
+    DIMENSION_FEATURES,
+    LABEL_KINDS,
+    PROFILE_FIELDS,
+    FeatureTable,
+    TemplateSet,
+    fit_thresholds,
+    render_tag_table,
 )
 
 
@@ -125,3 +137,91 @@ def loop_finite_difference_grads(audio, text, local_audio, cfg: SmoothingConfig)
         lambda h: (audio, text, replace(cfg, tau_pred=math.exp(log_tau + h))), STEP
     )
     return num_audio, num_text, num_log_tau
+
+
+# --- the per-record JSONL readers of earlier versions: the oracle of the column readers
+
+
+def oracle_read_jsonl_by_id(path, parse) -> dict:
+    """``parse(record, where)`` of each record keyed by its id, one
+    ``json.loads`` per line and every check of a line before the next."""
+    by_id = {}
+    first_line: dict[str, int] = {}
+    with open(path) as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{where}: invalid JSON ({exc})") from None
+                if not isinstance(record, dict):
+                    raise ConfigError(f"{where}: expected a JSON object, got {type(record).__name__}")
+                if "_meta" in record:
+                    continue
+                key = _field(record, "id", where)
+                if isinstance(key, bool) or not isinstance(key, (str, int)):
+                    raise ConfigError(f"{where}: field 'id' must be a string or an integer")
+                key = str(key)
+                if key in first_line:
+                    raise DuplicateId(
+                        f"{where}: duplicate id {key!r} (first on line {first_line[key]})"
+                    )
+                first_line[key] = lineno
+                by_id[key] = parse(record, where)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return by_id
+
+
+def oracle_finite_floats(record: dict, keys: dict[str, str], where: str) -> dict[str, float]:
+    """float() of the field under each key the record has, by name; the
+    first field float() rejects, else the first non-finite one, is an error."""
+    values = {name: _field(record, key, where, float) for name, key in keys.items() if key in record}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: field {keys[name]!r} must be finite")
+    return values
+
+
+def oracle_read_profiles(path) -> dict[str, dict[str, float]]:
+    return oracle_read_jsonl_by_id(
+        path, lambda r, where: oracle_finite_floats(r, PROFILE_FIELDS, where)
+    )
+
+
+def oracle_read_labels(path) -> dict[str, tuple[dict[str, str], dict[str, float]]]:
+    return oracle_read_jsonl_by_id(path, lambda r, where: (
+        {k: _field(r, k, where, str) for k in LABEL_KINDS if k in r},
+        oracle_finite_floats(r, {k: k for k in DIMENSION_FEATURES}, where),
+    ))
+
+
+def oracle_tags(profiles_path, labels_path, out, thresholds_out, meta: dict) -> None:
+    """``tags`` in fit mode through the oracle readers: per-id dicts joined
+    one id at a time, and one FeatureTable built from the joined records."""
+    profiles = oracle_read_profiles(profiles_path)
+    labels = oracle_read_labels(labels_path) if labels_path else {}
+    try:
+        thresholds = fit_thresholds(
+            FeatureTable.from_records([], [], [dims for _, dims in labels.values()], []),
+            FeatureTable.from_records([], [], [], list(profiles.values())),
+        )
+    except TooFewValues as exc:
+        raise ConfigError(f"cannot fit thresholds: {exc}") from None
+    observed = {}
+    for kind in LABEL_KINDS:
+        seen = {row_labels[kind] for row_labels, _ in labels.values() if kind in row_labels}
+        if seen:
+            observed[kind] = seen
+    save_thresholds(thresholds_out, thresholds, observed, meta)
+    ids = list(profiles)
+    joined = [labels.get(utt_id, ({}, {})) for utt_id in ids]
+    table = FeatureTable.from_records(
+        ids, [row_labels for row_labels, _ in joined], [dims for _, dims in joined],
+        list(profiles.values()),
+    )
+    write_tags(out, render_tag_table(table, thresholds, TemplateSet.closed_to(observed)), meta)

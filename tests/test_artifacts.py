@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import run_cli, write_cluster_fixture_files, write_features_csv
+from helpers import (
+    oracle_read_labels,
+    oracle_read_profiles,
+    oracle_tags,
+    run_cli,
+    write_cluster_fixture_files,
+    write_features_csv,
+    write_tags_jsonl,
+)
 from smoothclap import artifacts
 from smoothclap.artifacts import (
     load_model,
@@ -28,7 +37,13 @@ from smoothclap.artifacts import (
     write_jsonl,
 )
 from smoothclap.cli import main
-from smoothclap.errors import ConfigError, NonFiniteValue, NonNumericCell, RaggedRows
+from smoothclap.errors import (
+    ConfigError,
+    NonFiniteValue,
+    NonNumericCell,
+    RaggedRows,
+    SmoothClapError,
+)
 from smoothclap.fixtures import make_cluster_fixture, synth_tone, write_wav
 from smoothclap.paralinguistics import Waveform, acoustic_profile
 
@@ -535,16 +550,21 @@ def test_profile_record_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert json.loads(lines[0]) == {"_meta": {"seed": 0}}
     assert json.loads(lines[1]) == {"id": "x", **asdict(profile)}
-    features = read_profiles(path)["x"]
-    assert features["pitch"] == profile.pitch_mean_hz
-    assert features["duration"] == profile.duration_s
+    table = read_profiles(path)
+    assert table.ids == ["x"]
+    assert table.columns["pitch"][0].tolist() == [profile.pitch_mean_hz]
+    assert table.columns["duration"][0].tolist() == [profile.duration_s]
 
 
 def test_labels_reader_types_and_ignores_unknown_keys(tmp_path):
     path = write_records(tmp_path / "l.jsonl", [
         {"id": 7, "wav": "x.wav", "emotion": "sad", "arousal": "0.25", "valence": 1},
     ])
-    assert read_labels(path) == {"7": ({"emotion": "sad"}, {"arousal": 0.25, "valence": 1.0})}
+    table = read_labels(path)
+    assert (table.ids, table.labels) == (["7"], {"emotion": ["sad"]})
+    assert {f: (v.tolist(), p.tolist()) for f, (v, p) in table.columns.items()} == {
+        "arousal": ([0.25], [True]), "valence": ([1.0], [True]),
+    }
 
 
 def test_thresholds_reader_wraps_invalid_cut_points(corpus):
@@ -682,3 +702,269 @@ def test_fuzzed_input_exits_cleanly(corpus, reader, data):
     assert len(errors) == (code != 0), err
     if duplicated:
         assert code == 2 and "duplicate id" in errors[0]
+
+
+# --- the column readers against the per-record oracle -------------------------------
+
+# ids shared between the two files, so that some ids have both, some only one;
+# the int 1 and the string "1" are one id, which the readers call a duplicate
+JSONL_IDS = [0, 1, 17, 2**70, "1", "u0", "u1", "u2", "é\"\\", " x", "a b", ""]
+NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(-10, 10**6),
+    st.sampled_from([2**53 + 1, 10**20, -(2**63) - 1]),
+    st.sampled_from(["0.5", " 1e3 ", "-2", "1_000", "+7.25", "\u0661"]),  # float("١") == 1.0
+    st.booleans(),
+)
+LABEL_STRINGS = st.sampled_from(["sad", "happy", "f", "m", "high pitch"])
+
+
+@st.composite
+def jsonl_files(draw, fields):
+    """The text of a JSONL file whose records draw each of ``fields`` (key ->
+    value strategy) at random, between blank lines and ``_meta`` lines."""
+    ids = draw(st.lists(st.sampled_from(JSONL_IDS), unique_by=str, min_size=3, max_size=9))
+    lines = []
+    for utt_id in ids:
+        record = {"id": utt_id, "other": [1, {"x": None}]}
+        for key, values in fields.items():
+            if draw(st.integers(0, 7)):
+                record[key] = draw(values)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + json.dumps(record))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", '{"_meta": {"seed": 1}}'])))
+    return "".join(line + "\n" for line in lines)
+
+
+PROFILE_KEYS = {key: NUMBERS for key in PROFILE.keys() - {"flags"}}
+LABEL_KEYS = {"emotion": LABEL_STRINGS, "gender": LABEL_STRINGS, "arousal": NUMBERS,
+              "valence": NUMBERS, "dominance": NUMBERS, "wav": st.just("x.wav")}
+
+
+def outcome(fn):
+    """Exit code and error lines of a ``tags`` run, or 0 and what it wrote."""
+    try:
+        return 0, fn()
+    except SmoothClapError as exc:
+        return 2, [f"error: {exc}"]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(jsonl_files(PROFILE_KEYS), st.one_of(st.none(), jsonl_files(LABEL_KEYS)))
+def test_tags_writes_the_bytes_of_the_per_record_readers(profiles_text, labels_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        profiles = root / "profiles.jsonl"
+        profiles.write_text(profiles_text)
+        labels = None
+        if labels_text is not None:
+            labels = root / "labels.jsonl"
+            labels.write_text(labels_text)
+
+        def written(name):
+            return (root / f"{name}.jsonl").read_bytes(), (root / f"{name}.th.json").read_bytes()
+
+        def cli():
+            argv = ["tags", "--profiles", profiles, "--out", root / "cli.jsonl",
+                    "--thresholds-out", root / "cli.th.json", "--seed", "0"]
+            code, err = run_main(*argv, *(["--labels", labels] if labels else []))
+            errors = [line for line in err if line.startswith("error:")]
+            if code:
+                raise SmoothClapError(errors[0].removeprefix("error: "))
+            return written("cli")
+
+        def oracle():
+            oracle_tags(profiles, labels, root / "oracle.jsonl", root / "oracle.th.json",
+                        artifacts.meta_header("tags", {"seed": 0}))
+            return written("oracle")
+
+        expected = outcome(oracle)
+        event(f"exit {expected[0]}")
+        assert outcome(cli) == expected
+
+
+def fault_line(draw, fault: str, record: dict, earlier_ids: list) -> str:
+    """One line of a JSONL file holding the one fault ``fault``."""
+    text = json.dumps(record)
+    if fault == "invalid JSON":
+        return text[: draw(st.integers(1, len(text) - 1))]
+    if fault == "trailing data":
+        return text + draw(st.sampled_from([" x", "{}", " 1", ",", "]"]))
+    if fault == "not an object":
+        return draw(st.sampled_from(["5", '"s"', "null", "[1, 2]", "true", "-0.5e3"]))
+    if fault == "bad id":
+        record = dict(record)
+        if draw(st.booleans()):
+            del record["id"]
+        else:
+            record["id"] = draw(st.sampled_from([None, 1.5, True, [1], {"a": 1}]))
+        return json.dumps(record)
+    if fault == "duplicate id":
+        return json.dumps({**record, "id": draw(st.sampled_from(earlier_ids))})
+    key, bad = fault.split(":")
+    return json.dumps({**record, key: draw(st.sampled_from(BAD_VALUES[bad]))})
+
+
+BAD_VALUES = {
+    "non-numeric": [None, "abc", "", [1.0], {"v": 1}, "1,5"],
+    "non-finite": [float("nan"), float("inf"), float("-inf"), "nan", "-Infinity", "1e400",
+                   10**400],
+    "non-string": [5, None, ["sad"], True, 1.5, {}],
+}
+
+
+FAULTS = {
+    "profiles": ["invalid JSON", "trailing data", "not an object", "bad id", "duplicate id",
+                 "pitch_mean_hz:non-numeric", "shimmer:non-numeric", "pitch_mean_hz:non-finite",
+                 "jitter:non-finite", "duration_s:non-finite"],
+    "labels": ["invalid JSON", "trailing data", "not an object", "bad id", "duplicate id",
+               "arousal:non-numeric", "dominance:non-numeric", "arousal:non-finite",
+               "dominance:non-finite", "emotion:non-string", "gender:non-string"],
+}
+
+
+def clean_record(kind: str, i: int) -> dict:
+    if kind == "profiles":
+        return {**PROFILE, "id": f"u{i}", "pitch_mean_hz": 100.0 + i}
+    return {"id": i, "emotion": "sad", "gender": "m", "arousal": 0.5 * i, "valence": "0.25",
+            "dominance": i}
+
+
+def assert_reader_fails_as_the_oracle(kind: str, lines: list[str]) -> None:
+    reader, oracle = {"profiles": (read_profiles, oracle_read_profiles),
+                      "labels": (read_labels, oracle_read_labels)}[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(lambda: oracle(path))
+        assert expected[0] == 2, expected
+        assert outcome(lambda: reader(path)) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_file_with_one_fault_gets_the_message_of_the_per_record_readers(kind, data):
+    n = data.draw(st.integers(2, 6), label="records")
+    fault_at = data.draw(st.integers(1, n - 1), label="faulty record")  # after a clean one
+    fault = data.draw(st.sampled_from(FAULTS[kind]), label="fault")
+    lines = []
+    for i in range(n):
+        record = clean_record(kind, i)
+        earlier_ids = [f"u{j}" if kind == "profiles" else j for j in range(i)]
+        lines.append(fault_line(data.draw, fault, record, earlier_ids)
+                     if i == fault_at else json.dumps(record))
+        if data.draw(st.booleans()):
+            lines.append("")
+    assert_reader_fails_as_the_oracle(kind, lines)
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_of_several_field_faults_the_one_the_per_record_readers_meet_first_is_raised(kind, data):
+    # the earliest line; within it a label, then a value float() rejects,
+    # then a non-finite value, each in key order
+    field_faults = [fault for fault in FAULTS[kind] if ":" in fault]
+    n = data.draw(st.integers(1, 6), label="records")
+    faults = data.draw(st.dictionaries(
+        st.integers(0, n - 1), st.lists(st.sampled_from(field_faults), min_size=1, unique=True),
+        min_size=1, max_size=3,
+    ), label="faults by record")
+    lines = []
+    for i in range(n):
+        record = clean_record(kind, i)
+        for fault in faults.get(i, []):
+            key, bad = fault.split(":")
+            record[key] = data.draw(st.sampled_from(BAD_VALUES[bad]))
+        lines.append(json.dumps(record))
+    assert_reader_fails_as_the_oracle(kind, lines)
+
+
+def test_a_bad_line_is_reported_before_an_earlier_field_fault(tmp_path):
+    # every line's JSON, type and id is checked as it is read; the fields are
+    # checked as columns afterwards, so a later structural fault wins over an
+    # earlier field fault, where the per-record readers stopped at the field
+    path = write_records(tmp_path / "p.jsonl", [
+        {**PROFILE, "id": "a"}, {**PROFILE, "id": "b", "jitter": "high"}, {**PROFILE, "id": "c"},
+    ])
+    path.write_text(path.read_text() + '{"id": "d", "jitter": \n')
+    with pytest.raises(ConfigError, match="p.jsonl:2: field 'jitter' must be a number"):
+        oracle_read_profiles(path)
+    with pytest.raises(ConfigError, match=r"p.jsonl:4: invalid JSON \(Expecting value"):
+        read_profiles(path)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    # an int that json parses but float() cannot hold is an infinite value
+    (lambda text: text.replace('"jitter": 0.01', '"jitter": 1' + "0" * 400, 1),
+     "profiles.jsonl:1: field 'jitter' must be finite"),
+    (lambda text: text.replace('"jitter": 0.01', '"jitter": -1' + "0" * 400, 1),
+     "profiles.jsonl:1: field 'jitter' must be finite"),
+    # json refuses an int of more than 4300 digits with a ValueError of its own
+    (lambda text: text.replace('"jitter": 0.01', '"jitter": 1' + "0" * 5000, 1),
+     "profiles.jsonl:1: invalid JSON (Exceeds the limit (4300 digits)"),
+    (lambda text: "[" * 100_000 + "\n" + text,
+     "profiles.jsonl:1: invalid JSON (maximum recursion depth exceeded"),
+], ids=["int-401-digits", "negative-int-401-digits", "int-5001-digits", "nesting-100000"])
+def test_numbers_and_nesting_json_takes_but_python_cannot_exit_2_with_one_line(
+    corpus, tmp_path, mutate, message
+):
+    path = tmp_path / "profiles.jsonl"
+    path.write_text(mutate(corpus["profiles"].read_text()))
+    code, err = run_main(*tags_argv(corpus, profiles=path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path}/{message}"), err
+
+
+@pytest.mark.parametrize("document, text, message", [
+    ("thresholds", '{"pitch": {"low": 1, "high": 1' + "0" * 400 + "}}",
+     "field 'pitch': thresholds for pitch are not finite"),
+    ("thresholds", '{"pitch": {"low": 1, "high": 1' + "0" * 5000 + "}}",
+     "invalid JSON (Exceeds the limit (4300 digits)"),
+    ("config", '{"lr": 1' + "0" * 400 + "}", "bad value for 'lr': 1000"),
+], ids=["thresholds-int-401-digits", "thresholds-int-5001-digits", "config-int-401-digits"])
+def test_json_documents_with_numbers_beyond_float_exit_2_with_one_line(
+    corpus, tmp_path, document, text, message
+):
+    path = tmp_path / f"{document}.json"
+    path.write_text(text)
+    argv = (tags_argv(corpus, labels=corpus["labels_jsonl"], thresholds=path)
+            if document == "thresholds" else train_argv(corpus, corpus["tags"]) + ["--config", path])
+    code, err = run_main(*argv)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}"), err
+
+
+# --- memory gates ---------------------------------------------------------------------
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tags_read_of_8192_records_peaks_at_most_1_82_mb(tmp_path):
+    # the file is decoded line by line as it is read: one parse of its whole
+    # text would peak at about 5 MB here
+    fixture = make_cluster_fixture(3, n_per_class=2048)
+    path = write_tags_jsonl(tmp_path / "tags.jsonl", fixture.ids, fixture.tag_lists)
+    assert len(fixture.ids) == 8192
+    assert traced_peak(read_tags, path) <= 1.82e6
+
+
+def test_profiles_read_peaks_below_the_file_size(tmp_path):
+    # the decoded numbers become float64 columns block by block, so the peak
+    # is the columns and the ids, not the records
+    rng = np.random.default_rng(0)
+    records = [
+        {**PROFILE, "id": f"utt{i:05d}", **dict(zip(("pitch_mean_hz", "jitter", "shimmer"),
+                                                     rng.uniform(0.0, 300.0, 3).tolist()))}
+        for i in range(8192)
+    ]
+    path = write_records(tmp_path / "profiles.jsonl", records)
+    assert traced_peak(read_profiles, path) < path.stat().st_size

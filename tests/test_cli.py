@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from helpers import (
     run_cli,
     write_cluster_fixture_files,
     write_embeddings_csv,
+    write_features_csv,
     write_labels_csv,
     write_tags_jsonl,
 )
@@ -138,6 +140,14 @@ def test_a_broken_f0_track_exits_1_and_is_no_skip(tmp_path, monkeypatch, capsys)
     assert run_cli("extract", "--manifest", str(manifest), "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: frames_hz must be 0 exactly on unvoiced frames\n"
     assert not out.exists()
+
+
+def test_extract_rejects_a_manifest_wav_path_with_a_nul(tmp_path, capsys):
+    entries = make_wavs(tmp_path)
+    entries[1]["wav"] = "t1\0.wav"
+    manifest = write_manifest(tmp_path / "manifest.jsonl", entries)
+    assert run_cli("extract", "--manifest", str(manifest), "--out", str(tmp_path / "p.jsonl")) == 2
+    assert capsys.readouterr().err == f"error: {manifest}:2: field 'wav' holds a NUL character\n"
 
 
 def test_extract_unreadable_manifest(tmp_path):
@@ -290,6 +300,35 @@ def test_tags_bins_columns_not_records(tmp_path, monkeypatch, mode):
     # one table call for all 10 records, and in fit mode one fit per feature:
     # the five acoustic features and arousal
     assert calls == {"render_tag_table": 1, **({"fit_bins": 6} if mode == "fit" else {})}
+
+
+@pytest.mark.parametrize("mode", ["fit", "thresholds-in"])
+def test_tags_decodes_clean_jsonl_lines_without_json_loads(tmp_path, monkeypatch, mode):
+    import smoothclap.cli as cli_module
+    import smoothclap.tagging as tagging_module
+
+    profiles = write_profiles(tmp_path / "profiles.jsonl")
+    labels = write_label_entries(tmp_path / "labels.jsonl")
+    labels.write_text('{"_meta": {"seed": 0}}\n\n' + labels.read_text())
+    thresholds = tmp_path / "thresholds.json"
+    argv = ["tags", "--profiles", str(profiles), "--labels", str(labels),
+            "--out", str(tmp_path / "tags.jsonl")]
+    assert run_cli(*argv, "--thresholds-out", str(thresholds)) == 0
+    calls = {}
+    for module, name in ((json, "loads"), (tagging_module, "fit_bins"),
+                         (cli_module, "render_tag_table")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    extra = ["--thresholds-out", str(thresholds)] if mode == "fit" else ["--thresholds-in", str(thresholds)]
+    assert run_cli(*argv, *extra) == 0
+    # each JSONL line takes one raw_decode call; json.loads reads only the
+    # thresholds document that --thresholds-in names
+    assert calls == {
+        "render_tag_table": 1, **({"fit_bins": 6} if mode == "fit" else {"loads": 1})
+    }
 
 
 @pytest.mark.parametrize("flag", ["--refit", "--thresholds-out"])
@@ -508,6 +547,34 @@ def test_zero_row_in_training_loop_exits_1(tmp_path, monkeypatch, capsys):
     assert "epoch 0, batch start 0: audio row 0 has norm 0.000e+00, cannot normalize" in err
 
 
+def test_projected_rows_whose_squares_overflow_fail_the_step_with_exit_1(
+    tmp_path, monkeypatch, capsys
+):
+    import smoothclap.trainer as trainer_module
+
+    real_init = trainer_module.init_projection
+
+    def huge_init(*args, **kwargs):
+        # every projected row is finite, of order 1e200, and its squares overflow
+        params = real_init(*args, **kwargs)
+        params.weights[:] = 1e200
+        params.bias[:] = 0.0
+        return params
+
+    monkeypatch.setattr(trainer_module, "init_projection", huge_init)
+    files = cluster_files(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+            "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+        )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: epoch 0, batch start 0: audio row 0 has norm inf, cannot normalize\n"
+    )
+
+
 def test_nonfinite_loss_in_training_loop_names_the_step(tmp_path, monkeypatch, capsys):
     import smoothclap.trainer as trainer_module
     from smoothclap.errors import NonFiniteLoss
@@ -580,6 +647,21 @@ def test_zero_feature_row_before_training_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {files['features']}: row 6 has norm 0.000e+00, cannot normalize\n"
     )
+
+
+def test_feature_rows_whose_squares_overflow_exit_2_naming_the_row(tmp_path, capsys):
+    files = cluster_files(tmp_path)
+    fixture = make_cluster_fixture(6, 16)
+    features = write_features_csv(tmp_path / "big.csv", fixture.ids, np.full_like(fixture.features, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "train", "--features", str(features), "--tags", str(files["tags"]),
+            "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+        )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {features}: row 2 has norm inf, cannot normalize\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_zero_feature_row_that_the_join_drops_is_dropped(tmp_path, capsys):
@@ -1052,6 +1134,31 @@ def test_unknown_config_key_is_an_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("level", ["warn", "debug"])
+def test_an_exception_outside_the_taxonomy_is_one_internal_error_line_and_exit_1(
+    tmp_path, monkeypatch, capsys, level
+):
+    import smoothclap.trainer as trainer_module
+
+    def broken_kernel(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(trainer_module, "loss_and_grad", broken_kernel)
+    monkeypatch.setenv("SMOOTHCLAP_LOG", level)
+    files = cluster_files(tmp_path)
+    code = run_cli(
+        "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+        "--batch-size", "16", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "internal error: ValueError: operands could not be broadcast together"
+    if level == "debug":
+        assert "Traceback (most recent call last):" in err and "in broken_kernel" in "\n".join(err)
+    else:
+        assert len(err) == 1
+
+
 def test_log_level_env_var(tmp_path, monkeypatch, capsys):
     import logging
 
@@ -1164,8 +1271,9 @@ RUN_OPTION_CASES = {
 }
 
 
-class _TrainCalled(Exception):
-    """Raised by the stand-in for train once it has recorded its config."""
+class _TrainCalled(BaseException):
+    """Raised by the stand-in for train once it has recorded its config; main
+    reports every Exception as an internal error, so this passes through it."""
 
 
 def config_received_by_train(tmp_path, monkeypatch, *argv):

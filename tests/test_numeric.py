@@ -10,6 +10,7 @@ from smoothclap.errors import (
     EmptyInput,
     NonFiniteValue,
     NonPositiveTemperature,
+    PercentileOutOfRange,
     ShapeMismatch,
     ZeroRow,
 )
@@ -192,9 +193,9 @@ def test_percentile_unsorted_input_is_sorted_internally():
 def test_percentile_errors():
     with pytest.raises(EmptyInput):
         percentile_nearest_rank([], 50)
-    with pytest.raises(ValueError):
+    with pytest.raises(PercentileOutOfRange, match=r"percentile must be in \(0, 100\], got 0"):
         percentile_nearest_rank([1.0], 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PercentileOutOfRange, match=r"got 101"):
         percentile_nearest_rank([1.0], 101)
 
 

@@ -25,6 +25,7 @@ from smoothclap.tagging import (
     OPEN_TEMPLATES,
     Bin,
     BinThresholds,
+    FeatureTable,
     TemplateSet,
     assign_bin,
     fit_bins,
@@ -356,7 +357,9 @@ def outcome(fn):
 
 def table_of(rows, thresholds, templates):
     ids, labels, dims, acoustics = (list(column) for column in zip(*rows)) if rows else ([],) * 4
-    return render_tag_table(ids, labels, dims, acoustics, thresholds, templates)
+    return render_tag_table(
+        FeatureTable.from_records(ids, labels, dims, acoustics), thresholds, templates
+    )
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -407,14 +410,19 @@ def test_fit_thresholds_fits_each_feature_on_all_its_values(corpus):
     def expected():
         return {f: fit_bins(values[f], f) for f in BINNED_FEATURES if f in values}
 
-    assert outcome(lambda: fit_thresholds(dims, acoustics)) == outcome(expected)
+    ids = [row[0] for row in rows]
+    table = FeatureTable.from_records(ids, [{}] * len(rows), dims, acoustics)
+    assert outcome(lambda: fit_thresholds(table, table)) == outcome(expected)
 
 
 def test_table_form_bins_at_the_cut_points_like_assign_bin():
     t = BinThresholds("pitch", 1.0, 1.0)
     values = [0.5, 1.0, np.nextafter(1.0, 2.0), 2.0]
     table = render_tag_table(
-        ["a", "b", "c", "d"], [{}] * 4, [{}] * 4, [{"pitch": v} for v in values], {"pitch": t}
+        FeatureTable.from_records(
+            ["a", "b", "c", "d"], [{}] * 4, [{}] * 4, [{"pitch": v} for v in values]
+        ),
+        {"pitch": t},
     )
     assert table.codes["pitch"].tolist() == [int(assign_bin(v, t)) for v in values] == [0, 0, 2, 2]
     assert table.tags == [["low pitch"], ["low pitch"], ["high pitch"], ["high pitch"]]
