@@ -32,7 +32,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         raise ShapeMismatch(
             f"{name} must be 2-D with at least one row and column, got shape {m.shape}"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteValue(f"{name} contains NaN or Inf")
     return m
 
@@ -64,7 +64,9 @@ def row_norms(m: np.ndarray, name: str = "matrix", first_row: int = 0) -> np.nda
     from ``first_row``.
     """
     with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
-        norms = np.sqrt(np.sum(m * m, axis=1))
+        norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    if np.minimum.reduce(norms) >= ZERO_ROW_TOL and np.maximum.reduce(norms) < math.inf:
+        return norms
     if np.any(norms < ZERO_ROW_TOL):
         bad = int(np.argmin(norms))
         raise ZeroRow(f"{name} row {bad + first_row} has norm {norms[bad]:.3e}, cannot normalize")
@@ -86,16 +88,18 @@ def row_softmax(m, temperature: float) -> np.ndarray:
     return row_softmax_inplace(m.copy(), temperature)
 
 
-def row_softmax_inplace(z: np.ndarray, temperature: float) -> np.ndarray:
-    """Overwrite a trusted C-contiguous float64 matrix with its row softmax.
+def row_softmax_inplace(z: np.ndarray, temperature) -> np.ndarray:
+    """Overwrite a trusted float64 array with the softmax of each row along its
+    last axis.
 
-    :func:`row_softmax` is this function on a copy of its validated input.
-    Returns ``z``.
+    A stack of matrices may take one temperature per matrix, shaped to
+    broadcast, such as ``(2, 1, 1)``. :func:`row_softmax` is this function on
+    a copy of its validated input. Returns ``z``.
     """
-    z -= np.max(z, axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     z /= temperature
     np.exp(z, out=z)
-    z /= np.sum(z, axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 

@@ -17,17 +17,23 @@ rows an :class:`EmbeddingBatch` was built from (the chain rule runs through
 the row L2-normalization) and with respect to ``log(tau_pred)``.
 
 Every B x B quantity (the targets, both prediction distributions, their KL
-terms and logit gradients) is formed one block of ``_BLOCK_ROWS`` rows at a
-time, and its sums are added up in block order, so no B x B array exists.
-Rows come from a validated :class:`EmbeddingBatch` and are trusted.
+terms and logit gradients) is formed one block of ``_BLOCK_ROWS`` (32) rows
+at a time, and its sums are added up in block order, so no B x B array
+exists. The two retrieval directions of a block share one (2, rows, B)
+array, a2t (audio queries, text keys) first, so each elementwise step and
+reduction runs once for both; the two intra-modal softmaxes of the targets
+are stacked the same way. The products stay one 2-D matmul per direction,
+and the per-element arithmetic is that of a lone direction.
+Rows come from an :class:`EmbeddingBatch` and are trusted.
 :func:`build_targets` and :func:`loss_with_fixed_targets` run the kernel's
 own block code, so the fixed-target forward at the targets of
 :func:`build_targets` gives the loss of :func:`loss_and_grad` bit for bit.
-:func:`soft_loss`, summed in the kernel's block order, and
-:func:`clap_infonce` score given whole-matrix distributions and scores.
+:func:`soft_loss`, summed through the kernel's KL code in its block order,
+and :func:`clap_infonce` score given whole-matrix distributions and scores.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -122,8 +128,8 @@ class EmbeddingBatch:
     def __post_init__(self) -> None:
         audio = as_matrix(self.audio, "audio")
         text = as_matrix(self.text, "text")
-        self.audio_norms = row_norms(audio, "audio")
-        self.text_norms = row_norms(text, "text")
+        audio_norms = row_norms(audio, "audio")
+        text_norms = row_norms(text, "text")
         local = l2_normalize_rows(self.local_audio, "local_audio")
         if audio.shape != text.shape:
             raise ShapeMismatch(
@@ -135,9 +141,23 @@ class EmbeddingBatch:
             )
         if audio.shape[0] < 2:
             raise ShapeMismatch("batch size must be at least 2")
-        self.audio = audio / self.audio_norms[:, None]
-        self.text = text / self.text_norms[:, None]
-        self.local_audio = local
+        self._set_unit_rows(
+            audio / audio_norms[:, None], text / text_norms[:, None], local, audio_norms, text_norms
+        )
+
+    @classmethod
+    def _of_unit_rows(cls, audio, text, local_audio, audio_norms, text_norms) -> "EmbeddingBatch":
+        """A batch of unit rows, trusted as they are: ``audio`` and ``text``
+        are the rows the public constructor would make of rows with norms
+        ``audio_norms`` and ``text_norms``, and ``local_audio`` is unit too.
+        Nothing is checked or copied."""
+        batch = cls.__new__(cls)
+        batch._set_unit_rows(audio, text, local_audio, audio_norms, text_norms)
+        return batch
+
+    def _set_unit_rows(self, audio, text, local_audio, audio_norms, text_norms) -> None:
+        self.audio, self.text, self.local_audio = audio, text, local_audio
+        self.audio_norms, self.text_norms = audio_norms, text_norms
 
     @property
     def size(self) -> int:
@@ -165,8 +185,9 @@ def build_targets(batch: EmbeddingBatch, cfg: SmoothingConfig) -> np.ndarray:
     """
     b = batch.size
     y = np.empty((b, b))
+    scratch = np.empty(2 * min(b, _BLOCK_ROWS) * b)
     for rows in _row_blocks(b):
-        y[rows] = _target_rows(batch.local_audio, batch.text, rows, cfg)
+        y[rows] = _target_rows(batch.local_audio, batch.text, rows, cfg, _block(scratch, rows, b))
     return y
 
 
@@ -187,12 +208,14 @@ def soft_loss(y, p_a2t, p_t2a, cfg: SmoothingConfig) -> float:
         )
     if y.shape[0] != y.shape[1]:
         raise NotSquare(f"distributions must be square, got {y.shape}")
-    kl = _KLTerms(cfg)
-    for rows in _row_blocks(y.shape[0]):
-        kl.set_targets(y[rows])
-        kl.add(_A2T, p_a2t[rows])
-        kl.add(_T2A, p_t2a[rows])
-    return kl.value(y.shape[0])
+    b = y.shape[0]
+    sums = _kl_sums(cfg)
+    for rows in _row_blocks(b):
+        p = np.stack((p_a2t[rows], p_t2a[rows]))
+        u, prod = np.empty(p.shape), np.empty(p.shape)
+        log_y = _log_targets(y[rows], np.empty(p.shape[1:]), cfg.kl_mode is KLMode.SYMMETRIC)
+        _add_kl_terms(sums, y[rows], log_y, p, u, prod)
+    return _soft_value(sums, b)
 
 
 def clap_infonce(scores, cfg: SmoothingConfig) -> float:
@@ -204,9 +227,8 @@ def clap_infonce(scores, cfg: SmoothingConfig) -> float:
         raise NotSquare(f"scores must be square, got {s.shape}")
     if s.shape[0] < 2:
         raise ShapeMismatch("InfoNCE needs a batch of at least 2")
-    p_a2t = row_softmax_inplace(s.copy(), cfg.tau_pred)
-    p_t2a = row_softmax_inplace(np.ascontiguousarray(s.T), cfg.tau_pred)
-    return _infonce(np.diag(p_a2t), np.diag(p_t2a))
+    p = row_softmax_inplace(np.stack((s, s.T)), cfg.tau_pred)
+    return _infonce(_diagonal(p, 0))
 
 
 def loss_with_fixed_targets(batch: EmbeddingBatch, targets, cfg: SmoothingConfig) -> float:
@@ -229,18 +251,17 @@ def loss_with_fixed_targets(batch: EmbeddingBatch, targets, cfg: SmoothingConfig
         targets = as_matrix(targets, "targets")
         if targets.shape != (b, b):
             raise ShapeMismatch(f"targets {targets.shape} must be {(b, b)}")
-    value, _ = _blocked_pass(
-        batch.audio, batch.text, lambda rows: targets[rows], cfg, with_grads=False
-    )
+    value, _ = _blocked_pass(batch, cfg, targets, with_grads=False)
     return value
 
 
 # --- private term code: trusted float64 arrays, no validation -------------------
 
-# Every B x B quantity is made and used one block of rows at a time, so a
-# step holds a few (_BLOCK_ROWS, B) arrays instead of B x B ones.
-_BLOCK_ROWS = 64
-_A2T, _T2A = 0, 1  # the two retrieval directions, as indices of the KL sums
+# Every B x B quantity is made and used one block of rows at a time, and the
+# two retrieval directions of a block share one (2, _BLOCK_ROWS, B) array, so
+# a step holds a few such arrays instead of B x B ones.
+_BLOCK_ROWS = 32
+_TINY = np.finfo(np.float64).tiny  # floors the InfoNCE logs
 
 
 def _row_blocks(b: int) -> list[slice]:
@@ -248,152 +269,171 @@ def _row_blocks(b: int) -> list[slice]:
     return [slice(lo, min(lo + _BLOCK_ROWS, b)) for lo in range(0, b, _BLOCK_ROWS)]
 
 
+def _block(buf: np.ndarray, rows: slice, b: int) -> np.ndarray:
+    """A C-contiguous (2, rows, b) view of the front of a flat scratch array."""
+    shape = (2, rows.stop - rows.start, b)
+    return buf[: shape[0] * shape[1] * b].reshape(shape)
+
+
 def _diagonal(block: np.ndarray, start: int) -> np.ndarray:
-    """View of the batch diagonal of a C-contiguous block of rows that starts
-    at batch row ``start``: its entries (i, start + i)."""
-    return block.reshape(-1)[start :: block.shape[1] + 1]
+    """View of the batch diagonal of a C-contiguous (..., r, B) block of rows
+    that starts at batch row ``start``: its entries (..., i, start + i)."""
+    b = block.shape[-1]
+    return block.reshape(block.shape[:-2] + (-1,))[..., start :: b + 1]
 
 
-def _softmax_rows(src: np.ndarray, dst: np.ndarray, tau: float) -> np.ndarray:
-    """Row softmax of the similarities of the rows of src to every row of dst."""
-    return row_softmax_inplace(src @ dst.T, tau)
+def _similarities(out: np.ndarray, rows: slice, first, second) -> np.ndarray:
+    """The similarities of the block's query rows of the k-th (queries, keys)
+    pair to every key row, written into ``out[k]``. Each product is its own
+    2-D matmul, as a lone direction would form it."""
+    for k, (queries, keys) in enumerate((first, second)):
+        np.matmul(queries[rows], keys.T, out=out[k])
+    return out
 
 
 def _target_rows(
-    local: np.ndarray, text: np.ndarray, rows: slice, cfg: SmoothingConfig
+    local: np.ndarray, text: np.ndarray, rows: slice, cfg: SmoothingConfig, out: np.ndarray
 ) -> np.ndarray:
-    # in place: (1 - beta) I + beta ((1 - gamma) q_a2a + gamma q_t2t) on the rows
-    y = _softmax_rows(local[rows], local, cfg.tau_a2a)
-    y *= 1.0 - cfg.gamma
-    q_t2t = _softmax_rows(text[rows], text, cfg.tau_t2t)
-    q_t2t *= cfg.gamma
-    y += q_t2t
+    """The target rows of a block, in ``out[0]``; ``out[1]`` is left as scratch.
+
+    In place: (1 - beta) I + beta ((1 - gamma) q_a2a + gamma q_t2t) on the
+    rows, with q_a2a and q_t2t softmaxed as one stacked array."""
+    q = _similarities(out, rows, (local, local), (text, text))
+    row_softmax_inplace(q, np.array([cfg.tau_a2a, cfg.tau_t2t]).reshape(2, 1, 1))
+    q *= np.array([1.0 - cfg.gamma, cfg.gamma]).reshape(2, 1, 1)
+    y = q[0]
+    y += q[1]
     y *= cfg.beta
     diagonal = _diagonal(y, rows.start)
     diagonal += 1.0 - cfg.beta
     return y
 
 
-def _infonce(diag_a2t: np.ndarray, diag_t2a: np.ndarray) -> float:
-    tiny = np.finfo(np.float64).tiny
-    nll_a = -np.log(np.maximum(diag_a2t, tiny))
-    nll_t = -np.log(np.maximum(diag_t2a, tiny))
-    return 0.5 * (float(np.mean(nll_a)) + float(np.mean(nll_t)))
+def _log_targets(y: np.ndarray, out: np.ndarray, symmetric: bool) -> np.ndarray:
+    """``log max(y, KL_FLOOR)`` of a block's target rows, into ``out``."""
+    if symmetric and np.minimum.reduce(y, axis=None) < KL_FLOOR:
+        raise ZeroMassTarget(
+            "symmetric KL against targets with entries below the floor "
+            f"({KL_FLOOR}); increase beta or use forward mode"
+        )
+    np.maximum(y, KL_FLOOR, out=out)
+    return np.log(out, out=out)
 
 
-class _KLTerms:
-    """KL sums of target rows against prediction rows, per direction.
+def _infonce(diags: np.ndarray) -> float:
+    """Symmetric InfoNCE of the (2, B) diagonals of both prediction directions."""
+    nll = -np.log(np.maximum(diags, _TINY))
+    mean_a2t, mean_t2a = (np.add.reduce(nll, axis=1) / diags.shape[1]).tolist()
+    return 0.5 * (mean_a2t + mean_t2a)
 
-    For the prediction rows p of one block and its target rows y, ``u = log
-    max(p, KL_FLOOR) - log max(y, KL_FLOOR)`` is taken once. It gives the
-    forward term KL(y || p) = -sum(y * u), the reverse term KL(p || y) =
-    sum(p * u), and the reverse term's logit gradient ``p * (u - rowsum(p *
-    u))``. An entry with y == 0 or p == 0 contributes exactly 0, because u is
-    finite. ``forward`` and ``reverse`` hold the sums of each direction
-    (``_A2T``, ``_T2A``), added up block by block in block order. The two
-    directions of a block share its target rows and two scratch arrays.
+
+def _add_kl_terms(sums: np.ndarray, y, log_y, p, u, prod) -> None:
+    """Add the KL terms of one block of prediction rows p, both directions
+    stacked as (2, r, B), against its target rows y to ``sums``.
+
+    ``u = log max(p, KL_FLOOR) - log max(y, KL_FLOOR)`` is taken once. It
+    gives the forward term KL(y || p) = -sum(y * u), the reverse term
+    KL(p || y) = sum(p * u), and the reverse term's logit gradient
+    ``p * (u - rowsum(p * u))``. An entry with y == 0 or p == 0 contributes
+    exactly 0, because u is finite. ``sums[0]`` holds the forward sums of the
+    two directions and ``sums[1]``, if ``sums`` has that row (symmetric
+    mode), the reverse sums, added up block by block in block order. Leaves
+    in u the reverse term's logit gradient in symmetric mode, else u itself;
+    prod is scratch.
     """
-
-    def __init__(self, cfg: SmoothingConfig) -> None:
-        self.symmetric = cfg.kl_mode is KLMode.SYMMETRIC
-        self.forward = [0.0, 0.0]
-        self.reverse = [0.0, 0.0]
-
-    def set_targets(self, y: np.ndarray) -> None:
-        """Start a block: the target rows that its two directions share."""
-        if self.symmetric and float(np.min(y)) < KL_FLOOR:
-            raise ZeroMassTarget(
-                "symmetric KL against targets with entries below the floor "
-                f"({KL_FLOOR}); increase beta or use forward mode"
-            )
-        self.y = y
-        self.log_y = np.log(np.maximum(y, KL_FLOOR))
-        self.u = np.empty(y.shape)
-        self.prod = np.empty(y.shape)
-
-    def add(self, direction: int, p: np.ndarray) -> None:
-        """Add the terms of the block's prediction rows in one direction.
-        Leaves in self.u its reverse-term gradient when symmetric, else u."""
-        u, prod = self.u, self.prod
-        np.maximum(p, KL_FLOOR, out=u)
-        np.log(u, out=u)
-        u -= self.log_y
-        np.multiply(self.y, u, out=prod)
-        self.forward[direction] -= float(np.sum(prod))
-        if self.symmetric:
-            np.multiply(p, u, out=prod)
-            rows = np.sum(prod, axis=1, keepdims=True)
-            self.reverse[direction] += float(np.sum(rows))
-            u -= rows
-            u *= p
-
-    def value(self, b: int) -> float:
-        total = self.forward[_A2T] + self.forward[_T2A]
-        if self.symmetric:
-            total += self.reverse[_A2T] + self.reverse[_T2A]
-        return total / (2.0 * b)
-
-    def logit_grad(self, p: np.ndarray, start: int, lam: float) -> np.ndarray:
-        """Overwrite p, the prediction rows last added, starting at batch row
-        ``start``, with the logit gradient of lam * InfoNCE + (1 - lam) * KL
-        terms for that direction."""
-        if lam == 0.0:
-            p -= self.y
-            if self.symmetric:
-                p += self.u
-            return p
-        np.multiply(self.y, 1.0 - lam, out=self.prod)
-        p -= self.prod
-        diagonal = _diagonal(p, start)
-        diagonal -= lam
-        if self.symmetric:
-            self.u *= 1.0 - lam
-            p += self.u
-        return p
+    np.maximum(p, KL_FLOOR, out=u)
+    np.log(u, out=u)
+    u -= log_y
+    np.multiply(y, u, out=prod)
+    sums[0] -= np.add.reduce(prod.reshape(2, -1), axis=1)
+    if len(sums) == 2:
+        np.multiply(p, u, out=prod)
+        rows = np.add.reduce(prod, axis=2, keepdims=True)
+        sums[1] += np.add.reduce(rows.reshape(2, -1), axis=1)
+        u -= rows
+        u *= p
 
 
-def _blocked_pass(e_a, e_t, target_rows, cfg: SmoothingConfig, with_grads: bool):
-    """The loss of unit rows e_a and e_t, one block of rows at a time.
+def _kl_sums(cfg: SmoothingConfig) -> np.ndarray:
+    """Zeroed KL sums: forward, and in symmetric mode reverse, per direction."""
+    return np.zeros((2 if cfg.kl_mode is KLMode.SYMMETRIC else 1, 2))
 
-    ``target_rows(rows)`` gives the target rows of a block; it is not called
-    at ``cfg.clap_mix_lambda = 1``. Returns the loss and a pair of (B, d)
-    arrays: when ``with_grads``, ``2 B tau_pred`` times the gradients with
-    respect to e_a and e_t taken as free rows (the row normalization not yet
-    undone), else zeros. Blocks are summed in block order, so the value does
-    not depend on whether the gradients are taken.
+
+def _soft_value(sums: np.ndarray, b: int) -> float:
+    """The soft loss of finished KL sums over a batch of b rows."""
+    forward, *reverse = sums.tolist()
+    total = forward[0] + forward[1]
+    if reverse:
+        total += reverse[0][0] + reverse[0][1]
+    return total / (2.0 * b)
+
+
+def _blocked_pass(batch: EmbeddingBatch, cfg: SmoothingConfig, targets, with_grads: bool):
+    """The loss of the batch's unit rows e_a and e_t, one block of rows at a time.
+
+    The target rows of a block are built from the batch when ``targets`` is
+    None, else taken from it; neither is needed at ``cfg.clap_mix_lambda =
+    1``. Each block holds its a2t rows (queries e_a, keys e_t) and t2a rows
+    (queries e_t, keys e_a) in one (2, r, B) array. Returns the loss and a
+    pair of (B, d) arrays: when ``with_grads``, ``2 B tau_pred`` times the
+    gradients with respect to e_a and e_t taken as free rows (the row
+    normalization not yet undone), else zeros. Blocks are summed in block
+    order, so the value does not depend on whether the gradients are taken.
     """
+    e_a, e_t = batch.audio, batch.text
     lam = cfg.clap_mix_lambda
     b = e_a.shape[0]
-    kl = _KLTerms(cfg) if lam < 1.0 else None
-    diags = (np.empty(b), np.empty(b))
-    grads = (np.zeros(e_a.shape), np.zeros(e_t.shape))
-    # per direction: query rows, key rows and their gradients
-    directions = ((_A2T, e_a, e_t, grads[0], grads[1]), (_T2A, e_t, e_a, grads[1], grads[0]))
+    size = 2 * min(b, _BLOCK_ROWS) * b
+    p_buf = np.empty(size)
+    symmetric = lam < 1.0 and cfg.kl_mode is KLMode.SYMMETRIC
+    if lam < 1.0:
+        sums = _kl_sums(cfg)
+        y_buf, u_buf, prod_buf = np.empty(size), np.empty(size), np.empty(size)
+    diags = np.empty((2, b))
+    grad_a, grad_t = np.zeros(e_a.shape), np.zeros(e_t.shape)
     for rows in _row_blocks(b):
-        if kl is not None:
-            kl.set_targets(target_rows(rows))
-        for direction, src, dst, grad_src, grad_dst in directions:
-            p = _softmax_rows(src[rows], dst, cfg.tau_pred)
-            diags[direction][rows] = _diagonal(p, rows.start)
-            if kl is not None:
-                kl.add(direction, p)
-            if not with_grads:
-                continue
-            if kl is not None:
-                g = kl.logit_grad(p, rows.start, lam)
+        p = _similarities(_block(p_buf, rows, b), rows, (e_a, e_t), (e_t, e_a))
+        row_softmax_inplace(p, cfg.tau_pred)
+        diagonal = _diagonal(p, rows.start)
+        diags[:, rows] = diagonal
+        if lam < 1.0:
+            scratch = _block(y_buf, rows, b)
+            if targets is None:
+                y = _target_rows(batch.local_audio, e_t, rows, cfg, scratch)
             else:
-                g = p
-                diagonal = _diagonal(g, rows.start)
-                diagonal -= 1.0
-            # g is 2 B dL/dlogits of these rows, and the logits are src[rows] . dst / tau
-            grad_src[rows] += g @ dst
-            grad_dst += g.T @ src[rows]
+                y = targets[rows]
+            log_y = _log_targets(y, scratch[1], symmetric)
+            u = _block(u_buf, rows, b)
+            _add_kl_terms(sums, y, log_y, p, u, _block(prod_buf, rows, b))
+        if not with_grads:
+            continue
+        # p becomes 2 B dL/dlogits of the block, per direction: p - (lam I +
+        # (1 - lam) y) plus (1 - lam) times the reverse term's gradient
+        if lam == 1.0:
+            diagonal -= 1.0
+        elif lam == 0.0:
+            p -= y
+            if symmetric:
+                p += u
+        else:
+            y_part = np.multiply(y, 1.0 - lam, out=scratch[1])
+            p -= y_part
+            diagonal -= lam
+            if symmetric:
+                u *= 1.0 - lam
+                p += u
+        # the logits are queries[rows] . keys / tau
+        g_a2t, g_t2a = p
+        grad_a[rows] += g_a2t @ e_t
+        grad_t += g_a2t.T @ e_a[rows]
+        grad_t[rows] += g_t2a @ e_a
+        grad_a += g_t2a.T @ e_t[rows]
     if lam == 1.0:
-        value = _infonce(*diags)
+        value = _infonce(diags)
     else:
-        soft = kl.value(b)
-        value = soft if lam == 0.0 else lam * _infonce(*diags) + (1.0 - lam) * soft
-    return value, grads
+        soft = _soft_value(sums, b)
+        value = soft if lam == 0.0 else lam * _infonce(diags) + (1.0 - lam) * soft
+    return value, (grad_a, grad_t)
 
 
 def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
@@ -406,10 +446,10 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     ``(1-lam)`` times the reverse-KL term.
 
     The pass runs over blocks of ``_BLOCK_ROWS`` rows. Each block builds its
-    target rows and its rows of both prediction directions, adds their KL
-    and InfoNCE terms, and adds its logit gradients into the embedding
-    gradients, so no B x B array is formed and the memory of a call grows
-    with B times the block size. The batch rows are used as
+    target rows and its rows of both prediction directions as one stacked
+    array, adds their KL and InfoNCE terms, and adds its logit gradients
+    into the embedding gradients, so no B x B array is formed and the memory
+    of a call grows with B times the block size. The batch rows are used as
     :class:`EmbeddingBatch` made them: unit rows.
 
     Gradients are with respect to the audio/text rows the batch was built
@@ -420,33 +460,28 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     :func:`build_targets`, bit for bit.
     """
     e_a, e_t = batch.audio, batch.text
-    value, (grad_ea, grad_et) = _blocked_pass(
-        e_a,
-        e_t,
-        lambda rows: _target_rows(batch.local_audio, e_t, rows, cfg),
-        cfg,
-        with_grads=True,
-    )
-    if not np.isfinite(value):
+    value, (grad_ea, grad_et) = _blocked_pass(batch, cfg, None, with_grads=True)
+    if not math.isfinite(value):
         raise NonFiniteLoss(f"forward loss is {value}")
 
     # d loss / d gram = (g_a2t + g_t2a.T) / (2 b tau)
     c = 1.0 / (2.0 * batch.size * cfg.tau_pred)
-    grad_ea *= c
-    grad_et *= c
     # chain rule through row normalization z / ||z||: project out the radial
     # component, then divide by the norm of the input row
-    radial_a = np.sum(grad_ea * e_a, axis=1, keepdims=True)
-    grad_audio = (grad_ea - radial_a * e_a) / batch.audio_norms[:, None]
-    radial_t = np.sum(grad_et * e_t, axis=1, keepdims=True)
-    grad_text = (grad_et - radial_t * e_t) / batch.text_norms[:, None]
+    radial = []
+    for grad, e, norms in ((grad_ea, e_a, batch.audio_norms), (grad_et, e_t, batch.text_norms)):
+        grad *= c
+        along = np.multiply(grad, e)
+        radial.append(np.add.reduce(along, axis=1, keepdims=True))
+        grad -= np.multiply(radial[-1], e, out=along)
+        grad /= norms[:, None]
     # the logits are gram / tau, so d/dlog(tau) = -sum(dL/dgram * gram), and
     # sum_ij (dL/dgram)_ij e_a[i].e_t[j] is the sum of the radial components
-    grad_log_tau = -float(np.sum(radial_a))
+    grad_log_tau = -float(np.add.reduce(radial[0], axis=None))
 
     return LossOutput(
         value=value,
-        grad_audio=grad_audio,
-        grad_text=grad_text,
+        grad_audio=grad_ea,
+        grad_text=grad_et,
         grad_log_tau_pred=grad_log_tau,
     )

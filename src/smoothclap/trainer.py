@@ -6,6 +6,15 @@ features) and by a multi-hot tag featurizer on the text side. Everything in
 the loss path is preserved: projections, row normalization, soft targets,
 and the learnable log-temperature. Training is bit-deterministic for a
 given (data, config, seed) triple.
+
+:func:`train` checks its inputs once per run: the feature rows are finite
+and none is zero, and their norms, by which each step makes the unit local
+audio features of its rows, are taken once. Each step then checks only
+what a step can fail on: the
+norms of its projected rows (a zero, non-finite or overflowing row),
+the learned temperature, the loss, and a gradient whose square overflows
+Adam's second moment. Any of these is a :class:`TrainingStepFailed`
+naming the epoch and the batch.
 """
 from __future__ import annotations
 
@@ -124,20 +133,43 @@ class AdamState:
 def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update; returns new params and the state.
+
+    The moments are updated in place in ``state``, which is returned with
+    its step advanced; ``params`` is left as it is. Raises NonFiniteValue,
+    leaving the moments to be discarded, if a gradient's square overflows
+    the second moment.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeMismatch(
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
-    step = state.step + 1
-    m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grads
-    v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - _ADAM_BETA1**step)
-    v_hat = v / (1.0 - _ADAM_BETA2**step)
-    updated = params - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    return updated, AdamState(m=m, v=v, step=step)
+    state.step += 1
+    m, v = state.m, state.v
+    # out= arrays keep the arithmetic in place, for 0-d params too
+    scratch, update = np.empty_like(params), np.empty_like(params)
+    np.multiply(grads, 1.0 - _ADAM_BETA1, out=scratch)
+    m *= _ADAM_BETA1
+    m += scratch
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        np.multiply(grads, 1.0 - _ADAM_BETA2, out=scratch)
+        scratch *= grads
+    v *= _ADAM_BETA2
+    v += scratch
+    if not np.maximum.reduce(v, axis=None) < math.inf:
+        raise NonFiniteValue(
+            "a gradient's square overflows the Adam second moment: largest gradient "
+            f"{float(np.maximum.reduce(np.abs(grads), axis=None)):.3e}"
+        )
+    v_hat = np.divide(v, 1.0 - _ADAM_BETA2**state.step, out=scratch)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += _ADAM_EPS
+    np.divide(m, 1.0 - _ADAM_BETA1**state.step, out=update)
+    update *= lr
+    update /= v_hat
+    return np.subtract(params, update, out=update), state
 
 
 def check_seed(seed: int) -> int:
@@ -285,20 +317,68 @@ def _tau_pred(log_tau: float) -> float:
         raise NonFiniteValue(f"tau_pred = exp({log_tau:.6g}) overflows") from None
 
 
+def _tensor_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive runs of a flat vector, one per shape, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _gather_grads(grads, audio: np.ndarray, text: np.ndarray, out: LossOutput) -> None:
+    """Write the gradients of W_a, b_a, W_t, b_t and log_tau into the views
+    ``grads``, from a step's loss output at the projected feature rows."""
+    g_wa, g_ba, g_wt, g_bt, g_log_tau = grads
+    dza, dzt = out.grad_audio, out.grad_text
+    np.matmul(audio.T, dza, out=g_wa)
+    np.add.reduce(dza, axis=0, out=g_ba)
+    np.matmul(text.T, dzt, out=g_wt)
+    np.add.reduce(dzt, axis=0, out=g_bt)
+    g_log_tau[...] = out.grad_log_tau_pred
+
+
+def _param_shapes(proj_a: ProjectionParams, proj_t: ProjectionParams) -> list[tuple[int, ...]]:
+    return [proj_a.weights.shape, proj_a.bias.shape, proj_t.weights.shape, proj_t.bias.shape, ()]
+
+
 def train_step(
     proj_a, proj_t, log_tau: float, audio, text, smoothing
 ) -> tuple[LossOutput, np.ndarray]:
     """Loss of one batch of feature rows and one float64 vector of the gradients
     of W_a, b_a, W_t, b_t and log_tau, each raveled, end to end in that order.
-    The audio feature rows are also the local features."""
-    za = proj_a.project(audio)
-    zt = proj_t.project(text)
+    The audio feature rows are also the local features. The batch is checked
+    as :class:`EmbeddingBatch` checks it."""
     cfg = replace(smoothing, tau_pred=_tau_pred(log_tau))
     # the gradients are with respect to the projected rows za and zt
-    out = loss_and_grad(EmbeddingBatch(za, zt, audio), cfg)
-    dza, dzt = out.grad_audio, out.grad_text
-    grads = (audio.T @ dza, dza.sum(axis=0), text.T @ dzt, dzt.sum(axis=0), out.grad_log_tau_pred)
-    return out, np.concatenate([np.ravel(g) for g in grads])
+    out = loss_and_grad(EmbeddingBatch(proj_a.project(audio), proj_t.project(text), audio), cfg)
+    shapes = _param_shapes(proj_a, proj_t)
+    grad = np.empty(sum(map(math.prod, shapes)))
+    _gather_grads(_tensor_views(grad, shapes), audio, text, out)
+    return out, grad
+
+
+def _trusted_step(proj_a, proj_t, cfg, audio, text, local, grads) -> LossOutput:
+    """:func:`train_step` on rows that :func:`train` has checked: float64
+    feature rows of one batch and ``local``, their unit rows. Only what a
+    step can fail on is checked: the norms of the projected rows. The
+    gradients go into the views ``grads``; the result equals train_step's
+    bit for bit."""
+    za = proj_a.project(audio)
+    zt = proj_t.project(text)
+    try:
+        norms_a, norms_t = row_norms(za, "audio"), row_norms(zt, "text")
+    except (ZeroRow, NonFiniteValue):
+        # the checked constructor names the first fault as a step always has
+        EmbeddingBatch(za, zt, local)
+        raise
+    batch = EmbeddingBatch._of_unit_rows(
+        za / norms_a[:, None], zt / norms_t[:, None], local, norms_a, norms_t
+    )
+    out = loss_and_grad(batch, cfg)
+    _gather_grads(grads, audio, text, out)
+    return out
 
 
 def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
@@ -322,21 +402,25 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
     if not vocabulary:
         raise EmptyVocabulary("no tags present in the training data")
     text_feats = featurize_tag_lists(tag_lists, vocabulary)
-    # the feature rows are also the local audio features, which EmbeddingBatch
-    # normalizes batch by batch; a zero row fails here, before any step
-    row_norms(x, "audio_features")
+    # the feature rows are also the local audio features: their norms are
+    # taken once, and a zero row fails here, before any step. A step divides
+    # its own rows; unit rows of the whole matrix would stay live all run
+    norms = row_norms(x, "audio_features")
 
     init_rng = _stream_rng(config.seed, _INIT_STREAM)
     proj_a = init_projection(x.shape[1], config.embed_dim, init_rng)
     proj_t = init_projection(len(vocabulary), config.embed_dim, init_rng)
     log_tau = math.log(config.smoothing.tau_pred)
-    # the trained tensors become views of one vector in train_step's order
+    # the trained tensors become views of one vector in train_step's order,
+    # and each step's gradients are written into views of another
     tensors = (proj_a.weights, proj_a.bias, proj_t.weights, proj_t.bias, log_tau)
+    shapes = _param_shapes(proj_a, proj_t)
     flat = np.concatenate([np.ravel(t) for t in tensors])
-    parts = np.split(flat, np.cumsum([np.size(t) for t in tensors])[:-1])
-    w_a, b_a, w_t, b_t, log_tau = (p.reshape(np.shape(t)) for p, t in zip(parts, tensors))
+    w_a, b_a, w_t, b_t, log_tau = _tensor_views(flat, shapes)
     proj_a, proj_t = ProjectionParams(w_a, b_a), ProjectionParams(w_t, b_t)
     state = AdamState.zeros_like(flat)
+    grad = np.empty_like(flat)
+    grads = _tensor_views(grad, shapes)
 
     b = config.batch_size
     history: list[float] = []
@@ -347,16 +431,18 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
         for start in range(0, n - b + 1, b):
             idx = perm[start : start + b]
             try:
-                out, grad = train_step(
-                    proj_a, proj_t, float(log_tau), x[idx], text_feats[idx], config.smoothing
+                cfg = replace(config.smoothing, tau_pred=_tau_pred(float(log_tau)))
+                audio = x[idx]
+                out = _trusted_step(
+                    proj_a, proj_t, cfg, audio, text_feats[idx], audio / norms[idx, None], grads
                 )
+                flat[:], state = adam_step(flat, grad, state, config.lr)
             except (
                 ZeroRow, NonFiniteValue, NonPositiveTemperature, ZeroMassTarget, NonFiniteLoss
             ) as exc:
                 raise TrainingStepFailed(
                     f"epoch {epoch}, batch start {start}: {exc}"
                 ) from exc
-            flat[:], state = adam_step(flat, grad, state, config.lr)
             losses.append(out.value)
         history.append(float(np.mean(losses)))
     return TrainedModel(

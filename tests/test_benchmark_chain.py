@@ -29,6 +29,16 @@ def chains():
         sys.path.remove(str(BENCH))
 
 
+def training_kernel_spans(spans) -> int:
+    """The ``objective.loss_and_grad`` spans under ``train``; the benchmark's
+    ``objective.loss_and_grad.ms_p50`` is taken over them."""
+    roots = importlib.import_module("spans").root_of(spans)
+    return sum(
+        s.name == "objective.loss_and_grad" and spans[r].name == "train"
+        for s, r in zip(spans, roots)
+    )
+
+
 def test_traced_wav_pipeline_chain_reports_no_problems(chains, tmp_path):
     # the sizes of the benchmark's own smoke test, each subcommand called once
     wl = dataclasses.replace(
@@ -42,6 +52,7 @@ def test_traced_wav_pipeline_chain_reports_no_problems(chains, tmp_path):
     spans = result.tracer.spans
     assert [s.name for s in spans if s.parent == -1] == SUBCOMMANDS
     assert {f"cli.{c}" for c in SUBCOMMANDS} <= {s.name for s in spans}
+    assert training_kernel_spans(spans) == wl.epochs * (corpus.rows // wl.batch_size)
 
 
 def test_traced_large_batch_train_chain_reports_no_problems(chains, tmp_path):
@@ -59,3 +70,4 @@ def test_traced_large_batch_train_chain_reports_no_problems(chains, tmp_path):
     assert [s.name for s in spans if s.parent == -1] == SUBCOMMANDS
     reads = [s for s in spans if s.name == "evaluation.read_id_matrix_csv"]
     assert reads and all(s.work == 512 * wl.feature_dim for s in reads)
+    assert training_kernel_spans(spans) == 4

@@ -634,6 +634,40 @@ def test_learned_temperature_out_of_range_exits_1(tmp_path, capsys, seed, failur
     assert f"epoch 0, batch start 8: {failure}" in err
 
 
+@pytest.mark.parametrize(
+    "flags, failure",
+    [
+        (["--tau-pred", "1e-300"], "a gradient's square overflows the Adam second moment"),
+        (["--lr", "1e300"], ": tau_pred "),
+        (["--tau-pred", "1e300"], None),
+    ],
+    ids=["tau-pred-1e-300", "lr-1e300", "tau-pred-1e300"],
+)
+def test_extreme_training_numbers_fail_the_step_in_one_line_or_train(
+    tmp_path, capsys, flags, failure
+):
+    # at tau_pred 1e-300 the gradients reach about 1e299, finite, but their
+    # squares overflow Adam's second moment, which would then freeze every
+    # parameter; no RuntimeWarning may escape either way
+    files = cluster_files(tmp_path)
+    model_path = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+            "--batch-size", "16", "--epochs", "2", *flags, "--out", str(model_path),
+        )
+    err = capsys.readouterr().err
+    if failure is None:
+        assert code == 0 and err == "" and model_path.exists()
+        return
+    assert code == 1
+    assert not model_path.exists()
+    assert err.count("\n") == 1
+    assert err.startswith("error: epoch 0, batch start ")
+    assert failure in err
+
+
 def test_zero_feature_row_before_training_exits_2(tmp_path, capsys):
     fixture = make_cluster_fixture(6, 16)
     fixture.features[4] = 0.0

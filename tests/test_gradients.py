@@ -264,9 +264,9 @@ def test_stacked_differences_are_chunked():
 @pytest.mark.parametrize("kl_mode", list(KLMode))
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_gradients_match_finite_differences_one_row_past_a_block(lam, kl_mode):
-    # the kernel forms its B x B terms in blocks of 64 rows; at 65 the second
+    # the kernel forms its B x B terms in blocks of 32 rows; at 33 the second
     # block holds one row, and the gradient is checked across the seam
-    rows = make_rows(np.random.default_rng(52), 65, 2)
+    rows = make_rows(np.random.default_rng(52), 33, 2)
     cfg = SmoothingConfig(
         gamma=0.5, beta=0.3, tau_a2a=0.7, tau_t2t=1.3, tau_pred=0.7,
         kl_mode=kl_mode, clap_mix_lambda=lam,

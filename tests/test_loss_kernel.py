@@ -25,6 +25,7 @@ from smoothclap.numeric import (
     row_softmax_inplace,
 )
 from smoothclap.objective import (
+    _BLOCK_ROWS,
     EmbeddingBatch,
     KLMode,
     LossOutput,
@@ -279,11 +280,15 @@ def test_kernel_matches_reference(b, tau_pred, kl_mode, lam):
     assert_close(out.grad_log_tau_pred, grad_log_tau)
 
 
-# B = 63, 64 and 65 sit at the seam of the 64-row blocks; at B = 65 and
-# tau_pred 0.05 the floor binds in a batch of two blocks
+# B = 31, 32 and 33 sit at the seam of the 32-row blocks, and 63, 64 and 65 at
+# the seam of the second and third; at B = 33 and 65 and tau_pred 0.05 the
+# floor binds in every block of the batch
 @pytest.mark.parametrize(
     "b,tau_pred",
-    [(2, 0.5), (16, 0.5), (63, 0.5), (64, 0.5), (65, 0.5), (65, 0.05), (256, 0.5), (1024, 0.5)],
+    [
+        (2, 0.5), (16, 0.5), (31, 0.5), (32, 0.5), (33, 0.5), (33, 0.05),
+        (63, 0.5), (64, 0.5), (65, 0.5), (65, 0.05), (256, 0.5), (1024, 0.5),
+    ],
 )
 @pytest.mark.parametrize("kl_mode", list(KLMode))
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -303,16 +308,19 @@ def test_kernel_matches_the_whole_matrix_kernel(b, tau_pred, kl_mode, lam):
 
 
 def test_floor_binds_in_both_blocks_of_the_seam_case():
-    batch = make_batch(65, seed=65)
+    # B = 33 is a full 32-row block and a block of one row
+    batch = make_batch(33, seed=33)
     p = row_softmax(gram(batch.audio, batch.text), 0.05)
-    assert float(np.min(p[:64])) < KL_FLOOR
-    assert float(np.min(p[64:])) < KL_FLOOR
+    assert _BLOCK_ROWS == 32
+    assert float(np.min(p[:32])) < KL_FLOOR
+    assert float(np.min(p[32:])) < KL_FLOOR
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_kernel_peak_memory_stays_below_one_batch_square_matrix(lam):
-    # the whole-matrix kernel peaked at about 49 MB here; the row blocks keep a
-    # few (64, B) arrays at a time
+    # the whole-matrix kernel peaked at about 49 MB here, one B x B matrix is
+    # 8 MiB; the row blocks keep a few (2, 32, B) arrays at a time. The bound
+    # is counted in (64, B) float64 arrays: 8 of them with targets, 3 without
     b = 1024
     batch = make_batch(b, seed=3)
     cfg = SmoothingConfig(clap_mix_lambda=lam)
@@ -322,7 +330,8 @@ def test_kernel_peak_memory_stays_below_one_batch_square_matrix(lam):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < b * b * np.dtype(np.float64).itemsize
+    blocks = 8 if lam < 1.0 else 3
+    assert peak < blocks * 64 * b * np.dtype(np.float64).itemsize
 
 
 def test_floor_is_hit_in_the_reference_cases():

@@ -365,7 +365,7 @@ def test_hard_target_recovery_matches_infonce():
 
 
 def test_loss_value_matches_manual_composition():
-    # B = 130 is two full row blocks of the kernel and a block of two rows
+    # B = 130 is four full 32-row blocks of the kernel and a block of two rows
     for b in (5, 130):
         rng = np.random.default_rng(13)
         audio, text = rng.standard_normal((b, 7)), rng.standard_normal((b, 7))

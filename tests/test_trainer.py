@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,11 +12,13 @@ from smoothclap.artifacts import load_model, save_model
 from smoothclap.errors import (
     EmptyVocabulary,
     InsufficientData,
+    NonFiniteValue,
     ShapeMismatch,
     ZeroRow,
 )
 from smoothclap.fixtures import make_cluster_fixture
 from smoothclap.gradcheck import STEP, max_relative_error
+from smoothclap.numeric import l2_normalize_rows
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,
@@ -27,6 +31,9 @@ from smoothclap.trainer import (
     AdamState,
     ProjectionParams,
     TrainConfig,
+    _param_shapes,
+    _tensor_views,
+    _trusted_step,
     adam_step,
     embed_audio,
     embed_query_labels,
@@ -105,6 +112,31 @@ def test_adam_is_elementwise():
             params[i : i + 1], grads[i : i + 1], AdamState.zeros_like(params[:1]), 1e-3
         )
         assert single[0] == joint[i]
+
+
+def test_adam_leaves_params_and_grads_and_updates_its_moments_in_place():
+    params, grads = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+    state = AdamState.zeros_like(params)
+    m, v = state.m, state.v
+    updated, returned = adam_step(params, grads, state, 1e-2)
+    np.testing.assert_array_equal(params, [1.0, -2.0])
+    np.testing.assert_array_equal(grads, [0.5, 3.0])
+    assert returned is state and state.m is m and state.v is v and state.step == 1
+    assert updated is not params and not np.array_equal(updated, params)
+
+
+def test_adam_refuses_gradients_whose_squares_overflow():
+    params = np.zeros(3)
+    state = AdamState.zeros_like(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "overflows the Adam second moment: largest gradient 3.000e+300"
+        with pytest.raises(NonFiniteValue, match=re.escape(message)):
+            adam_step(params, np.array([1.0, -3e300, 1e200]), state, 1e-3)
+        # 1e150 squares to 1e300, within range
+        grads = np.array([1.0, -1e150, 0.0])
+        updated, _ = adam_step(params, grads, AdamState.zeros_like(params), 1e-3)
+    assert np.isfinite(updated).all()
 
 
 def test_adam_shape_mismatch():
@@ -194,8 +226,12 @@ def test_clap_mix_takes_one_kernel_call_per_step(monkeypatch):
 
 
 def test_each_projected_matrix_has_its_row_norms_taken_once_per_step(monkeypatch):
-    # a row-norm pass over projected rows z sums z * z along the rows: count
-    # the row sums whose argument is the square of a matrix a projection made
+    # count the numeric.row_norms calls, under every name the package binds it
+    # to, whose argument is a matrix a projection made
+    import smoothclap.numeric as numeric_module
+    import smoothclap.objective as objective_module
+    import smoothclap.trainer as trainer_module
+
     projected = []
     real_project = ProjectionParams.project
 
@@ -205,17 +241,16 @@ def test_each_projected_matrix_has_its_row_norms_taken_once_per_step(monkeypatch
         return z
 
     passes = []
-    real_sum = np.sum
+    real_row_norms = numeric_module.row_norms
 
-    def counting_sum(a, *args, **kwargs):
-        if kwargs.get("axis") == 1 and any(
-            np.shape(a) == z.shape and np.array_equal(a, z * z) for z in projected
-        ):
-            passes.append(np.shape(a))
-        return real_sum(a, *args, **kwargs)
+    def counting_row_norms(m, *args, **kwargs):
+        if any(m is z for z in projected):
+            passes.append(np.shape(m))
+        return real_row_norms(m, *args, **kwargs)
 
     monkeypatch.setattr(ProjectionParams, "project", recording_project)
-    monkeypatch.setattr(np, "sum", counting_sum)
+    for module in (numeric_module, objective_module, trainer_module):
+        monkeypatch.setattr(module, "row_norms", counting_row_norms)
     fx = make_cluster_fixture(seed=3, n_per_class=16)
     config = small_config(epochs=1, embed_dim=16)
     train(fx.features, fx.tag_lists, config)
@@ -223,6 +258,93 @@ def test_each_projected_matrix_has_its_row_norms_taken_once_per_step(monkeypatch
     assert steps == 4
     assert len(projected) == 2 * steps
     assert passes == [(16, 16)] * (2 * steps)
+
+
+@pytest.mark.parametrize("b", [2, 16, 31, 32, 33, 65])
+@pytest.mark.parametrize("kl_mode", [KLMode.SYMMETRIC, KLMode.FORWARD])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_trusted_step_is_the_checked_kernel_and_the_concatenated_gradients(b, kl_mode, lam):
+    # the step train takes on rows it checked once, against the batch the
+    # public constructor checks and the gradients concatenated tensor by tensor
+    rng = np.random.default_rng(b)
+    in_audio, in_text, dim = 10, 5, 6
+    x = rng.standard_normal((b, in_audio))
+    text = np.abs(rng.standard_normal((b, in_text))) + 0.1
+    proj_a = init_projection(in_audio, dim, rng)
+    proj_t = init_projection(in_text, dim, rng)
+    cfg = SmoothingConfig(
+        kl_mode=kl_mode, tau_a2a=0.7, tau_t2t=1.3, tau_pred=0.8, clap_mix_lambda=lam
+    )
+
+    za, zt = proj_a.project(x), proj_t.project(text)
+    expected = loss_and_grad(EmbeddingBatch(za, zt, x), cfg)
+    dza, dzt = expected.grad_audio, expected.grad_text
+    parts = (x.T @ dza, dza.sum(axis=0), text.T @ dzt, dzt.sum(axis=0), expected.grad_log_tau_pred)
+    expected_grad = np.concatenate([np.ravel(g) for g in parts])
+
+    grad = np.full(expected_grad.shape, np.nan)
+    out = _trusted_step(
+        proj_a, proj_t, cfg, x, text, l2_normalize_rows(x),
+        _tensor_views(grad, _param_shapes(proj_a, proj_t)),
+    )
+    assert out.value == expected.value
+    assert out.grad_audio.tobytes() == dza.tobytes()
+    assert out.grad_text.tobytes() == dzt.tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
+    public_out, public_grad = train_step(proj_a, proj_t, math.log(0.8), x, text, cfg)
+    assert public_out.value == expected.value
+    assert public_grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [(np.nan, "audio contains NaN or Inf"), (0.0, "audio row 0 has norm 0.000e+00"),
+     (1e200, "audio row 0 has norm inf")],
+)
+def test_trusted_step_names_a_bad_projected_row_as_the_checked_batch_does(scale, message):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((4, 3))
+    proj_a = init_projection(3, 2, rng)
+    proj_t = init_projection(2, 2, rng)
+    proj_a.weights[:] *= scale
+    proj_a.bias[:] *= scale
+    grads = _tensor_views(np.empty(15), _param_shapes(proj_a, proj_t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ZeroRow, NonFiniteValue)) as checked:
+            EmbeddingBatch(proj_a.project(x), proj_t.project(x[:, :2]), x)
+        with pytest.raises(type(checked.value), match=re.escape(message)) as trusted:
+            _trusted_step(
+                proj_a, proj_t, SmoothingConfig(), x, x[:, :2], l2_normalize_rows(x), grads
+            )
+    assert str(trusted.value) == str(checked.value)
+
+
+def test_train_checks_its_inputs_a_fixed_number_of_times_whatever_the_step_count(monkeypatch):
+    import smoothclap.numeric as numeric_module
+    import smoothclap.objective as objective_module
+    import smoothclap.trainer as trainer_module
+
+    calls = {"as_matrix": 0, "l2_normalize_rows": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(getattr(numeric_module, name))
+        for module in (numeric_module, objective_module, trainer_module):
+            monkeypatch.setattr(module, name, wrapper)
+    fx = make_cluster_fixture(seed=8, n_per_class=16)
+    per_run = []
+    for epochs in (1, 5):
+        calls.update(dict.fromkeys(calls, 0))
+        train(fx.features, fx.tag_lists, small_config(epochs=epochs))
+        per_run.append(dict(calls))
+    # the feature rows, and the text features through l2_normalize_rows
+    assert per_run == [{"as_matrix": 2, "l2_normalize_rows": 1}] * 2
 
 
 def test_descent_on_frozen_batch():
