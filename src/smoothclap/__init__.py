@@ -10,25 +10,11 @@ __version__ = "0.1.0"  # before the imports: artifacts writes it into every head
 
 from .errors import SmoothClapError
 from .evaluation import EvalReport, confusion_and_uar, zero_shot_classify
-from .numeric import (
-    gram,
-    kl_rows,
-    l2_normalize_rows,
-    percentile_nearest_rank,
-    row_softmax,
-)
-from .objective import (
-    EmbeddingBatch,
-    KLMode,
-    LossOutput,
-    SmoothingConfig,
-    clap_infonce,
-    loss_and_grad,
-    soft_loss,
-)
+from .numeric import l2_normalize_rows, percentile_nearest_rank
+from .objective import EmbeddingBatch, KLMode, LossOutput, SmoothingConfig, loss_and_grad
 from .paralinguistics import AcousticProfile, Waveform, acoustic_profile, load_wav
-from .tagging import BinThresholds, TagRecord, assign_bin, fit_bins, render_tags
-from .trainer import TrainConfig, TrainedModel, adam_step, featurize_text, train
+from .tagging import BinThresholds, fit_bins
+from .trainer import TrainConfig, TrainedModel, adam_step, train
 
 __all__ = [
     "AcousticProfile",
@@ -39,26 +25,17 @@ __all__ = [
     "LossOutput",
     "SmoothClapError",
     "SmoothingConfig",
-    "TagRecord",
     "TrainConfig",
     "TrainedModel",
     "Waveform",
     "acoustic_profile",
     "adam_step",
-    "assign_bin",
-    "clap_infonce",
     "confusion_and_uar",
-    "featurize_text",
     "fit_bins",
-    "gram",
-    "kl_rows",
     "l2_normalize_rows",
     "load_wav",
     "loss_and_grad",
     "percentile_nearest_rank",
-    "render_tags",
-    "row_softmax",
-    "soft_loss",
     "train",
     "zero_shot_classify",
 ]

@@ -1,9 +1,8 @@
 """Dense-matrix kernels, probability-simplex operations, and percentile utilities.
 
 Everything here works on plain 2-D float64 numpy arrays validated at the
-boundary by :func:`as_matrix`. "Row-stochastic" means nonnegative entries
-with each row summing to 1 within ``ROW_SUM_TOL``. All functions are pure
-and safe to call concurrently.
+boundary by :func:`as_matrix`. All functions are pure and safe to call
+concurrently.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from .errors import (
     ZeroRow,
 )
 
-ROW_SUM_TOL = 1e-9
 ZERO_ROW_TOL = 1e-12
 KL_FLOOR = 1e-8  # bounds both logs of every KL term from below
 
@@ -35,14 +33,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteValue(f"{name} contains NaN or Inf")
     return m
-
-
-def is_row_stochastic(m, tol: float = ROW_SUM_TOL) -> bool:
-    """True if every entry is >= 0 and every row sums to 1 within ``tol``."""
-    m = as_matrix(m)
-    if np.any(m < 0.0):
-        return False
-    return bool(np.all(np.abs(m.sum(axis=1) - 1.0) <= tol))
 
 
 def l2_normalize_rows(m, name: str = "matrix", first_row: int = 0) -> np.ndarray:
@@ -104,11 +94,14 @@ def row_softmax_inplace(z: np.ndarray, temperature) -> np.ndarray:
 
 
 def check_temperature(value: float, name: str) -> None:
-    """Softmax temperatures must be finite and strictly positive."""
+    """Softmax temperatures must be finite and strictly positive, and so must
+    their reciprocal, by which the softmaxes scale their scores."""
     if not value > 0.0:
         raise NonPositiveTemperature(f"{name} must be > 0, got {value}")
     if value == math.inf:
         raise NonFiniteValue(f"{name} must be finite, got {value}")
+    if 1.0 / float(value) == math.inf:
+        raise NonFiniteValue(f"{name} = {value} is too small: its reciprocal overflows")
 
 
 def kl_sum(p, q) -> float:
@@ -122,11 +115,6 @@ def kl_sum(p, q) -> float:
         raise ShapeMismatch(f"p has shape {p.shape}, q has shape {q.shape}")
     log_ratio = np.log(np.maximum(p, KL_FLOOR)) - np.log(np.maximum(q, KL_FLOOR))
     return float(np.sum(np.where(p > 0.0, p * log_ratio, 0.0)))
-
-
-def kl_rows(p, q) -> float:
-    """Row-averaged KL divergence between two row-stochastic matrices."""
-    return kl_sum(p, q) / len(p)
 
 
 def gram(a, b) -> np.ndarray:

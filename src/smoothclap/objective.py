@@ -251,7 +251,7 @@ def loss_with_fixed_targets(batch: EmbeddingBatch, targets, cfg: SmoothingConfig
         targets = as_matrix(targets, "targets")
         if targets.shape != (b, b):
             raise ShapeMismatch(f"targets {targets.shape} must be {(b, b)}")
-    value, _ = _blocked_pass(batch, cfg, targets, with_grads=False)
+    value, _ = _blocked_pass(batch, cfg, targets)
     return value
 
 
@@ -368,17 +368,17 @@ def _soft_value(sums: np.ndarray, b: int) -> float:
     return total / (2.0 * b)
 
 
-def _blocked_pass(batch: EmbeddingBatch, cfg: SmoothingConfig, targets, with_grads: bool):
+def _blocked_pass(batch: EmbeddingBatch, cfg: SmoothingConfig, targets):
     """The loss of the batch's unit rows e_a and e_t, one block of rows at a time.
 
     The target rows of a block are built from the batch when ``targets`` is
     None, else taken from it; neither is needed at ``cfg.clap_mix_lambda =
     1``. Each block holds its a2t rows (queries e_a, keys e_t) and t2a rows
-    (queries e_t, keys e_a) in one (2, r, B) array. Returns the loss and a
-    pair of (B, d) arrays: when ``with_grads``, ``2 B tau_pred`` times the
-    gradients with respect to e_a and e_t taken as free rows (the row
-    normalization not yet undone), else zeros. Blocks are summed in block
-    order, so the value does not depend on whether the gradients are taken.
+    (queries e_t, keys e_a) in one (2, r, B) array. Returns the loss and the
+    pair of (B, d) arrays ``2 B tau_pred`` times the gradients with respect
+    to e_a and e_t taken as free rows (the row normalization not yet
+    undone). Blocks add their sums in block order, and a block's loss terms
+    are summed before its gradient is formed.
     """
     e_a, e_t = batch.audio, batch.text
     lam = cfg.clap_mix_lambda
@@ -405,8 +405,6 @@ def _blocked_pass(batch: EmbeddingBatch, cfg: SmoothingConfig, targets, with_gra
             log_y = _log_targets(y, scratch[1], symmetric)
             u = _block(u_buf, rows, b)
             _add_kl_terms(sums, y, log_y, p, u, _block(prod_buf, rows, b))
-        if not with_grads:
-            continue
         # p becomes 2 B dL/dlogits of the block, per direction: p - (lam I +
         # (1 - lam) y) plus (1 - lam) times the reverse term's gradient
         if lam == 1.0:
@@ -460,7 +458,7 @@ def loss_and_grad(batch: EmbeddingBatch, cfg: SmoothingConfig) -> LossOutput:
     :func:`build_targets`, bit for bit.
     """
     e_a, e_t = batch.audio, batch.text
-    value, (grad_ea, grad_et) = _blocked_pass(batch, cfg, None, with_grads=True)
+    value, (grad_ea, grad_et) = _blocked_pass(batch, cfg, None)
     if not math.isfinite(value):
         raise NonFiniteLoss(f"forward loss is {value}")
 

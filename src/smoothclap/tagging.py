@@ -91,20 +91,11 @@ def fit_bins(values, feature_name: str) -> BinThresholds:
 
 
 def _bin_codes(values, thresholds: BinThresholds):
-    """Bin value of each element, one comparison per threshold: ``low <= high``
-    makes ``(v > low) + (v > high)`` the rule of ``assign_bin``."""
+    """Bin value of each element: Low if v <= low, High if v > high, Mid
+    otherwise. Boundaries are inclusive on the low side, so with degenerate
+    thresholds (low == high) only values up to the threshold map Low and
+    larger ones High. ``low <= high`` makes this ``(v > low) + (v > high)``."""
     return (values > thresholds.low).astype(np.int8) + (values > thresholds.high)
-
-
-def assign_bin(value: float, thresholds: BinThresholds) -> Bin:
-    """Low if value <= low, High if value > high, Mid otherwise.
-
-    Boundaries are inclusive on the low side, so with degenerate thresholds
-    (low == high) only exact-threshold values map Low and larger ones High.
-    """
-    if not np.isfinite(value):
-        raise NonFiniteValue(f"cannot bin non-finite value {value}")
-    return Bin(int(_bin_codes(np.float64(value), thresholds)))
 
 
 @dataclass(frozen=True)
@@ -132,12 +123,6 @@ class TemplateSet:
         if allowed is not None and value not in allowed:
             raise UnknownLabel(f"unknown {kind} label: {value!r}")
         return value
-
-    def contains_tag(self, tag: str) -> bool:
-        """True iff the tag belongs to the closed vocabulary of this set."""
-        if any(tag in tags for tags in _TAGS_BY_CODE.values()):
-            return True
-        return tag in (self.emotions or ()) or tag in (self.genders or ())
 
 
 OPEN_TEMPLATES = TemplateSet()
@@ -184,11 +169,6 @@ def _feature_tag(feature: str, b: Bin) -> str:
 
 # the tag of each feature by bin code; code -1 (no value) indexes the None
 _TAGS_BY_CODE = {f: tuple(_feature_tag(f, b) for b in Bin) + (None,) for f in BINNED_FEATURES}
-
-
-def profile_feature_values(profile: AcousticProfile) -> dict[str, float]:
-    """The binnable scalar features of a profile, keyed by tag feature name."""
-    return {name: float(getattr(profile, key)) for name, key in PROFILE_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -336,7 +316,7 @@ def render_tags(
     with a subset of the acoustic feature names.
     """
     if isinstance(acoustics, AcousticProfile):
-        acoustics = profile_feature_values(acoustics)
+        acoustics = {f: float(getattr(acoustics, key)) for f, key in PROFILE_FIELDS.items()}
     table = FeatureTable.from_records(
         [utterance_id], [labels or {}], [dims or {}], [acoustics or {}]
     )

@@ -309,8 +309,9 @@ def embed_query_labels(model: TrainedModel, labels) -> np.ndarray:
 
 
 def _tau_pred(log_tau: float) -> float:
-    """exp(log_tau); an overflow is a NonFiniteValue. An underflow to 0 is a
-    NonPositiveTemperature from the SmoothingConfig built with it."""
+    """exp(log_tau); an overflow is a NonFiniteValue. The SmoothingConfig
+    built with it refuses an underflow to 0 (NonPositiveTemperature) and a
+    value whose reciprocal overflows (NonFiniteValue)."""
     try:
         return math.exp(log_tau)
     except OverflowError:
@@ -327,44 +328,16 @@ def _tensor_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _gather_grads(grads, audio: np.ndarray, text: np.ndarray, out: LossOutput) -> None:
-    """Write the gradients of W_a, b_a, W_t, b_t and log_tau into the views
-    ``grads``, from a step's loss output at the projected feature rows."""
-    g_wa, g_ba, g_wt, g_bt, g_log_tau = grads
-    dza, dzt = out.grad_audio, out.grad_text
-    np.matmul(audio.T, dza, out=g_wa)
-    np.add.reduce(dza, axis=0, out=g_ba)
-    np.matmul(text.T, dzt, out=g_wt)
-    np.add.reduce(dzt, axis=0, out=g_bt)
-    g_log_tau[...] = out.grad_log_tau_pred
-
-
 def _param_shapes(proj_a: ProjectionParams, proj_t: ProjectionParams) -> list[tuple[int, ...]]:
     return [proj_a.weights.shape, proj_a.bias.shape, proj_t.weights.shape, proj_t.bias.shape, ()]
 
 
-def train_step(
-    proj_a, proj_t, log_tau: float, audio, text, smoothing
-) -> tuple[LossOutput, np.ndarray]:
-    """Loss of one batch of feature rows and one float64 vector of the gradients
-    of W_a, b_a, W_t, b_t and log_tau, each raveled, end to end in that order.
-    The audio feature rows are also the local features. The batch is checked
-    as :class:`EmbeddingBatch` checks it."""
-    cfg = replace(smoothing, tau_pred=_tau_pred(log_tau))
-    # the gradients are with respect to the projected rows za and zt
-    out = loss_and_grad(EmbeddingBatch(proj_a.project(audio), proj_t.project(text), audio), cfg)
-    shapes = _param_shapes(proj_a, proj_t)
-    grad = np.empty(sum(map(math.prod, shapes)))
-    _gather_grads(_tensor_views(grad, shapes), audio, text, out)
-    return out, grad
-
-
 def _trusted_step(proj_a, proj_t, cfg, audio, text, local, grads) -> LossOutput:
-    """:func:`train_step` on rows that :func:`train` has checked: float64
-    feature rows of one batch and ``local``, their unit rows. Only what a
-    step can fail on is checked: the norms of the projected rows. The
-    gradients go into the views ``grads``; the result equals train_step's
-    bit for bit."""
+    """Loss of one batch of float64 feature rows that :func:`train` has
+    checked, and ``local``, their unit rows. Only what a step can fail on is
+    checked: the norms of the projected rows, named as :class:`EmbeddingBatch`
+    names them. The gradients of W_a, b_a, W_t, b_t and log_tau go into the
+    views ``grads``, in that order."""
     za = proj_a.project(audio)
     zt = proj_t.project(text)
     try:
@@ -377,7 +350,14 @@ def _trusted_step(proj_a, proj_t, cfg, audio, text, local, grads) -> LossOutput:
         za / norms_a[:, None], zt / norms_t[:, None], local, norms_a, norms_t
     )
     out = loss_and_grad(batch, cfg)
-    _gather_grads(grads, audio, text, out)
+    # the gradients are with respect to the projected rows za and zt
+    g_wa, g_ba, g_wt, g_bt, g_log_tau = grads
+    dza, dzt = out.grad_audio, out.grad_text
+    np.matmul(audio.T, dza, out=g_wa)
+    np.add.reduce(dza, axis=0, out=g_ba)
+    np.matmul(text.T, dzt, out=g_wt)
+    np.add.reduce(dzt, axis=0, out=g_bt)
+    g_log_tau[...] = out.grad_log_tau_pred
     return out
 
 
@@ -411,7 +391,7 @@ def train(audio_features, tag_lists, config: TrainConfig) -> TrainedModel:
     proj_a = init_projection(x.shape[1], config.embed_dim, init_rng)
     proj_t = init_projection(len(vocabulary), config.embed_dim, init_rng)
     log_tau = math.log(config.smoothing.tau_pred)
-    # the trained tensors become views of one vector in train_step's order,
+    # the trained tensors become views of one vector in _param_shapes order,
     # and each step's gradients are written into views of another
     tensors = (proj_a.weights, proj_a.bias, proj_t.weights, proj_t.bias, log_tau)
     shapes = _param_shapes(proj_a, proj_t)

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: fixture file writers, a CLI runner,
-the per-entry finite-difference oracle, a corrupted analytic gradient and
-the per-record JSONL readers that the column readers are checked against."""
+the per-entry finite-difference oracle, a corrupted analytic gradient, the
+row-stochastic check, the binning and tag vocabulary of the table renderer,
+and the per-record JSONL readers that the column readers are checked against."""
 from __future__ import annotations
 
 import csv
@@ -17,6 +18,7 @@ from smoothclap.cli import main
 from smoothclap.errors import ConfigError, DuplicateId, TooFewValues
 from smoothclap.fixtures import ClusterFixture
 from smoothclap.gradcheck import STEP
+from smoothclap.numeric import as_matrix
 from smoothclap.objective import (
     EmbeddingBatch,
     SmoothingConfig,
@@ -27,15 +29,54 @@ from smoothclap.tagging import (
     DIMENSION_FEATURES,
     LABEL_KINDS,
     PROFILE_FIELDS,
+    Bin,
+    BinThresholds,
     FeatureTable,
     TemplateSet,
     fit_thresholds,
     render_tag_table,
 )
 
+# every feature tag the renderer may emit, written out
+FEATURE_TAGS = frozenset(
+    f"{word} {feature}"
+    for words, features in (
+        (("low", "mid", "high"), ("arousal", "valence", "dominance")),
+        (("low", "normal", "high"), ("pitch", "intensity", "jitter", "shimmer")),
+        (("short", "medium", "long"), ("duration",)),
+    )
+    for word in words
+    for feature in features
+)
+
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def is_row_stochastic(m, tol: float = 1e-9) -> bool:
+    """True if every entry is >= 0 and every row sums to 1 within ``tol``."""
+    m = as_matrix(m)
+    if np.any(m < 0.0):
+        return False
+    return bool(np.all(np.abs(m.sum(axis=1) - 1.0) <= tol))
+
+
+def table_bins(values, thresholds: BinThresholds) -> list[Bin]:
+    """The bin of each value as ``render_tag_table`` codes it: one row per
+    value, each with the value as its arousal rating."""
+    n = len(values)
+    table = FeatureTable.from_records(
+        [f"u{i}" for i in range(n)], [{}] * n, [{"arousal": float(v)} for v in values], [{}] * n
+    )
+    codes = render_tag_table(table, {"arousal": thresholds}).codes["arousal"]
+    return [Bin(c) for c in codes.tolist()]
+
+
+def in_vocabulary(tag: str, templates: TemplateSet) -> bool:
+    """True iff the tag is a feature tag or a label that ``templates`` allows."""
+    labels = (templates.emotions or frozenset()) | (templates.genders or frozenset())
+    return tag in FEATURE_TAGS or tag in labels
 
 
 def corrupt_gradcheck_gradient(monkeypatch) -> None:

@@ -288,8 +288,8 @@ def test_tags_bins_columns_not_records(tmp_path, monkeypatch, mode):
             "--out", str(tmp_path / "tags.jsonl")]
     assert run_cli(*argv, "--thresholds-out", str(thresholds)) == 0
     calls = {}
-    for module, name in ((tagging_module, "assign_bin"), (tagging_module, "render_tags"),
-                         (tagging_module, "fit_bins"), (cli_module, "render_tag_table")):
+    for module, name in ((tagging_module, "render_tags"), (tagging_module, "fit_bins"),
+                         (cli_module, "render_tag_table")):
         def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -666,6 +666,52 @@ def test_extreme_training_numbers_fail_the_step_in_one_line_or_train(
     assert err.count("\n") == 1
     assert err.startswith("error: epoch 0, batch start ")
     assert failure in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("train", "--tau-a2a", "1e-310"), ("train", "--tau-t2t", "1e-320"),
+     ("train", "--tau-pred", "1e-310"), ("sweep", "--tau-t2t", "1e-310")],
+)
+def test_a_temperature_whose_reciprocal_overflows_exits_2_naming_it(
+    tmp_path, capsys, command, flag, value
+):
+    # a softmax divides its scores by the temperature: at a subnormal one the
+    # division overflows, and the targets or predictions would be one-hot
+    files = cluster_files(tmp_path, seed=3, n_per_class=8)
+    out = tmp_path / "out"
+    argv = [command, "--features", str(files["features"]), "--tags", str(files["tags"]),
+            "--batch-size", "8", "--epochs", "2", "--seed", "3", flag, value, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--labels", str(files["labels"])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*argv)
+    assert code == 2 and not out.exists()
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"error: {name} = {float(value)} is too small: its reciprocal overflows\n"
+    )
+
+
+def test_a_learned_temperature_whose_reciprocal_overflows_fails_the_step(tmp_path, capsys):
+    # at seed 5 the first Adam step lowers log(tau_pred) from 0 by about lr
+    files = write_cluster_fixture_files(tmp_path, make_cluster_fixture(16, n_per_class=6))
+    model_path = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "train", "--features", str(files["features"]), "--tags", str(files["tags"]),
+            "--batch-size", "8", "--lr", "720", "--seed", "5", "--out", str(model_path),
+        )
+    assert code == 1 and not model_path.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(
+        r"error: epoch 0, batch start 8: tau_pred = \S+e-3\d\d is too small: its reciprocal "
+        r"overflows\n",
+        err,
+    )
 
 
 def test_zero_feature_row_before_training_exits_2(tmp_path, capsys):

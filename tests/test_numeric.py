@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_row_stochastic
 from smoothclap.errors import (
     EmptyInput,
     NonFiniteValue,
@@ -17,8 +18,7 @@ from smoothclap.errors import (
 from smoothclap.numeric import (
     as_matrix,
     gram,
-    is_row_stochastic,
-    kl_rows,
+    kl_sum,
     l2_normalize_rows,
     percentile_nearest_rank,
     row_softmax,
@@ -89,6 +89,15 @@ def test_softmax_rejects_bad_temperature():
         row_softmax(np.eye(2), np.inf)
 
 
+def test_softmax_takes_temperatures_down_to_the_first_whose_reciprocal_overflows():
+    # 1 / tiny is finite; below about 1 / float max the reciprocal overflows
+    tiny = np.finfo(np.float64).tiny
+    assert row_softmax([[1.0, 0.0]], tiny).tolist() == [[1.0, 0.0]]
+    for value in (np.nextafter(1.0 / np.finfo(np.float64).max, 0.0), 5e-324):
+        with pytest.raises(NonFiniteValue, match="temperature = .* its reciprocal overflows"):
+            row_softmax(np.eye(2), value)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     rows=st.integers(1, 6),
@@ -112,26 +121,26 @@ def test_softmax_shift_invariance():
     )
 
 
-# --- kl_rows ---
+# --- kl_sum ---
 
 def test_kl_identical_is_zero():
     p = row_softmax(np.random.default_rng(1).standard_normal((3, 4)), 1.0)
-    assert kl_rows(p, p) == 0.0
+    assert kl_sum(p, p) == 0.0
 
 
 def test_kl_onehot_vs_uniform():
-    got = kl_rows([[1.0, 0.0]], [[0.5, 0.5]])
+    got = kl_sum([[1.0, 0.0]], [[0.5, 0.5]])
     assert got == pytest.approx(GOLDEN["kl_onehot_uniform"], abs=1e-9)
 
 
 def test_kl_asymmetric_example():
-    got = kl_rows([[0.9, 0.1]], [[0.1, 0.9]])
+    got = kl_sum([[0.9, 0.1]], [[0.1, 0.9]])
     assert got == pytest.approx(GOLDEN["kl_09_01_vs_01_09"], abs=1e-9)
 
 
 def test_kl_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        kl_rows([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+        kl_sum([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
 
 
 def test_kl_nonnegative_and_zero_iff_equal():
@@ -141,8 +150,8 @@ def test_kl_nonnegative_and_zero_iff_equal():
         p = row_softmax(rng.standard_normal((b, b)), 1.0)
         q = row_softmax(rng.standard_normal((b, b)), 1.0)
         # KL_FLOOR lies below any softmax entry at this scale
-        assert kl_rows(p, q) >= 0.0
-        assert kl_rows(p, p) == 0.0
+        assert kl_sum(p, q) >= 0.0
+        assert kl_sum(p, p) == 0.0
 
 
 # --- gram ---

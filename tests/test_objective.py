@@ -8,7 +8,7 @@ import pytest
 
 import smoothclap.gradcheck
 import smoothclap.objective
-from helpers import random_unit_rows
+from helpers import is_row_stochastic, random_unit_rows
 from smoothclap.errors import (
     BetaOutOfRange,
     GammaOutOfRange,
@@ -18,7 +18,7 @@ from smoothclap.errors import (
     ShapeMismatch,
     ZeroMassTarget,
 )
-from smoothclap.numeric import gram, is_row_stochastic, l2_normalize_rows, row_softmax
+from smoothclap.numeric import gram, l2_normalize_rows, row_softmax
 from smoothclap.objective import (
     EmbeddingBatch,
     KLMode,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import FEATURE_TAGS, in_vocabulary, table_bins
 from smoothclap.errors import (
     ConfigError,
     MissingThresholds,
@@ -27,10 +28,8 @@ from smoothclap.tagging import (
     BinThresholds,
     FeatureTable,
     TemplateSet,
-    assign_bin,
     fit_bins,
     fit_thresholds,
-    profile_feature_values,
     render_tag_table,
     render_tags,
 )
@@ -62,22 +61,20 @@ def test_fit_bins_errors():
         fit_bins([1.0, float("nan"), 3.0], "x")
 
 
-# --- assign_bin ---
+# --- binning, through the table renderer ---
 
 @pytest.mark.parametrize(
     "value,expected",
     [(3.0, Bin.LOW), (2.0, Bin.LOW), (5.0, Bin.MID), (7.0, Bin.MID), (7.1, Bin.HIGH)],
 )
-def test_assign_bin_boundaries(value, expected):
+def test_bin_boundaries(value, expected):
     t = BinThresholds("x", 3.0, 7.0)
-    assert assign_bin(value, t) is expected
+    assert table_bins([value], t) == [expected]
 
 
-def test_assign_bin_degenerate_thresholds():
+def test_bin_degenerate_thresholds():
     t = BinThresholds("x", 5.0, 5.0)
-    assert assign_bin(5.0, t) is Bin.LOW
-    assert assign_bin(5.1, t) is Bin.HIGH
-    assert assign_bin(4.9, t) is Bin.LOW
+    assert table_bins([5.0, 5.1, 4.9], t) == [Bin.LOW, Bin.HIGH, Bin.LOW]
 
 
 def test_inverted_thresholds_are_a_config_error():
@@ -85,16 +82,16 @@ def test_inverted_thresholds_are_a_config_error():
         BinThresholds("x", 2.0, 1.0)
 
 
-def test_assign_bin_rejects_nan():
-    with pytest.raises(NonFiniteValue):
-        assign_bin(float("nan"), BinThresholds("x", 0.0, 1.0))
+def test_bin_rejects_nan():
+    with pytest.raises(NonFiniteValue, match="cannot bin non-finite value nan"):
+        table_bins([float("nan")], BinThresholds("x", 0.0, 1.0))
 
 
-def test_assign_bin_monotone():
+def test_bin_monotone():
     rng = np.random.default_rng(2)
     t = BinThresholds("x", -0.4, 0.8)
     values = np.sort(rng.uniform(-2, 2, 200))
-    bins = [assign_bin(float(v), t) for v in values]
+    bins = table_bins(values, t)
     assert all(a <= b for a, b in zip(bins, bins[1:]))
 
 
@@ -103,8 +100,8 @@ def test_bin_occupancy_30_40_30():
     values = rng.permutation(np.linspace(-5.0, 5.0, 100))
     t = fit_bins(values, "x")
     counts = {b: 0 for b in Bin}
-    for v in values:
-        counts[assign_bin(float(v), t)] += 1
+    for b in table_bins(values, t):
+        counts[b] += 1
     assert abs(counts[Bin.LOW] - 30) <= 1
     assert abs(counts[Bin.MID] - 40) <= 1
     assert abs(counts[Bin.HIGH] - 30) <= 1
@@ -210,35 +207,35 @@ def test_tags_stay_inside_closed_vocabulary():
         assert record.tags
         assert len(record.tags) == len(set(record.tags))
         for tag in record.tags:
-            assert templates.contains_tag(tag), tag
+            assert in_vocabulary(tag, templates), tag
 
 
-def test_contains_tag_accepts_the_vocabulary_and_rejects_near_misses():
+def test_the_table_renderer_emits_exactly_the_literal_feature_tags():
+    # each binned feature at a value in each of its three bins
+    values = (0.0, 0.5, 1.0)
+    dims = [dict.fromkeys(DIMENSION_FEATURES, v) for v in values]
+    acoustics = [dict.fromkeys(ACOUSTIC_FEATURES, v) for v in values]
+    thresholds = {f: BinThresholds(f, 0.25, 0.75) for f in BINNED_FEATURES}
+    table = FeatureTable.from_records(["a", "b", "c"], [{}] * 3, dims, acoustics)
+    emitted = {tag for tags in render_tag_table(table, thresholds).tags for tag in tags}
+    assert emitted == FEATURE_TAGS and len(FEATURE_TAGS) == 24
     templates = TemplateSet(emotions=frozenset({"happy"}), genders=frozenset({"female"}))
-    vocabulary = [
-        f"{word} {feature}"
-        for words, features in (
-            (("low", "mid", "high"), ("arousal", "valence", "dominance")),
-            (("low", "normal", "high"), ("pitch", "intensity", "jitter", "shimmer")),
-            (("short", "medium", "long"), ("duration",)),
-        )
-        for word in words
-        for feature in features
-    ]
-    for tag in vocabulary + ["happy", "female"]:
-        assert templates.contains_tag(tag), tag
+    for tag in sorted(FEATURE_TAGS) + ["happy", "female"]:
+        assert in_vocabulary(tag, templates), tag
     for tag in (
         "mid pitch", "normal arousal", "high duration", "short pitch", "low  pitch",
         "Low pitch", " low pitch", "low pitch ", "pitch", "low", "", "sad", "male",
     ):
-        assert not templates.contains_tag(tag), tag
+        assert not in_vocabulary(tag, templates), tag
 
 
-def test_profile_feature_values_keys():
+def test_render_tags_bins_the_five_binned_fields_of_a_profile():
     profile = acoustic_profile(Waveform(synth_tone(220.0, 1.0, 0.5), 16000))
-    values = profile_feature_values(profile)
-    assert sorted(values) == ["duration", "intensity", "jitter", "pitch", "shimmer"]
-    assert values["duration"] == 1.0
+    # only a duration of exactly 1.0 s lies in the middle bin
+    thresholds = {**THRESHOLDS, "duration": BinThresholds("duration", np.nextafter(1.0, 0.0), 1.0)}
+    record = render_tags("u", None, None, profile, thresholds)
+    assert sorted(record.bins) == ["duration", "intensity", "jitter", "pitch", "shimmer"]
+    assert record.bins["duration"] == "mid" and "medium duration" in record.tags
 
 
 # --- thresholds sidecar ---
@@ -424,7 +421,8 @@ def test_table_form_bins_at_the_cut_points_like_assign_bin():
         ),
         {"pitch": t},
     )
-    assert table.codes["pitch"].tolist() == [int(assign_bin(v, t)) for v in values] == [0, 0, 2, 2]
+    expected = [int(oracle_assign_bin(v, t)) for v in values]
+    assert table.codes["pitch"].tolist() == expected == [0, 0, 2, 2]
     assert table.tags == [["low pitch"], ["low pitch"], ["high pitch"], ["high pitch"]]
 
 

@@ -41,7 +41,6 @@ from smoothclap.trainer import (
     featurize_text,
     init_projection,
     train,
-    train_step,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_values.json").read_text())
@@ -291,9 +290,6 @@ def test_trusted_step_is_the_checked_kernel_and_the_concatenated_gradients(b, kl
     assert out.grad_audio.tobytes() == dza.tobytes()
     assert out.grad_text.tobytes() == dzt.tobytes()
     assert grad.tobytes() == expected_grad.tobytes()
-    public_out, public_grad = train_step(proj_a, proj_t, math.log(0.8), x, text, cfg)
-    assert public_out.value == expected.value
-    assert public_grad.tobytes() == expected_grad.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -355,12 +351,12 @@ def test_descent_on_frozen_batch():
     text = np.abs(rng.standard_normal((8, 5))) + 0.1
     proj_a = init_projection(10, 6, rng)
     proj_t = init_projection(5, 6, rng)
+    shapes = _param_shapes(proj_a, proj_t)
     flat = flatten(proj_a, proj_t, 0.0)
     state = AdamState.zeros_like(flat)
     losses = []
     for _ in range(50):
-        proj_a, proj_t, log_tau = unflatten(flat, 10, 5, 6)
-        out, grad = train_step(proj_a, proj_t, log_tau, x, text, SmoothingConfig())
+        out, grad = flat_step(flat, shapes, x, text, SmoothingConfig())
         losses.append(out.value)
         flat, state = adam_step(flat, grad, state, 1e-4)
     diffs = np.diff(losses)
@@ -368,15 +364,29 @@ def test_descent_on_frozen_batch():
     assert losses[-1] < losses[0]
 
 
+def flat_step(flat, shapes, x, text, smoothing):
+    """``_trusted_step`` of the batch at the parameters of a vector in
+    ``_param_shapes`` order: its loss output and one vector of its gradients
+    in the same order."""
+    w_a, b_a, w_t, b_t, log_tau = _tensor_views(flat, shapes)
+    cfg = replace(smoothing, tau_pred=math.exp(float(log_tau)))
+    grad = np.empty_like(flat)
+    out = _trusted_step(
+        ProjectionParams(w_a, b_a), ProjectionParams(w_t, b_t), cfg, x, text,
+        l2_normalize_rows(x), _tensor_views(grad, shapes),
+    )
+    return out, grad
+
+
 def flatten(proj_a, proj_t, log_tau):
-    """One vector of the trained parameters, in train_step's grad order."""
+    """One vector of the trained parameters, in ``_param_shapes`` order."""
     return np.concatenate(
         [proj_a.weights.ravel(), proj_a.bias, proj_t.weights.ravel(), proj_t.bias, [log_tau]]
     )
 
 
 def unflatten(flat, in_audio, in_text, dim):
-    """Projections and log_tau of a vector in train_step's grad order."""
+    """Projections and log_tau of a vector in ``_param_shapes`` order."""
     sizes = np.cumsum([in_audio * dim, dim, in_text * dim, dim])
     w_a, b_a, w_t, b_t, log_tau = np.split(flat, sizes)
     return (
@@ -388,7 +398,7 @@ def unflatten(flat, in_audio, in_text, dim):
 
 @pytest.mark.parametrize("kl_mode", [KLMode.SYMMETRIC, KLMode.FORWARD])
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-def test_train_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
+def test_trusted_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
     # central differences of the loss in W_a, b_a, W_t, b_t and log_tau, with
     # the targets of the unperturbed batch held fixed (stop-gradient)
     rng = np.random.default_rng(21)
@@ -398,9 +408,8 @@ def test_train_step_matches_finite_differences_of_every_parameter(lam, kl_mode):
     proj_a = init_projection(in_audio, dim, rng)
     proj_t = init_projection(in_text, dim, rng)
     smoothing = SmoothingConfig(kl_mode=kl_mode, tau_a2a=0.7, tau_t2t=1.3, clap_mix_lambda=lam)
-    log_tau = math.log(0.8)
-    out, grad = train_step(proj_a, proj_t, log_tau, x, text, smoothing)
-    flat = flatten(proj_a, proj_t, log_tau)
+    flat = flatten(proj_a, proj_t, math.log(0.8))
+    out, grad = flat_step(flat, _param_shapes(proj_a, proj_t), x, text, smoothing)
     assert grad.dtype == np.float64 and grad.shape == flat.shape == (103,)
 
     # the feature rows are also the local audio features
